@@ -7,35 +7,23 @@ isolated vertex or biconnected, in time linear in the graph size.
 
 from .augment import AugmentationResult, augment
 from .blocks import BlockTree, decompose, pendant_records, tree_to_dot
-from .bounds import (
-    CaseLabel,
-    ComponentCensus,
-    CriticalityReport,
-    census,
-    classify_m,
-    classify_s,
-    criticality,
-    eta,
-    theorem_target,
-)
+from .bounds import ComponentCensus, census, classify_m, eta, theorem_target
 from .errors import (
     BipartitenessViolation,
     CapExceeded,
     ClingPartitionViolation,
     GraphError,
     IllegalEdge,
+    InvariantViolation,
     NoBiconnector,
     NoCrossPair,
     ParseError,
-    SingularComponent,
     UnknownVertex,
 )
 from .graph import (
     BipartiteGraph,
-    ComponentPartition,
     add_edges,
     build_graph,
-    connected_components,
     generate_instance,
     is_legal_edge,
     parse_graph,
@@ -59,19 +47,16 @@ __all__ = [
     "BipartitenessViolation",
     "BlockTree",
     "CapExceeded",
-    "CaseLabel",
     "ClingPartitionViolation",
     "ComponentCensus",
-    "ComponentPartition",
-    "CriticalityReport",
     "GraphError",
     "IllegalEdge",
+    "InvariantViolation",
     "MatchingProfile",
     "NoBiconnector",
     "NoCrossPair",
     "OpCounters",
     "ParseError",
-    "SingularComponent",
     "UnknownVertex",
     "VerifyReport",
     "add_edges",
@@ -81,9 +66,6 @@ __all__ = [
     "census",
     "check_componentwise_biconnected",
     "classify_m",
-    "classify_s",
-    "connected_components",
-    "criticality",
     "decompose",
     "eta",
     "generate_instance",

@@ -10,8 +10,8 @@ remains and the tree based solver finishes it.
 The connected solver walks the structure tree: terminal cases emit all
 their edges at once, iterative cases add one edge, collapse the tree
 path it closes, and reclassify.  Every added edge is checked legal on
-the way out and the final count is asserted against the closed form
-target.
+the way out and the final count is checked against the closed form
+target; a miss raises InvariantViolation, also under python -O.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .blocks import (
-    B_NODE,
     C_NODE,
     S_NODE,
     BlockRec,
@@ -38,7 +37,7 @@ from .bounds import (
     classify_m,
     theorem_target,
 )
-from .errors import ClingPartitionViolation, NoBiconnector
+from .errors import ClingPartitionViolation, InvariantViolation, NoBiconnector
 from .graph import BipartiteGraph
 from .matching import counts_of, maximum_legal_matching, pick_cross_pair, profile
 from .stats import OpCounters
@@ -120,7 +119,7 @@ def augment(
     cen = census(dec)
     recs = pendant_records(g, dec)
     target = theorem_target(g, dec, recs)
-    label = classify_m(cen, profile(*counts_of([p.ptype for p in recs])).m).m_case
+    label = classify_m(cen, profile(*counts_of([p.ptype for p in recs])).m)
     if label == "M6":
         return AugmentationResult([], [], 0)
     na = sum(1 for s in g.sides if s == 0)
@@ -140,7 +139,7 @@ def augment(
         _case_m2(st, g, dec, cen, recs)
     else:
         _case_m3(st, g, dec, cen, recs, self_check)
-    assert len(st.added) == target, f"emitted {len(st.added)}, target {target}"
+    _check(len(st.added) == target, f"emitted {len(st.added)}, target {target}")
     added_labels = [(g.labels[u], g.labels[v]) for u, v in st.added]
     return AugmentationResult(added_labels, st.cases, target)
 
@@ -351,33 +350,26 @@ def _solve_connected(
     comp = dec.comps[cid]
     tree = BlockTree.build(gcur, dec, comp, st.counters)
     index = AugTreeIndex(tree, st.counters)
-    eta0 = max(index.max_cdeg - 1, index.m_plus_r(), 0)
+    eta0 = index.eta_now()
     start = len(st.added)
-    while True:
-        lam = index.leaf_total()
-        if lam == 0:
-            break
-        if lam <= 3:
-            _terminal_small(st, tree, index)
-            break
-        if index.m_value() == 0:
-            _terminal_uniform(st, tree, index)
-            break
-        if index.massive_node() != -1:
+    while index.leaf_total() > 0:
+        case = index.s_case()
+        if case == "S5":
             _hub_step(st, tree, index)
-            if self_check:
-                _audit_against_rebuild(st, comp[0], index)
-            continue
-        if index.critical_count() == 2:
-            _terminal_two_critical(st, tree, index)
+        elif case == "S4_2":
+            _branch_step(st, tree, index)
+        else:
+            _TERMINAL[case](st, tree, index)
             break
-        if index.cnt_branching == 1:
-            _terminal_one_branch(st, tree, index)
-            break
-        _branch_step(st, tree, index)
         if self_check:
             _audit_against_rebuild(st, comp[0], index)
-    assert len(st.added) - start == eta0, "connected solve missed its bound"
+    _check(len(st.added) - start == eta0, "connected solve missed its bound")
+
+
+def _check(ok: bool, what: str) -> None:
+    """An invariant check that python -O keeps."""
+    if not ok:
+        raise InvariantViolation(what)
 
 
 def _audit_against_rebuild(st: _State, anchor: int, index: AugTreeIndex) -> None:
@@ -539,7 +531,7 @@ def _hub_step(st: _State, tree: BlockTree, index: AugTreeIndex) -> None:
     info = tree.collapse(full, st.counters)
     index.update_after_collapse(info)
     assert tree.degree(root) == deg_before - 1, "hub degree must drop by one"
-    assert index.eta_now() == eta_before - 1, "demand must drop by one"
+    _check(index.eta_now() == eta_before - 1, "demand must drop by one")
 
 
 def _branch_step(st: _State, tree: BlockTree, index: AugTreeIndex) -> None:
@@ -559,4 +551,13 @@ def _branch_step(st: _State, tree: BlockTree, index: AugTreeIndex) -> None:
     full = list(reversed(path1)) + [root] + path2
     info = tree.collapse(full, st.counters)
     index.update_after_collapse(info)
-    assert index.eta_now() == eta_before - 1, "demand must drop by one"
+    _check(index.eta_now() == eta_before - 1, "demand must drop by one")
+
+
+# terminal cases by the tag AugTreeIndex.s_case() gives them
+_TERMINAL = {
+    "S1": _terminal_small,
+    "S2": _terminal_uniform,
+    "S3": _terminal_two_critical,
+    "S4_1": _terminal_one_branch,
+}

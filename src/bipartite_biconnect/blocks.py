@@ -17,7 +17,7 @@ reduced by one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .graph import BipartiteGraph
@@ -279,7 +279,6 @@ def tree_to_dot(g: BipartiteGraph) -> str:
 @dataclass
 class CollapseInfo:
     y: int
-    y_rec: BlockRec
     path: list[int]
     absorbed: list[int]
     survivors: list[int]
@@ -433,28 +432,6 @@ class BlockTree:
             raise AssertionError("structure tree is not connected")
         return t
 
-    def path_between(self, x: int, y: int) -> list[int]:
-        """Tree path from node x to node y via parent pointers."""
-        ax, ay = x, y
-        mark: dict[int, int] = {}
-        while ax != -1:
-            mark[ax] = 1
-            ax = self.parent[ax]
-        lca = y
-        while lca not in mark:
-            lca = self.parent[lca]
-        up = []
-        cur = x
-        while cur != lca:
-            up.append(cur)
-            cur = self.parent[cur]
-        down = []
-        cur = y
-        while cur != lca:
-            down.append(cur)
-            cur = self.parent[cur]
-        return up + [lca] + list(reversed(down))
-
     def collapse(
         self, path: list[int], counters: OpCounters | None = None
     ) -> CollapseInfo:
@@ -547,7 +524,6 @@ class BlockTree:
 
         return CollapseInfo(
             y=y,
-            y_rec=rec,
             path=path,
             absorbed=absorbed,
             survivors=survivors,

@@ -1,13 +1,12 @@
-"""Component census, criticality, and the augmentation target size."""
+"""Component census, the lower bound, and the augmentation target size."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from .blocks import BlockTree, Decomposition, PendantRec, decompose, pendant_records
+from .blocks import Decomposition, PendantRec, decompose, pendant_records
 from .graph import BipartiteGraph
-from .matching import MatchingProfile, counts_of, profile
+from .matching import counts_of, profile
 
 ISOLATED = "isolated"
 EDGE = "edge"
@@ -47,38 +46,6 @@ def census(dec: Decomposition) -> ComponentCensus:
     return ComponentCensus(c1, c2, c3, c_iso, classes)
 
 
-@dataclass
-class CriticalityReport:
-    comp: int
-    d_max: int
-    c_star: Optional[int]  # lowest cut vertex of maximum split count
-    massive: list[int]
-    critical: list[int]
-    m: int
-    r: int
-
-
-def criticality(
-    g: BipartiteGraph,
-    dec: Decomposition,
-    recs: list[PendantRec],
-    cid: int,
-) -> CriticalityReport:
-    comp = dec.comps[cid]
-    counts = counts_of([p.ptype for p in recs if p.comp == cid])
-    prof = profile(*counts)
-    cuts = [v for v in comp if dec.is_cut[v]]
-    d_max = max((dec.branch_count(v) for v in comp), default=0)
-    c_star = None
-    for v in cuts:
-        if dec.branch_count(v) == d_max:
-            c_star = v
-            break
-    massive = [v for v in cuts if dec.branch_count(v) - 1 > prof.m + prof.r]
-    critical = [v for v in cuts if dec.branch_count(v) - 1 == prof.m + prof.r]
-    return CriticalityReport(cid, d_max, c_star, massive, critical, prof.m, prof.r)
-
-
 def _eta_formula(max_d: int, c_non_block: int, m: int, r: int) -> int:
     return max(max_d + c_non_block - 2, m + r, 0)
 
@@ -106,42 +73,15 @@ def eta_extended(
     return _eta_formula(max_d, cen.c_total, prof.m, prof.r)
 
 
-@dataclass(frozen=True)
-class CaseLabel:
-    m_case: Optional[str] = None  # M1..M6
-    s_case: Optional[str] = None  # S1, S2, S3, S4_1, S4_2, S5
-
-
-def classify_m(cen: ComponentCensus, m: int) -> CaseLabel:
+def classify_m(cen: ComponentCensus, m: int) -> str:
     """Top level case label for the whole graph."""
     if cen.c_total == 0:
-        label = "M6"
-    elif cen.c1 == 0 and cen.c2 == 1:
-        label = "M5" if cen.c3 > 0 else "M4"
-    elif cen.c_total == 1:
-        label = "M1"
-    else:
-        label = "M2" if m == 0 else "M3"
-    return CaseLabel(m_case=label)
-
-
-def classify_s(
-    tree: BlockTree, prof: MatchingProfile, report: CriticalityReport
-) -> CaseLabel:
-    """Case label for one connected component about to be solved."""
-    lam = len(tree.leaves())
-    if lam <= 3:
-        s = "S1"
-    elif prof.m == 0:
-        s = "S2"
-    elif report.massive:
-        s = "S5"
-    elif len(report.critical) == 2:
-        s = "S3"
-    else:
-        branching = sum(1 for x in tree.live_nodes() if tree.degree(x) >= 3)
-        s = "S4_1" if branching == 1 else "S4_2"
-    return CaseLabel(s_case=s)
+        return "M6"
+    if cen.c1 == 0 and cen.c2 == 1:
+        return "M5" if cen.c3 > 0 else "M4"
+    if cen.c_total == 1:
+        return "M1"
+    return "M2" if m == 0 else "M3"
 
 
 def theorem_target(
@@ -150,7 +90,7 @@ def theorem_target(
     """Exact optimum size for the full graph."""
     cen = census(dec)
     prof = profile(*counts_of([p.ptype for p in recs]))
-    label = classify_m(cen, prof.m).m_case
+    label = classify_m(cen, prof.m)
     if label == "M6":
         return 0
     if label == "M4":

@@ -15,14 +15,7 @@ from typing import Optional
 
 from .augment import AugmentationResult, augment
 from .blocks import BlockTree, decompose, pendant_records, tree_to_dot
-from .bounds import (
-    NEEDY,
-    census,
-    classify_m,
-    classify_s,
-    criticality,
-    theorem_target,
-)
+from .bounds import NEEDY, census, classify_m
 from .errors import CapExceeded, NoBiconnector, ParseError
 from .graph import (
     BipartiteGraph,
@@ -32,6 +25,7 @@ from .graph import (
 )
 from .matching import counts_of, profile
 from .stats import OpCounters
+from .treeindex import AugTreeIndex
 from .verify import brute_force_optimal, check_componentwise_biconnected, verify_result
 
 EXIT_OK = 0
@@ -59,19 +53,22 @@ def _read_text(path: str) -> str:
 
 
 def _parse_edge_lines(text: str) -> list[tuple[str, str]]:
-    """Read ADD lines back in, ignoring comments and the SIZE footer."""
+    """Read ADD lines back in, ignoring comments and the SIZE footer.
+
+    As in the graph format, ``#`` only starts a comment as the first
+    token of a line or after the two labels of an ADD line, so labels
+    may contain it.
+    """
     pairs: list[tuple[str, str]] = []
     for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#") or tokens[0] == "SIZE":
             continue
-        tokens = line.split()
-        if tokens[0] == "SIZE":
-            continue
-        if tokens[0] == "ADD" and len(tokens) == 3:
+        ends = len(tokens) == 3 or (len(tokens) > 3 and tokens[3].startswith("#"))
+        if tokens[0] == "ADD" and ends:
             pairs.append((tokens[1], tokens[2]))
         else:
-            raise ParseError(f"bad edge line: {line!r}")
+            raise ParseError(f"bad edge line: {raw.strip()!r}")
     return pairs
 
 
@@ -82,7 +79,7 @@ def _stats_payload(g: BipartiteGraph) -> dict:
     counts = counts_of([p.ptype for p in recs])
     prof = profile(*counts)
     out: dict = {
-        "m_case": classify_m(cen, prof.m).m_case,
+        "m_case": classify_m(cen, prof.m),
         "census": {
             "c1": cen.c1,
             "c2": cen.c2,
@@ -94,22 +91,26 @@ def _stats_payload(g: BipartiteGraph) -> dict:
         "matching": {"m": prof.m, "r": prof.r},
         "components": [],
     }
+    # each needy component as the solver's index first sees it on its own
     for cid, cls in enumerate(cen.comp_classes):
         if cls != NEEDY:
             continue
-        rep = criticality(g, dec, recs, cid)
         tree = BlockTree.build(g, dec, dec.comps[cid])
-        comp_prof = profile(*counts_of([p.ptype for p in recs if p.comp == cid]))
+        index = AugTreeIndex(tree)
+        comp_prof = profile(*index.counts())
+        d_max = index.max_cdeg
+        hub = index.massive_node()
+        massive = [] if hub == -1 else [hub]
         out["components"].append(
             {
                 "component": cid,
-                "s_case": classify_s(tree, comp_prof, rep).s_case,
-                "d_max": rep.d_max,
-                "c_star": None if rep.c_star is None else g.labels[rep.c_star],
-                "massive": [g.labels[v] for v in rep.massive],
-                "critical": [g.labels[v] for v in rep.critical],
-                "m": rep.m,
-                "r": rep.r,
+                "s_case": index.s_case(),
+                "d_max": d_max,
+                "c_star": g.labels[tree.payload[index.grp_head[d_max]]],
+                "massive": [g.labels[tree.payload[x]] for x in massive],
+                "critical": [g.labels[tree.payload[x]] for x in index.critical_nodes()],
+                "m": comp_prof.m,
+                "r": comp_prof.r,
             }
         )
     return out

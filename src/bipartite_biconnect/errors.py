@@ -21,8 +21,8 @@ class IllegalEdge(GraphError):
     """Requested edge already present or not between opposite sides."""
 
 
-class SingularComponent(GraphError):
-    """A component expected to contain a nonsingular block does not."""
+class InvariantViolation(GraphError):
+    """The solver broke one of its own invariants: a bug, never bad input."""
 
 
 class NoCrossPair(GraphError):

@@ -8,7 +8,6 @@ stored index based with the A endpoint first.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import BipartitenessViolation, IllegalEdge, ParseError, UnknownVertex
@@ -76,12 +75,6 @@ class BipartiteGraph:
     def m(self) -> int:
         return len(self.edges)
 
-    def side(self, u: int) -> int:
-        return self.sides[u]
-
-    def label(self, u: int) -> str:
-        return self.labels[u]
-
     def degree(self, u: int) -> int:
         return len(self.adj[u])
 
@@ -95,29 +88,6 @@ class BipartiteGraph:
         if self.sides[u] == 1:
             u, v = v, u
         return (u, v) in self.edge_set
-
-    def with_added_edges(self, pairs: Iterable[tuple[int, int]]) -> "BipartiteGraph":
-        """Return a copy with the index pairs added.
-
-        Raises IllegalEdge when a pair duplicates an existing or requested
-        edge or joins two vertices on the same side.
-        """
-        new_edges = list(self.edges)
-        seen = set(self.edge_set)
-        for u, v in pairs:
-            if self.sides[u] == self.sides[v]:
-                raise IllegalEdge(
-                    f"cannot add same side edge {self.labels[u]!r} {self.labels[v]!r}"
-                )
-            if self.sides[u] == 1:
-                u, v = v, u
-            if (u, v) in seen:
-                raise IllegalEdge(
-                    f"edge {self.labels[u]!r} {self.labels[v]!r} already present"
-                )
-            seen.add((u, v))
-            new_edges.append((u, v))
-        return BipartiteGraph(self.labels, self.sides, new_edges)
 
     def edge_labels(self) -> tuple[tuple[str, str], ...]:
         return tuple((self.labels[u], self.labels[v]) for u, v in self.edges)
@@ -253,7 +223,8 @@ def add_edges(
 ) -> BipartiteGraph:
     """Copy of g with the index pairs added, value semantics.
 
-    Every pair must be a legal edge and the list free of repeats.
+    The one checked way to add edges: every pair must be a legal edge
+    and the list free of repeats, else IllegalEdge.
     """
     seen: set[tuple[int, int]] = set()
     checked = []
@@ -269,23 +240,7 @@ def add_edges(
             )
         seen.add(key)
         checked.append(key)
-    return g.with_added_edges(checked)
-
-
-@dataclass(frozen=True)
-class ComponentPartition:
-    component_id: dict[int, int]
-    component_members: list[list[int]]
-
-
-def connected_components(g: BipartiteGraph) -> ComponentPartition:
-    """Connected components with a vertex to component index map."""
-    members = components(g)
-    cid: dict[int, int] = {}
-    for i, comp in enumerate(members):
-        for v in comp:
-            cid[v] = i
-    return ComponentPartition(component_id=cid, component_members=members)
+    return BipartiteGraph(g.labels, g.sides, g.edges + tuple(checked))
 
 
 def components(g: BipartiteGraph) -> list[list[int]]:

@@ -39,10 +39,6 @@ def profile(n_a: int, n_b: int, n_ab: int) -> MatchingProfile:
     return MatchingProfile(n_a, n_b, n_ab, alpha, beta, gamma, m, n_a + n_b + n_ab - 2 * m)
 
 
-def pair_count(n_a: int, n_b: int, n_ab: int) -> int:
-    return profile(n_a, n_b, n_ab).m
-
-
 def counts_of(types: Sequence[str]) -> tuple[int, int, int]:
     c = [0, 0, 0]
     for t in types:
@@ -58,7 +54,7 @@ def is_decrementing(counts: tuple[int, int, int], t1: str, t2: str) -> bool:
     c[TYPE_SLOT[t2]] -= 1
     if min(c) < 0:
         return False
-    return pair_count(*c) == pair_count(*counts) - 1
+    return profile(*c).m == profile(*counts).m - 1
 
 
 def pick_cross_pair(

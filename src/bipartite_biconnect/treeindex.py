@@ -15,13 +15,12 @@ is the lowest eligible id and repeated runs make identical choices.
 
 from __future__ import annotations
 
-from .blocks import B_NODE, C_NODE, K_NODE, S_NODE, BlockTree, CollapseInfo
+from .blocks import B_NODE, C_NODE, S_NODE, BlockTree, CollapseInfo
 from .errors import NoCrossPair
 from .matching import LEGAL_COMBOS, is_decrementing, profile
 from .stats import OpCounters
 
 LEAF_CODE = {"A": 4, "B": 2, "AB": 1}
-TYPE_BIT = {"A": 4, "B": 2, "AB": 1}
 # codes whose subtree holds the given type; the single leaf codes first
 CODES_WITH = {
     "A": (4, 12, 13, 14, 15),
@@ -42,7 +41,14 @@ class AugTreeIndex:
     def __init__(self, tree: BlockTree, counters: OpCounters | None = None):
         self.tree = tree
         self.counters = counters
-        n = len(tree.kind)
+        self._reset()
+
+    # ------------------------------------------------------------------
+    # construction
+
+    def _reset(self) -> None:
+        """Empty every maintained structure and fill it from the tree."""
+        n = len(self.tree.kind)
         self.code = [0] * n
         self.ccount = [0] * n
         self.cnt_s0 = [0] * n
@@ -61,9 +67,6 @@ class AugTreeIndex:
         self._max_top = 0
         self.cnt_branching = 0
         self._init_from_tree()
-
-    # ------------------------------------------------------------------
-    # construction
 
     def _grow(self, node: int) -> None:
         while len(self.code) <= node:
@@ -262,6 +265,18 @@ class AugTreeIndex:
             x = self.gnext[x]
         return out
 
+    def s_case(self) -> str:
+        """The solver case for the component as it stands now."""
+        if self.leaf_total() <= 3:
+            return "S1"
+        if self.m_value() == 0:
+            return "S2"
+        if self.massive_node() != -1:
+            return "S5"
+        if self.critical_count() == 2:
+            return "S3"
+        return "S4_1" if self.cnt_branching == 1 else "S4_2"
+
     # ------------------------------------------------------------------
     # queries
 
@@ -306,7 +321,7 @@ class AugTreeIndex:
         """
         t = self.tree
         path = [x]
-        bit = TYPE_BIT[ptype]
+        bit = LEAF_CODE[ptype]
         while not (t.kind[x] in (B_NODE, S_NODE) and self.ccount[x] == 0):
             assert self.code[x] & bit, f"subtree of {x} lost type {ptype}"
             nxt = -1
@@ -407,25 +422,7 @@ class AugTreeIndex:
                     t.children[x].add(y)
                     stack.append(y)
         t.root = new_root
-        n = len(t.kind)
-        self.code = [0] * n
-        self.ccount = [0] * n
-        self.cnt_s0 = [0] * n
-        self.cnt_a = [0] * n
-        self.cnt_b = [0] * n
-        self.cnt_ab = [0] * n
-        self.bucket = [dict() for _ in range(n)]
-        self.sprev = [-1] * n
-        self.snext = [-1] * n
-        self.leaf_counts = {"A": 0, "B": 0, "AB": 0}
-        self.grp_head = {}
-        self.grp_count = {}
-        self.gprev = [-1] * n
-        self.gnext = [-1] * n
-        self.grp_of = [-1] * n
-        self._max_top = 0
-        self.cnt_branching = 0
-        self._init_from_tree()
+        self._reset()
 
     # ------------------------------------------------------------------
     # collapse bookkeeping
@@ -518,7 +515,7 @@ class AugTreeIndex:
         if deg == 2:
             k1, k2 = sorted(t.children[root])
             for t1, t2 in combos:
-                b1, b2 = TYPE_BIT[t1], TYPE_BIT[t2]
+                b1, b2 = LEAF_CODE[t1], LEAF_CODE[t2]
                 if self.code[k1] & b1 and self.code[k2] & b2:
                     return self.descend(k1, t1), self.descend(k2, t2)
                 if self.code[k2] & b1 and self.code[k1] & b2:

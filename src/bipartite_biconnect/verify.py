@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import CapExceeded, NoBiconnector
-from .graph import BipartiteGraph, components
+from .graph import BipartiteGraph, add_edges, components
 
 
 def _reach(masks: Sequence[int], alive: int, start_bit: int) -> int:
@@ -184,7 +184,7 @@ def verify_result(
             agreement=False,
             edge_errors=edge_errors,
         )
-    rep = check_componentwise_biconnected(g.with_added_edges(idx_pairs))
+    rep = check_componentwise_biconnected(add_edges(g, idx_pairs))
     if use_oracle:
         try:
             oracle_size, _ = brute_force_optimal(g, cap)

@@ -203,7 +203,7 @@ def oracle_pendants(g: BipartiteGraph) -> list[tuple[str, frozenset[int], str]]:
     out = []
     for v in range(g.n):
         if g.degree(v) == 1:
-            out.append(("sv", frozenset([v]), "AB"[g.side(v)]))
+            out.append(("sv", frozenset([v]), "AB"[g.sides[v]]))
     for blk in oracle_nonsingular_blocks(g):
         comp = next(c for c in oracle_components(g) if next(iter(blk)) in c)
         if oracle_component_biconnected(g, comp):
@@ -225,6 +225,52 @@ def oracle_max_matching(n_a: int, n_b: int, n_ab: int) -> int:
                 x4 = (n_ab - x2 - x3) // 2  # AB with AB
                 best = max(best, x1 + x2 + x3 + x4)
     return best
+
+
+def massive_and_critical(dec, recs, cid: int) -> tuple[list[int], list[int], int, int]:
+    """Massive and critical cut vertices of component cid, then its m and r.
+
+    A cut vertex is massive when deleting it leaves more pieces than
+    one more than the component's pair count m plus leftover count r,
+    and critical when it leaves exactly that many.  Both lists ascend.
+    """
+    n = [0, 0, 0]
+    for p in recs:
+        if p.comp == cid:
+            n[("A", "B", "AB").index(p.ptype)] += 1
+    m = oracle_max_matching(*n)
+    r = sum(n) - 2 * m
+    cuts = [v for v in dec.comps[cid] if dec.is_cut[v]]
+    massive = [v for v in cuts if dec.branch_count(v) - 1 > m + r]
+    critical = [v for v in cuts if dec.branch_count(v) - 1 == m + r]
+    return massive, critical, m, r
+
+
+# ----------------------------------------------------------------------
+# structure tree walks
+
+
+def path_between(tree, x: int, y: int) -> list[int]:
+    """Tree path from node x to node y via parent pointers."""
+    mark = set()
+    cur = x
+    while cur != -1:
+        mark.add(cur)
+        cur = tree.parent[cur]
+    lca = y
+    while lca not in mark:
+        lca = tree.parent[lca]
+    up = []
+    cur = x
+    while cur != lca:
+        up.append(cur)
+        cur = tree.parent[cur]
+    down = []
+    cur = y
+    while cur != lca:
+        down.append(cur)
+        cur = tree.parent[cur]
+    return up + [lca] + list(reversed(down))
 
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -24,7 +24,6 @@ from bipartite_biconnect import (
     verify_result,
 )
 from bipartite_biconnect.blocks import BlockTree, pendant_records
-from bipartite_biconnect.bounds import criticality
 from bipartite_biconnect.cli import main
 from bipartite_biconnect.graph import (
     broom_graph,
@@ -33,10 +32,12 @@ from bipartite_biconnect.graph import (
     spider_graph,
 )
 from bipartite_biconnect.stats import OpCounters
+from bipartite_biconnect.treeindex import AugTreeIndex
 from bipartite_biconnect.verify import brute_force_optimal
 
 from .helpers import (
     all_graphs,
+    massive_and_critical,
     oracle_max_matching,
     oracle_pendants,
     oracle_split_count,
@@ -178,17 +179,25 @@ def test_criterion_5_structure_lemmas_hold():
             for v in range(g.n):
                 assert dec.branch_count(v) == oracle_split_count(g, v)
 
-            # criticality census invariants
+            # criticality census invariants; the solver's index finds
+            # the same massive and critical vertices
             for cid, comp in enumerate(dec.comps):
-                rep = criticality(g, dec, recs, cid)
+                massive, critical, _, r = massive_and_critical(dec, recs, cid)
                 lam = sum(1 for p in recs if p.comp == cid)
-                assert len(rep.massive) <= 1
+                assert len(massive) <= 1
                 if lam > 3:
-                    assert len(rep.critical) <= 2
-                if len(rep.critical) == 2:
-                    assert rep.r == 0
-                if rep.massive:
-                    assert not rep.critical
+                    assert len(critical) <= 2
+                if len(critical) == 2:
+                    assert r == 0
+                if massive:
+                    assert not critical
+                if len(comp) < 2:
+                    continue
+                tree = BlockTree.build(g, dec, comp)
+                index = AugTreeIndex(tree)
+                hub = index.massive_node()
+                assert massive == ([] if hub == -1 else [tree.payload[hub]])
+                assert critical == [tree.payload[x] for x in index.critical_nodes()]
 
         # collapse bookkeeping equals recomputation inside real solves
         for g in corpus[:200]:
@@ -234,8 +243,8 @@ def test_criterion_5_structure_lemmas_hold():
             # hub steps also shave the hub's split degree by one
             if res.trace[0] == "S5":
                 dec0 = decompose(g)
-                recs0 = pendant_records(g, dec0)
-                hub = criticality(g, dec0, recs0, 0).massive[0]
+                tree0 = BlockTree.build(g, dec0, dec0.comps[0])
+                hub = tree0.payload[AugTreeIndex(tree0).massive_node()]
                 d_prev = dec0.branch_count(hub)
                 cur = g
                 for (a, b), tag in zip(res.added_edges, res.trace):

@@ -3,11 +3,13 @@ against exhaustive search, and the step invariants."""
 
 from __future__ import annotations
 
+import importlib
 import random
 
 import pytest
 
 from bipartite_biconnect import (
+    InvariantViolation,
     NoBiconnector,
     add_edges,
     augment,
@@ -281,8 +283,8 @@ def test_added_edges_are_a_side_first_and_unique():
             continue
         seen = set()
         for a, b in res.added_edges:
-            assert g.side(g.label_index[a]) == 0
-            assert g.side(g.label_index[b]) == 1
+            assert g.sides[g.label_index[a]] == 0
+            assert g.sides[g.label_index[b]] == 1
             assert (a, b) not in seen
             seen.add((a, b))
 
@@ -319,3 +321,12 @@ def test_deterministic_output():
             continue
         assert r1.added_edges == r2.added_edges
         assert r1.trace == r2.trace
+
+
+def test_missed_target_raises(monkeypatch, spider4):
+    # a plain raise, so the count check survives python -O
+    aug = importlib.import_module("bipartite_biconnect.augment")
+    true_target = aug.theorem_target
+    monkeypatch.setattr(aug, "theorem_target", lambda *a: true_target(*a) + 1)
+    with pytest.raises(InvariantViolation, match="emitted 3, target 4"):
+        augment(spider4)

@@ -23,6 +23,7 @@ from .helpers import (
     oracle_nonsingular_blocks,
     oracle_pendants,
     oracle_split_count,
+    path_between,
     random_graph,
 )
 
@@ -164,10 +165,10 @@ def test_tree_roots_at_busiest_cut_vertex(spider4):
 def test_collapse_merges_a_leaf_path(p4):
     t = tree_of(p4)
     leaves = sorted(t.leaves())
-    path = t.path_between(leaves[0], leaves[1])
+    path = path_between(t, leaves[0], leaves[1])
     before = len(t.live_nodes())
     info = t.collapse(path)
-    assert info.y_rec.singular is False
+    assert t.payload[info.y].singular is False
     assert len(t.live_nodes()) < before
     # the whole path melted into one block, nothing else was live
     assert [t.kind[x] for x in t.live_nodes()] == [B_NODE]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -10,20 +11,21 @@ from bipartite_biconnect import (
     build_graph,
     census,
     classify_m,
-    classify_s,
-    criticality,
     decompose,
     eta,
     pendant_records,
+    serialize_graph,
     theorem_target,
 )
 from bipartite_biconnect.blocks import BlockTree
 from bipartite_biconnect.bounds import eta_extended
+from bipartite_biconnect.cli import main
 from bipartite_biconnect.errors import NoBiconnector
 from bipartite_biconnect.matching import counts_of, profile
+from bipartite_biconnect.treeindex import AugTreeIndex
 from bipartite_biconnect.verify import brute_force_optimal
 
-from .helpers import all_graphs, random_graph
+from .helpers import all_graphs, massive_and_critical, random_graph
 
 
 def test_census_counts_each_class():
@@ -69,24 +71,32 @@ def test_census_isolated_vertices_are_inert():
     assert cen.c_total == 0
 
 
+def index_massive_and_critical(g, dec, cid):
+    """Massive and critical vertices as the solver's index reports them."""
+    tree = BlockTree.build(g, dec, dec.comps[cid])
+    index = AugTreeIndex(tree)
+    hub = index.massive_node()
+    massive = [] if hub == -1 else [tree.payload[hub]]
+    return massive, [tree.payload[x] for x in index.critical_nodes()]
+
+
 def test_criticality_on_two_hub_broom(broom2):
     dec = decompose(broom2)
-    recs = pendant_records(broom2, dec)
-    rep = criticality(broom2, dec, recs, 0)
-    crit_labels = sorted(broom2.labels[v] for v in rep.critical)
-    assert crit_labels == ["a0", "b0"]
-    assert rep.massive == []
-    assert rep.m == 2 and rep.r == 0
-    assert rep.d_max == 3
+    massive, critical, m, r = massive_and_critical(dec, pendant_records(broom2, dec), 0)
+    assert sorted(broom2.labels[v] for v in critical) == ["a0", "b0"]
+    assert massive == []
+    assert m == 2 and r == 0
+    assert max(dec.branch_count(v) for v in dec.comps[0]) == 3
+    assert index_massive_and_critical(broom2, dec, 0) == (massive, critical)
 
 
 def test_criticality_flags_massive_hub(spider4):
     dec = decompose(spider4)
-    recs = pendant_records(spider4, dec)
-    rep = criticality(spider4, dec, recs, 0)
-    assert [spider4.labels[v] for v in rep.massive] == ["x"]
-    assert rep.critical == []
-    assert rep.d_max == 4
+    massive, critical, _, _ = massive_and_critical(dec, pendant_records(spider4, dec), 0)
+    assert [spider4.labels[v] for v in massive] == ["x"]
+    assert critical == []
+    assert max(dec.branch_count(v) for v in dec.comps[0]) == 4
+    assert index_massive_and_critical(spider4, dec, 0) == (massive, critical)
 
 
 def test_eta_fixture_values(p4, c4, path5, spider4, broom2):
@@ -124,15 +134,16 @@ def test_criticality_invariants_hold_on_randoms():
         for cid, comp in enumerate(dec.comps):
             if len(comp) < 3:
                 continue
-            rep = criticality(g, dec, recs, cid)
+            massive, critical, _, r = massive_and_critical(dec, recs, cid)
             pend_here = [p for p in recs if p.comp == cid]
-            assert len(rep.massive) <= 1
+            assert len(massive) <= 1
             if len(pend_here) > 3:
-                assert len(rep.critical) <= 2
-            if len(rep.critical) == 2:
-                assert rep.r == 0
-            if rep.massive:
-                assert not rep.critical
+                assert len(critical) <= 2
+            if len(critical) == 2:
+                assert r == 0
+            if massive:
+                assert not critical
+            assert index_massive_and_critical(g, dec, cid) == (massive, critical)
 
 
 # ----------------------------------------------------------------------
@@ -144,7 +155,7 @@ def test_classify_m_table():
         dec = decompose(g)
         recs = pendant_records(g, dec)
         m = profile(*counts_of([p.ptype for p in recs])).m
-        return classify_m(census(dec), m).m_case
+        return classify_m(census(dec), m)
 
     assert label(build_graph([], [], [])) == "M6"
     assert label(build_graph(["a1"], ["b1"], [])) == "M6"
@@ -190,19 +201,20 @@ def test_classify_m_table():
     assert label(two_paths) == "M3"
 
 
-def test_classify_s_table(p4, path5, spider4, broom2):
-    def label(g):
-        dec = decompose(g)
-        recs = pendant_records(g, dec)
-        tree = BlockTree.build(g, dec, dec.comps[0])
-        prof = profile(*counts_of([p.ptype for p in recs]))
-        rep = criticality(g, dec, recs, 0)
-        return classify_s(tree, prof, rep).s_case
+def test_s_case_table(capsys, tmp_path, p4, path5, spider4, broom2):
+    """The first --trace tag and the --stats s_case of a one-component graph."""
 
-    assert label(p4) == "S1"
-    assert label(path5) == "S1"
-    assert label(spider4) == "S5"
-    assert label(broom2) == "S3"
+    def cases(g):
+        f = tmp_path / "g.txt"
+        f.write_text(serialize_graph(g))
+        assert main(["augment", str(f), "--json", "--stats"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        return doc["trace"][0], doc["stats"]["components"][0]["s_case"]
+
+    assert cases(p4) == ("S1", "S1")
+    assert cases(path5) == ("S1", "S1")
+    assert cases(spider4) == ("S5", "S5")
+    assert cases(broom2) == ("S3", "S3")
     # four leaves on one side of a spine: no pairs at all
     comb = build_graph(
         ["a1", "a2", "a3", "a4", "a5", "a6", "a7"],
@@ -220,7 +232,7 @@ def test_classify_s_table(p4, path5, spider4, broom2):
             ("a4", "b4"),
         ],
     )
-    assert label(comb) == "S2"
+    assert cases(comb) == ("S2", "S2")
 
 
 def test_theorem_target_fixture_values(

@@ -157,6 +157,21 @@ def test_verify_edges_round_trip(capsys, tmp_path, p4_file):
     assert "OK" in out
 
 
+@pytest.mark.parametrize("flags", [[], ["--trace"]])
+def test_verify_edges_round_trip_with_hash_in_label(capsys, tmp_path, flags):
+    # the graph format only reads '#' as a comment at the start of a line
+    f = tmp_path / "g.txt"
+    f.write_text("A a#1 a2\nB b1 b2\nE a#1 b1\nE a2 b1\nE a2 b2\n")
+    rc, out, _ = run(capsys, ["augment", str(f), *flags])
+    assert rc == 0
+    assert out.startswith("ADD a#1 b2")
+    edges = tmp_path / "patch.txt"
+    edges.write_text(out)
+    rc, out, _ = run(capsys, ["verify", str(f), "--edges", str(edges)])
+    assert rc == 0
+    assert out == "OK (1 components checked)\n"
+
+
 def test_verify_edges_with_oracle(capsys, tmp_path, p4_file):
     edges = tmp_path / "patch.txt"
     edges.write_text("ADD a1 b2\n")
@@ -181,10 +196,12 @@ def test_verify_flags_wasteful_edges(capsys, tmp_path):
 
 def test_verify_edges_bad_line(capsys, tmp_path, p4_file):
     edges = tmp_path / "junk.txt"
-    edges.write_text("WIRE a1 b2\n")
-    rc, _, err = run(capsys, ["verify", p4_file, "--edges", str(edges)])
-    assert rc == 1
-    assert "bad edge line" in err
+    # only a token starting with '#' may follow the two labels
+    for line in ("WIRE a1 b2\n", "ADD a1\n", "ADD a1 b2 b1\n", "ADD a1 b2 x # S1\n"):
+        edges.write_text(line)
+        rc, _, err = run(capsys, ["verify", p4_file, "--edges", str(edges)])
+        assert rc == 1
+        assert "bad edge line" in err
 
 
 # ----------------------------------------------------------------------

@@ -16,11 +16,16 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from bipartite_biconnect.cli import main
+
+SRC = Path(__file__).parent.parent / "src"
 GOLDEN = Path(__file__).parent / "golden"
 INPUTS = GOLDEN / "inputs"
 EXPECTED = GOLDEN / "expected"
@@ -88,8 +93,6 @@ def cases() -> list[tuple[str, list[str]]]:
 
 def run_cli(argv: list[str]) -> tuple[int, str]:
     """Exit code and stdout of one in-process CLI run; stderr is dropped."""
-    from bipartite_biconnect.cli import main
-
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)
@@ -106,6 +109,22 @@ def test_golden_output(name, argv):
     rc, out = run_cli(argv)
     assert out == expected_out
     assert rc == expected_rc
+
+
+def test_golden_output_under_python_O():
+    # the solver's invariant checks are plain raises, not asserts, so an
+    # optimized interpreter runs the same code path to the same bytes
+    name = "massive_spider.augment_trace_stats"
+    argv = dict(CASES)[name]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "bipartite_biconnect", *argv],
+        capture_output=True,
+        env=env,
+        check=False,
+    )
+    assert proc.returncode == json.loads(EXIT_CODES.read_text())[name]
+    assert proc.stdout == (EXPECTED / f"{name}.out").read_bytes()
 
 
 def test_corpus_has_no_stale_files():

@@ -13,7 +13,6 @@ from bipartite_biconnect import (
     UnknownVertex,
     add_edges,
     build_graph,
-    connected_components,
     is_legal_edge,
     parse_graph,
     serialize_graph,
@@ -21,6 +20,7 @@ from bipartite_biconnect import (
 from bipartite_biconnect.graph import (
     broom_graph,
     caterpillar_graph,
+    components,
     cycle_graph,
     generate_instance,
     path_graph,
@@ -33,13 +33,13 @@ from .helpers import oracle_components
 
 def test_vertices_take_first_appearance_order(p4):
     assert list(p4.labels) == ["a1", "a2", "b1", "b2"]
-    assert [p4.side(i) for i in range(4)] == [0, 0, 1, 1]
+    assert list(p4.sides) == [0, 0, 1, 1]
     assert p4.n == 4 and p4.m == 3
 
 
 def test_edges_stored_a_side_first(p4):
     for u, v in p4.edges:
-        assert p4.side(u) == 0 and p4.side(v) == 1
+        assert p4.sides[u] == 0 and p4.sides[v] == 1
 
 
 def test_adjacency_is_sorted(p4):
@@ -154,17 +154,13 @@ def test_connected_components_matches_reference():
             if rng.random() < 0.3
         }
         g = BipartiteGraph(labels, [0] * na + [1] * nb, edges)
-        part = connected_components(g)
-        assert part.component_members == oracle_components(g)
-        for cid, members in enumerate(part.component_members):
-            for v in members:
-                assert part.component_id[v] == cid
+        assert components(g) == oracle_components(g)
 
 
 def test_components_ordered_by_smallest_member():
     g = build_graph(["a1", "a2"], ["b1", "b2"], [("a1", "b2"), ("a2", "b1")])
-    part = connected_components(g)
-    assert part.component_members[0][0] < part.component_members[1][0]
+    comps = components(g)
+    assert comps[0][0] < comps[1][0]
 
 
 def test_path_and_cycle_generators():

@@ -18,7 +18,7 @@ from bipartite_biconnect.graph import caterpillar_graph, spider_graph
 from bipartite_biconnect.matching import counts_of
 from bipartite_biconnect.treeindex import AugTreeIndex
 
-from .helpers import all_graphs, random_graph
+from .helpers import all_graphs, path_between, random_graph
 
 
 def needy_trees():
@@ -122,7 +122,7 @@ def test_collapse_update_matches_fresh_build():
             if len(leaves) < 3:
                 break
             n1, n2 = rng.sample(leaves, 2)
-            path = tree.path_between(n1, n2)
+            path = path_between(tree, n1, n2)
             info = tree.collapse(path)
             index.update_after_collapse(info)
             index.audit()
