@@ -134,11 +134,11 @@ def augment(
     elif label == "M5":
         _case_m5(st, g, dec, cen)
     elif label == "M1":
-        _case_m1(st, g, dec, cen, recs, self_check)
+        _case_m1(st, g, dec, cen, self_check)
     elif label == "M2":
         _case_m2(st, g, dec, cen, recs)
     else:
-        _case_m3(st, g, dec, cen, recs, self_check)
+        _case_m3(st, cen, recs, self_check)
     _check(len(st.added) == target, f"emitted {len(st.added)}, target {target}")
     added_labels = [(g.labels[u], g.labels[v]) for u, v in st.added]
     return AugmentationResult(added_labels, st.cases, target)
@@ -190,7 +190,6 @@ def _case_m1(
     g: BipartiteGraph,
     dec: Decomposition,
     cen: ComponentCensus,
-    recs: list[PendantRec],
     self_check: bool = False,
 ) -> None:
     """One component needs work; everything else is already finished."""
@@ -246,9 +245,8 @@ def _case_m2(
         if cls in (NEEDY, EDGE)
     ]
     assert len(cids) >= 2
-    assert all(p.kind == "sv" for p in recs), "uniform case saw a nonsingular pendant"
     types = {p.ptype for p in recs}
-    assert len(types) == 1, f"uniform case saw mixed types {types}"
+    assert types in ({"A"}, {"B"}), f"uniform case saw pendant types {types}"
     side = 0 if types == {"A"} else 1
     anchors = {}
     for cid in cids:
@@ -266,18 +264,17 @@ def _case_m2(
 
 def _case_m3(
     st: _State,
-    g: BipartiteGraph,
-    dec: Decomposition,
     cen: ComponentCensus,
     recs: list[PendantRec],
     self_check: bool = False,
 ) -> None:
     """Several components and pairable pendants: bridge them together.
 
-    Each bridge joins the smallest live component to the rest through
-    a pair that lowers the pair count by exactly one, so the remaining
-    demand falls by one per edge.  Finishes with the one component
-    case, or the uniform stitch if pairs run out first.
+    Each bridge joins the first live component (component ids follow
+    the smallest vertex, and this one absorbs every other) to the rest
+    through a pair that lowers the pair count by exactly one, so the
+    remaining demand falls by one per edge.  Finishes with the one
+    component case, or the uniform stitch if pairs run out first.
     """
     live = [
         cid
@@ -289,12 +286,11 @@ def _case_m3(
     }
     for p in recs:
         pend[p.comp][p.ptype].append(p)  # recs arrive sorted by key
-    min_vertex = {cid: dec.comps[cid][0] for cid in live}
+    w1 = live[0]
     total = list(counts_of([p.ptype for p in recs]))
     slot = {"A": 0, "B": 1, "AB": 2}
 
     while len(live) > 1 and profile(*total).m > 0:
-        w1 = min(live, key=lambda cid: min_vertex[cid])
         c1 = (
             len(pend[w1]["A"]),
             len(pend[w1]["B"]),
@@ -322,7 +318,6 @@ def _case_m3(
             merged = pend[w1][t] + pend[w2][t]
             merged.sort(key=lambda p: p.key)
             pend[w1][t] = merged
-        min_vertex[w1] = min(min_vertex[w1], min_vertex[w2])
         live.remove(w2)
 
     g2 = st.current_graph()
@@ -331,7 +326,7 @@ def _case_m3(
     recs2 = pendant_records(g2, dec2)
     if len(live) == 1:
         assert cen2.c_total == 1
-        _case_m1(st, g2, dec2, cen2, recs2, self_check)
+        _case_m1(st, g2, dec2, cen2, self_check)
     else:
         _case_m2(st, g2, dec2, cen2, recs2)
 

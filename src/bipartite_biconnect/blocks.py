@@ -33,13 +33,11 @@ class BlockRec:
     needs.
     """
 
-    __slots__ = ("singular", "parts", "min_nc", "node")
+    __slots__ = ("parts", "min_nc")
 
-    def __init__(self, singular: bool, parts: list, min_nc: list):
-        self.singular = singular
+    def __init__(self, parts: list, min_nc: list):
         self.parts = parts
         self.min_nc: list[Optional[int]] = min_nc
-        self.node = -1
 
     def vertices(self) -> list[int]:
         out: list[int] = []
@@ -63,14 +61,13 @@ class BlockRec:
 
 @dataclass
 class PendantRec:
-    """One pendant block as seen right after decomposition."""
+    """One pendant block as seen right after decomposition: a single
+    vertex of type A or B, or a nonsingular block of type AB."""
 
-    kind: str  # "sv" singular vertex, "ns" nonsingular
     ptype: str  # "A", "B", or "AB"
     comp: int
     key: int  # smallest member vertex, used for deterministic ordering
     min_nc: tuple[Optional[int], Optional[int]]
-    partner: Optional[int] = None  # sv only: other endpoint of its bridge
 
 
 @dataclass
@@ -186,12 +183,6 @@ def decompose(g: BipartiteGraph, counters: OpCounters | None = None) -> Decompos
     return dec
 
 
-def pendant_type(side_or_ns: int | None) -> str:
-    if side_or_ns is None:
-        return "AB"
-    return "A" if side_or_ns == 0 else "B"
-
-
 def pendant_records(g: BipartiteGraph, dec: Decomposition) -> list[PendantRec]:
     """All pendant blocks, ordered by smallest member vertex."""
     recs: list[PendantRec] = []
@@ -207,7 +198,6 @@ def pendant_records(g: BipartiteGraph, dec: Decomposition) -> list[PendantRec]:
                     mins[s] = v
         recs.append(
             PendantRec(
-                kind="ns",
                 ptype="AB",
                 comp=dec.comp_id[blk[0]],
                 key=blk[0],
@@ -219,12 +209,10 @@ def pendant_records(g: BipartiteGraph, dec: Decomposition) -> list[PendantRec]:
             side = g.sides[v]
             recs.append(
                 PendantRec(
-                    kind="sv",
                     ptype="A" if side == 0 else "B",
                     comp=dec.comp_id[v],
                     key=v,
                     min_nc=(v, None) if side == 0 else (None, v),
-                    partner=g.adj[v][0],
                 )
             )
     recs.sort(key=lambda r: r.key)
@@ -278,17 +266,16 @@ def tree_to_dot(g: BipartiteGraph) -> str:
 
 @dataclass
 class CollapseInfo:
+    """One collapse: the merged node y, the fused path with its top
+    node, and what the tree no longer shows afterwards: the retired
+    nodes, the surviving cut vertices and the degrees before."""
+
     y: int
     path: list[int]
     absorbed: list[int]
     survivors: list[int]
     top: int
-    top_survived: bool
-    parent_of_y: int
-    removed_leaf_types: list[str]
-    y_is_leaf: bool
     old_degrees: dict[int, int]
-    survivor_lost_children: dict[int, list[int]]
 
 
 class BlockTree:
@@ -311,8 +298,6 @@ class BlockTree:
         self.alive.append(True)
         self.parent.append(-1)
         self.children.append(set())
-        if isinstance(payload, BlockRec):
-            payload.node = node
         return node
 
     def degree(self, x: int) -> int:
@@ -368,20 +353,15 @@ class BlockTree:
                     s = g.sides[v]
                     if mins[s] is None:
                         mins[s] = v
-            node = t.new_node(B_NODE, BlockRec(False, parts, mins))
+            node = t.new_node(B_NODE, BlockRec(parts, mins))
             for v in blk:
                 if dec.is_cut[v]:
                     undirected.append((node, ("c", v)))
+        svnode: dict[int, int] = {}
         for v in comp:
             if dec.degree[v] == 1 and not dec.is_cut[v]:
-                side = g.sides[v]
-                mins = [v, None] if side == 0 else [None, v]
-                t.new_node(S_NODE, BlockRec(True, [v], mins))
-        svnode = {
-            t.payload[x].parts[0]: x
-            for x in range(len(t.kind))
-            if t.kind[x] == S_NODE
-        }
+                mins = [v, None] if g.sides[v] == 0 else [None, v]
+                svnode[v] = t.new_node(S_NODE, BlockRec([v], mins))
         for v in comp:
             if dec.is_cut[v]:
                 t.c_node_of[v] = t.new_node(C_NODE, v)
@@ -409,28 +389,47 @@ class BlockTree:
         cut_in_comp = [v for v in comp if dec.is_cut[v]]
         if cut_in_comp:
             best = max(cut_in_comp, key=lambda v: (dec.branch_count(v), -v))
-            t.root = t.c_node_of[best]
+            root = t.c_node_of[best]
         elif any(t.kind[x] == K_NODE for x in range(len(t.kind))):
-            t.root = next(x for x in range(len(t.kind)) if t.kind[x] == K_NODE)
+            root = next(x for x in range(len(t.kind)) if t.kind[x] == K_NODE)
         else:
-            t.root = 0
+            root = 0
+        if t._orient(root, adj) != len(t.kind):
+            raise AssertionError("structure tree is not connected")
+        return t
 
-        seen = [False] * len(t.kind)
-        seen[t.root] = True
-        stack = [t.root]
+    def _orient(self, root: int, adj: list[list[int]]) -> int:
+        """Hang the tree from root along the undirected adjacency adj,
+        visiting neighbours in id order; returns the nodes placed."""
+        seen = [False] * len(self.kind)
+        seen[root] = True
+        stack = [root]
         placed = 1
         while stack:
             x = stack.pop()
             for y in sorted(adj[x]):
                 if not seen[y]:
                     seen[y] = True
-                    t.parent[y] = x
-                    t.children[x].add(y)
+                    self.parent[y] = x
+                    self.children[x].add(y)
                     stack.append(y)
                     placed += 1
-        if placed != len(t.kind):
-            raise AssertionError("structure tree is not connected")
-        return t
+        self.root = root
+        return placed
+
+    def reorient(self, new_root: int) -> None:
+        """Re-hang the live tree from new_root, keeping its edges."""
+        live = self.live_nodes()
+        adj: list[list[int]] = [[] for _ in self.kind]
+        for x in live:
+            p = self.parent[x]
+            if p != -1:
+                adj[x].append(p)
+                adj[p].append(x)
+        for x in live:
+            self.parent[x] = -1
+            self.children[x] = set()
+        self._orient(new_root, adj)
 
     def collapse(
         self, path: list[int], counters: OpCounters | None = None
@@ -443,7 +442,6 @@ class BlockTree:
         assert len(path) >= 3
         assert self.kind[path[0]] in (B_NODE, S_NODE)
         assert self.kind[path[-1]] in (B_NODE, S_NODE)
-        removed_leaf_types = [self.leaf_type(path[0]), self.leaf_type(path[-1])]
         pathset = set(path)
         absorbed: list[int] = []
         survivors: list[int] = []
@@ -457,20 +455,10 @@ class BlockTree:
         tops = [x for x in path if self.parent[x] == -1 or self.parent[x] not in pathset]
         assert len(tops) == 1, "collapse path must be a contiguous tree path"
         top = tops[0]
-        top_survived = top in survivors
-        survivor_lost_children: dict[int, list[int]] = {}
-        for i, x in enumerate(path):
-            if x not in survivors:
-                continue
-            lost = []
-            for j in (i - 1, i + 1):
-                if 0 <= j < len(path) and self.parent[path[j]] == x:
-                    lost.append(path[j])
-            survivor_lost_children[x] = lost
 
         parts: list = []
         mins: list[Optional[int]] = [None, None]
-        rec = BlockRec(False, parts, mins)
+        rec = BlockRec(parts, mins)
         for x in absorbed:
             if self.kind[x] in (B_NODE, S_NODE):
                 child_rec: BlockRec = self.payload[x]
@@ -504,7 +492,7 @@ class BlockTree:
             if c != top:
                 self.parent[c] = y
                 self.children[y].add(c)
-        if top_survived:
+        if top in survivors:
             self.children[top].add(y)
             self.parent[y] = top
         else:
@@ -528,10 +516,5 @@ class BlockTree:
             absorbed=absorbed,
             survivors=survivors,
             top=top,
-            top_survived=top_survived,
-            parent_of_y=self.parent[y],
-            removed_leaf_types=removed_leaf_types,
-            y_is_leaf=self.degree(y) == 1,
             old_degrees=old_degrees,
-            survivor_lost_children=survivor_lost_children,
         )

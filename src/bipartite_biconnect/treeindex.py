@@ -9,8 +9,11 @@ by tree degree in linked lists chained from low to high degree, which
 makes the most splitting cut vertex and the count of candidates at any
 particular degree constant time queries as well.
 
-All list insertions happen in descending node id order, so every head
-is the lowest eligible id and repeated runs make identical choices.
+A fresh build fills every list in descending node id order, so right
+after it each head is the lowest eligible id.  That stops holding once
+_recode_cascade, reroot_walk or a collapse pushes a single node to the
+head of a list.  What does hold is that every push is a function of the
+tree, and so of the input alone: repeated runs make identical choices.
 """
 
 from __future__ import annotations
@@ -21,20 +24,24 @@ from .matching import LEGAL_COMBOS, is_decrementing, profile
 from .stats import OpCounters
 
 LEAF_CODE = {"A": 4, "B": 2, "AB": 1}
-# codes whose subtree holds the given type; the single leaf codes first
-CODES_WITH = {
-    "A": (4, 12, 13, 14, 15),
-    "B": (2, 10, 11, 14, 15),
-    "AB": (1, 9, 11, 13, 15),
-}
-# same, restricted to subtrees with more than one pendant
+# a chain child's code is the one leaf code its subtree holds
+TYPE_OF_CHAIN_CODE = {c: ptype for ptype, c in LEAF_CODE.items()}
+# codes of subtrees with more than one pendant that hold the given type
 CODES_WITH_MANY = {
-    "A": (12, 13, 14, 15),
-    "B": (10, 11, 14, 15),
-    "AB": (9, 11, 13, 15),
+    ptype: tuple(c for c in range(8, 16) if c & bit)
+    for ptype, bit in LEAF_CODE.items()
 }
-CHAIN_CODES = (4, 2, 1)
-TYPE_OF_CHAIN_CODE = {4: "A", 2: "B", 1: "AB"}
+# codes whose subtree holds the given type; the single leaf code first
+CODES_WITH = {ptype: (bit, *CODES_WITH_MANY[ptype]) for ptype, bit in LEAF_CODE.items()}
+
+
+def _walk(x: int, nxt: list[int], need: int) -> list[int]:
+    """Up to need members of the linked list that runs from x via nxt."""
+    out: list[int] = []
+    while x != -1 and len(out) < need:
+        out.append(x)
+        x = nxt[x]
+    return out
 
 
 class AugTreeIndex:
@@ -50,17 +57,11 @@ class AugTreeIndex:
         """Empty every maintained structure and fill it from the tree."""
         n = len(self.tree.kind)
         self.code = [0] * n
-        self.ccount = [0] * n
-        self.cnt_s0 = [0] * n
-        self.cnt_a = [0] * n
-        self.cnt_b = [0] * n
-        self.cnt_ab = [0] * n
         self.bucket: list[dict[int, int]] = [dict() for _ in range(n)]
         self.sprev = [-1] * n
         self.snext = [-1] * n
         self.leaf_counts = {"A": 0, "B": 0, "AB": 0}
         self.grp_head: dict[int, int] = {}
-        self.grp_count: dict[int, int] = {}
         self.gprev = [-1] * n
         self.gnext = [-1] * n
         self.grp_of = [-1] * n
@@ -71,11 +72,6 @@ class AugTreeIndex:
     def _grow(self, node: int) -> None:
         while len(self.code) <= node:
             self.code.append(0)
-            self.ccount.append(0)
-            self.cnt_s0.append(0)
-            self.cnt_a.append(0)
-            self.cnt_b.append(0)
-            self.cnt_ab.append(0)
             self.bucket.append(dict())
             self.sprev.append(-1)
             self.snext.append(-1)
@@ -92,15 +88,11 @@ class AugTreeIndex:
             order.append(x)
             stack.extend(t.children[x])
         for x in reversed(order):
+            for ch in sorted(t.children[x], reverse=True):
+                self._push(x, ch)
             self.code[x] = self._fresh_code(x)
             if self.counters:
                 self.counters.index_updates += 1
-            p = t.parent[x]
-            if p != -1:
-                self._account(p, self.code[x], 1)
-        for x in reversed(order):
-            for ch in sorted(t.children[x], reverse=True):
-                self._push(x, ch)
         for x in order:
             d = t.degree(x)
             if d >= 3:
@@ -115,25 +107,15 @@ class AugTreeIndex:
     # low level list plumbing
 
     def _fresh_code(self, x: int) -> int:
+        """x's code from its children, whose buckets must be current."""
         t = self.tree
-        if t.kind[x] in (B_NODE, S_NODE) and self.ccount[x] == 0:
+        kids = len(t.children[x])
+        if kids == 0 and t.kind[x] in (B_NODE, S_NODE):
             return LEAF_CODE[t.leaf_type(x)]
-        s0 = 8 if (self.ccount[x] >= 2 or self.cnt_s0[x] > 0) else 0
-        s1 = 4 if self.cnt_a[x] else 0
-        s2 = 2 if self.cnt_b[x] else 0
-        s3 = 1 if self.cnt_ab[x] else 0
-        return s0 | s1 | s2 | s3
-
-    def _account(self, p: int, code: int, sign: int) -> None:
-        self.ccount[p] += sign
-        if code & 8:
-            self.cnt_s0[p] += sign
-        if code & 4:
-            self.cnt_a[p] += sign
-        if code & 2:
-            self.cnt_b[p] += sign
-        if code & 1:
-            self.cnt_ab[p] += sign
+        code = 8 if kids >= 2 else 0
+        for c in self.bucket[x]:
+            code |= c
+        return code
 
     def _push(self, p: int, x: int) -> None:
         """Put x at the head of p's bucket for x's current code."""
@@ -165,7 +147,6 @@ class AugTreeIndex:
         if head != -1:
             self.gprev[head] = x
         self.grp_head[d] = x
-        self.grp_count[d] = self.grp_count.get(d, 0) + 1
         self.grp_of[x] = d
         if d > self._max_top:
             self._max_top = d
@@ -185,9 +166,6 @@ class AugTreeIndex:
             self.gprev[self.gnext[x]] = self.gprev[x]
         self.gprev[x] = self.gnext[x] = -1
         self.grp_of[x] = -1
-        self.grp_count[d] -= 1
-        if self.grp_count[d] == 0:
-            del self.grp_count[d]
 
     @property
     def max_cdeg(self) -> int:
@@ -198,8 +176,8 @@ class AugTreeIndex:
         bounded by the total raising work, so it amortizes away.
         """
         d = self._max_top
-        counts = self.grp_count
-        while d > 0 and d not in counts:
+        heads = self.grp_head
+        while d > 0 and d not in heads:
             d -= 1
         self._max_top = d
         return d
@@ -216,10 +194,8 @@ class AugTreeIndex:
             p = t.parent[x]
             if p != -1:
                 self._pop(p, x)
-                self._account(p, self.code[x], -1)
                 self.code[x] = new
                 self._push(p, x)
-                self._account(p, new, 1)
             else:
                 self.code[x] = new
             x = p
@@ -252,18 +228,15 @@ class AugTreeIndex:
         return -1
 
     def critical_count(self) -> int:
-        return self.grp_count.get(self.m_plus_r() + 1, 0)
+        """Size of the critical group, counted up to three: s_case only
+        asks whether it is two, and with few leaves the group can be long."""
+        return len(_walk(self.critical_head(), self.gnext, 3))
 
     def critical_head(self) -> int:
         return self.grp_head.get(self.m_plus_r() + 1, -1)
 
     def critical_nodes(self) -> list[int]:
-        out = []
-        x = self.critical_head()
-        while x != -1:
-            out.append(x)
-            x = self.gnext[x]
-        return out
+        return _walk(self.critical_head(), self.gnext, len(self.gnext))
 
     def s_case(self) -> str:
         """The solver case for the component as it stands now."""
@@ -304,15 +277,7 @@ class AugTreeIndex:
         return out
 
     def chain_children(self, p: int, code: int, need: int = 1) -> list[int]:
-        out: list[int] = []
-        x = self.bucket[p].get(code, -1)
-        while x != -1 and len(out) < need:
-            out.append(x)
-            x = self.snext[x]
-        return out
-
-    def chain_child_count(self, p: int) -> int:
-        return self.ccount[p] - self.cnt_s0[p]
+        return _walk(self.bucket[p].get(code, -1), self.snext, need)
 
     def descend(self, x: int, ptype: str) -> list[int]:
         """Walk from x down to a pendant of the given type.
@@ -322,7 +287,7 @@ class AugTreeIndex:
         t = self.tree
         path = [x]
         bit = LEAF_CODE[ptype]
-        while not (t.kind[x] in (B_NODE, S_NODE) and self.ccount[x] == 0):
+        while t.children[x]:
             assert self.code[x] & bit, f"subtree of {x} lost type {ptype}"
             nxt = -1
             for c in CODES_WITH[ptype]:
@@ -383,7 +348,6 @@ class AugTreeIndex:
         for i in range(len(path) - 1):
             a, b = path[i], path[i + 1]
             self._pop(a, b)
-            self._account(a, self.code[b], -1)
             t.children[a].discard(b)
             self.code[a] = self._fresh_code(a)
             if self.counters:
@@ -391,7 +355,6 @@ class AugTreeIndex:
             t.parent[a] = b
             t.children[b].add(a)
             self._push(b, a)
-            self._account(b, self.code[a], 1)
         t.parent[target] = -1
         t.root = target
         self.code[target] = self._fresh_code(target)
@@ -400,34 +363,14 @@ class AugTreeIndex:
 
     def rebuild(self, new_root: int) -> None:
         """Reorient the whole tree at new_root and rebuild from scratch."""
-        t = self.tree
-        live = t.live_nodes()
-        adj: dict[int, list[int]] = {x: [] for x in live}
-        for x in live:
-            p = t.parent[x]
-            if p != -1:
-                adj[x].append(p)
-                adj[p].append(x)
-        for x in live:
-            t.parent[x] = -1
-            t.children[x] = set()
-        seen = {new_root}
-        stack = [new_root]
-        while stack:
-            x = stack.pop()
-            for y in sorted(adj[x]):
-                if y not in seen:
-                    seen.add(y)
-                    t.parent[y] = x
-                    t.children[x].add(y)
-                    stack.append(y)
-        t.root = new_root
+        self.tree.reorient(new_root)
         self._reset()
 
     # ------------------------------------------------------------------
     # collapse bookkeeping
 
     def update_after_collapse(self, info: CollapseInfo) -> None:
+        """Bring the index in step with the tree right after collapse."""
         t = self.tree
         y = info.y
         # the collapse must leave structure around the merged block; a
@@ -448,15 +391,19 @@ class AugTreeIndex:
             self._group_remove(c)
             self._group_add(c, old - 1)
 
-        # survivors lose their absorbed path children
-        for c, lost in info.survivor_lost_children.items():
-            for pc in lost:
-                self._pop(c, pc)
-                self._account(c, self.code[pc], -1)
-        if not info.top_survived and info.parent_of_y != -1:
-            p = info.parent_of_y
+        # survivors lose their absorbed path children; the path climbs
+        # to top and descends again, so each path edge's upper end is the
+        # one nearer top
+        path = info.path
+        k = path.index(info.top)
+        for i in range(len(path) - 1):
+            up, down = (path[i + 1], path[i]) if i < k else (path[i], path[i + 1])
+            if t.alive[up]:
+                self._pop(up, down)
+        p = t.parent[y]
+        if p != -1 and p != info.top:
+            # top was absorbed: its parent now holds y in its place
             self._pop(p, info.top)
-            self._account(p, self.code[info.top], -1)
 
         # survivors other than the top get fresh codes before linking
         for c in info.survivors:
@@ -467,7 +414,6 @@ class AugTreeIndex:
 
         # assemble the merged node
         for ch in sorted(t.children[y], reverse=True):
-            self._account(y, self.code[ch], 1)
             self._push(y, ch)
         self.code[y] = self._fresh_code(y)
         if self.counters:
@@ -475,16 +421,14 @@ class AugTreeIndex:
         if t.degree(y) >= 3:
             self.cnt_branching += 1
 
-        p = t.parent[y]
         if p != -1:
             self._push(p, y)
-            self._account(p, self.code[y], 1)
             self._recode_cascade(p)
 
-        ta, tb = info.removed_leaf_types
-        self.leaf_counts[ta] -= 1
-        self.leaf_counts[tb] -= 1
-        if info.y_is_leaf:
+        # the path's two end leaves are gone; y may be a leaf itself
+        self.leaf_counts[t.leaf_type(info.path[0])] -= 1
+        self.leaf_counts[t.leaf_type(info.path[-1])] -= 1
+        if t.degree(y) == 1:
             self.leaf_counts["AB"] += 1
 
     # ------------------------------------------------------------------
@@ -558,7 +502,7 @@ class AugTreeIndex:
             )
         # all chains carry one type; find the partner in a branching branch
         lead = None
-        for c in CHAIN_CODES:
+        for c in TYPE_OF_CHAIN_CODE:
             kids = self.chain_children(root, c, need=1)
             if kids:
                 lead = (kids[0], TYPE_OF_CHAIN_CODE[c])
@@ -582,37 +526,17 @@ class AugTreeIndex:
         live = set(t.live_nodes())
         for x in live:
             assert self.code[x] == fresh.code[x], f"code mismatch at {x}"
-            assert self.ccount[x] == fresh.ccount[x]
-            assert self.cnt_s0[x] == fresh.cnt_s0[x]
-            assert self.cnt_a[x] == fresh.cnt_a[x]
-            assert self.cnt_b[x] == fresh.cnt_b[x]
-            assert self.cnt_ab[x] == fresh.cnt_ab[x]
-            mine = self._bucket_sets(x)
-            theirs = fresh._bucket_sets(x)
+            mine = _list_sets(self.bucket[x], self.snext)
+            theirs = _list_sets(fresh.bucket[x], fresh.snext)
             assert mine == theirs, f"bucket mismatch at {x}"
         assert self.leaf_counts == fresh.leaf_counts
         assert self.cnt_branching == fresh.cnt_branching
         assert self.max_cdeg == fresh.max_cdeg
-        assert self._group_sets() == fresh._group_sets()
+        assert _list_sets(self.grp_head, self.gnext) == _list_sets(
+            fresh.grp_head, fresh.gnext
+        )
 
-    def _bucket_sets(self, x: int) -> dict[int, set[int]]:
-        out: dict[int, set[int]] = {}
-        for c, head in self.bucket[x].items():
-            members = set()
-            cur = head
-            while cur != -1:
-                members.add(cur)
-                cur = self.snext[cur]
-            out[c] = members
-        return out
 
-    def _group_sets(self) -> dict[int, set[int]]:
-        out: dict[int, set[int]] = {}
-        for d, head in self.grp_head.items():
-            members = set()
-            cur = head
-            while cur != -1:
-                members.add(cur)
-                cur = self.gnext[cur]
-            out[d] = members
-        return out
+def _list_sets(heads: dict[int, int], nxt: list[int]) -> dict[int, set[int]]:
+    """Members of each linked list, by the key of its head."""
+    return {k: set(_walk(h, nxt, len(nxt))) for k, h in heads.items()}

@@ -213,6 +213,12 @@ def oracle_pendants(g: BipartiteGraph) -> list[tuple[str, frozenset[int], str]]:
     return sorted(out, key=lambda rec: min(rec[1]))
 
 
+def pendant_kind(ptype: str) -> str:
+    """The oracle_pendants kind of a pendant of this type: a single
+    vertex ("sv") is of type A or B, a nonsingular block ("ns") is AB."""
+    return "ns" if ptype == "AB" else "sv"
+
+
 def oracle_max_matching(n_a: int, n_b: int, n_ab: int) -> int:
     """Largest number of disjoint pairs with both members not of one
     single-side type, by exhaustive search over pair type counts."""

@@ -26,7 +26,7 @@ from bipartite_biconnect import (
     profile,
     verify_result,
 )
-from bipartite_biconnect.blocks import BlockTree, pendant_records
+from bipartite_biconnect.blocks import S_NODE, BlockTree, pendant_records
 from bipartite_biconnect.cli import main
 from bipartite_biconnect.graph import (
     broom_graph,
@@ -44,6 +44,7 @@ from .helpers import (
     oracle_max_matching,
     oracle_pendants,
     oracle_split_count,
+    pendant_kind,
     random_graph,
 )
 
@@ -165,18 +166,20 @@ def test_criterion_5_structure_lemmas_hold():
             triples = sorted(
                 (kind, min(mem), pt) for kind, mem, pt in oracle_pendants(g)
             )
-            assert sorted((p.kind, p.key, p.ptype) for p in recs) == triples
+            assert (
+                sorted((pendant_kind(p.ptype), p.key, p.ptype) for p in recs)
+                == triples
+            )
             got = set()
             for cid, comp in enumerate(dec.comps):
                 if len(comp) < 2:
                     continue
                 tree = BlockTree.build(g, dec, comp)
                 for x in tree.leaves():
-                    payload = tree.payload[x]
                     got.add(
                         (
-                            "sv" if payload.singular else "ns",
-                            min(payload.vertices()),
+                            "sv" if tree.kind[x] == S_NODE else "ns",
+                            min(tree.payload[x].vertices()),
                         )
                     )
             assert got == {(kind, key) for kind, key, _ in triples}

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import importlib
 import random
+from pathlib import Path
 
 import pytest
 
@@ -16,11 +17,13 @@ from bipartite_biconnect import (
     build_graph,
     eta,
     is_componentwise_biconnected,
+    parse_graph,
     verify_result,
 )
 from bipartite_biconnect.graph import (
     broom_graph,
     caterpillar_graph,
+    generate_instance,
     spider_graph,
 )
 from bipartite_biconnect.stats import OpCounters
@@ -245,6 +248,31 @@ def test_connected_solves_hit_eta_exactly():
         res = augment(g, self_check=True)
         assert res.size == eta(g)
     assert checked > 100
+
+
+SELF_CHECK_INPUTS = {
+    "spider-300": lambda: generate_instance("spider", 300),
+    "caterpillar-300": lambda: generate_instance("caterpillar", 300),
+    "random-2000-seed0": lambda: generate_instance("random", 2000, seed=0),
+    "random-2000-seed1": lambda: generate_instance("random", 2000, seed=1),
+    "random_rebuild": lambda: parse_graph(
+        (Path(__file__).parent / "golden" / "inputs" / "random_rebuild.txt").read_text()
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(SELF_CHECK_INPUTS))
+def test_self_check_holds_past_brute_force_sizes(name):
+    """The index audit and the rebuild comparison after every solver
+    step hold on inputs far too big for exhaustive search, including
+    one whose solve reorients the whole tree once."""
+    g = SELF_CHECK_INPUTS[name]()
+    counters = OpCounters()
+    res = augment(g, counters, self_check=True)
+    assert res.size == res.target
+    assert res.added_edges == augment(g).added_edges
+    if name == "random_rebuild":
+        assert counters.extra == {"index_rebuilds": 1}
 
 
 # ----------------------------------------------------------------------

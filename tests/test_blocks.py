@@ -24,6 +24,7 @@ from .helpers import (
     oracle_pendants,
     oracle_split_count,
     path_between,
+    pendant_kind,
     random_graph,
 )
 
@@ -71,7 +72,8 @@ def test_pendants_match_reference():
     for g in small_corpus():
         dec = decompose(g)
         mine = sorted(
-            (rec.kind, rec.key, rec.ptype) for rec in pendant_records(g, dec)
+            (pendant_kind(rec.ptype), rec.key, rec.ptype)
+            for rec in pendant_records(g, dec)
         )
         theirs = sorted(
             (kind, min(members), ptype)
@@ -102,14 +104,16 @@ def test_tree_leaves_are_exactly_the_pendants():
         recs = pendant_records(g, dec)
         by_comp: dict[int, list[tuple[str, int]]] = {}
         for rec in recs:
-            by_comp.setdefault(rec.comp, []).append((rec.kind, rec.key))
+            by_comp.setdefault(rec.comp, []).append(
+                (pendant_kind(rec.ptype), rec.key)
+            )
         for cid, comp in enumerate(dec.comps):
             if len(comp) < 2:
                 continue
             t = BlockTree.build(g, dec, comp)
             leaf_keys = sorted(
                 (
-                    "sv" if t.payload[x].singular else "ns",
+                    "sv" if t.kind[x] == S_NODE else "ns",
                     min(t.payload[x].vertices()),
                 )
                 for x in t.leaves()
@@ -168,7 +172,7 @@ def test_collapse_merges_a_leaf_path(p4):
     path = path_between(t, leaves[0], leaves[1])
     before = len(t.live_nodes())
     info = t.collapse(path)
-    assert t.payload[info.y].singular is False
+    assert t.kind[info.y] == B_NODE
     assert len(t.live_nodes()) < before
     # the whole path melted into one block, nothing else was live
     assert [t.kind[x] for x in t.live_nodes()] == [B_NODE]
