@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from .blocks import (
     C_NODE,
     S_NODE,
-    BlockRec,
     BlockTree,
     Decomposition,
+    MinPair,
     PendantRec,
     decompose,
     pendant_records,
@@ -69,8 +69,8 @@ class _State:
     def add_edge(self, u: int, v: int, case: str) -> None:
         if self.g.sides[u] == 1:
             u, v = v, u
-        assert self.g.sides[u] == 0 and self.g.sides[v] == 1, "edge within one side"
-        assert (u, v) not in self.edge_set, "edge already present"
+        _check(self.g.sides[u] == 0 and self.g.sides[v] == 1, "edge within one side")
+        _check((u, v) not in self.edge_set, "edge already present")
         self.edge_set.add((u, v))
         self.adj[u].append(v)
         self.adj[v].append(u)
@@ -83,21 +83,22 @@ class _State:
 
 
 def _binding_edge(
-    r1: BlockRec | PendantRec, t1: str, k1: int, r2: BlockRec | PendantRec, t2: str, k2: int
+    m1: MinPair, t1: str, k1: int, m2: MinPair, t2: str, k2: int
 ) -> tuple[int, int]:
     """Edge between noncut vertices of two pendant blocks, A side first.
 
-    For two nonsingular pendants the A endpoint comes from the lower
-    keyed block, so repeated runs pick identical vertices.
+    m1 and m2 are the pendants' smallest noncut vertices per side.  For
+    two nonsingular pendants the A endpoint comes from the lower keyed
+    block, so repeated runs pick identical vertices.
     """
     if t1 == "A" or (t1 == "AB" and t2 == "B"):
-        ra, rb = r1, r2
+        ma, mb = m1, m2
     elif t2 == "A" or (t2 == "AB" and t1 == "B"):
-        ra, rb = r2, r1
+        ma, mb = m2, m1
     else:
         assert t1 == t2 == "AB"
-        ra, rb = (r1, r2) if k1 <= k2 else (r2, r1)
-    u, v = ra.min_nc[0], rb.min_nc[1]
+        ma, mb = (m1, m2) if k1 <= k2 else (m2, m1)
+    u, v = ma[0], mb[1]
     assert u is not None and v is not None, "pendant lacks a noncut vertex"
     return u, v
 
@@ -309,7 +310,7 @@ def _case_m3(
                 rep2, w2 = cand, cid
         assert rep2 is not None
         pend[w2][t2].pop(0)
-        u, v = _binding_edge(rep1, t1, rep1.key, rep2, t2, rep2.key)
+        u, v = _binding_edge(rep1.min_nc, t1, rep1.key, rep2.min_nc, t2, rep2.key)
         st.add_edge(u, v, "M3")
         total[slot[t1]] -= 1
         total[slot[t2]] -= 1
@@ -384,9 +385,8 @@ def _audit_against_rebuild(st: _State, anchor: int, index: AugTreeIndex) -> None
 
 
 def _emit_leaf_pair(st: _State, tree: BlockTree, n1: int, n2: int, case: str) -> None:
-    r1, r2 = tree.payload[n1], tree.payload[n2]
     t1, t2 = tree.leaf_type(n1), tree.leaf_type(n2)
-    u, v = _binding_edge(r1, t1, n1, r2, t2, n2)
+    u, v = _binding_edge(tree.min_nc[n1], t1, n1, tree.min_nc[n2], t2, n2)
     st.add_edge(u, v, case)
 
 
@@ -422,8 +422,7 @@ def _terminal_uniform(
     pvs: list[int] = []
     partners: list[int] = []
     for x in leaves:
-        rec: BlockRec = tree.payload[x]
-        v = rec.parts[0]
+        v = tree.payload[x]
         knode = tree.parent[x] if tree.parent[x] != -1 else next(iter(tree.children[x]))
         assert tree.kind[knode] == "k"
         a, b = tree.payload[knode]

@@ -24,39 +24,8 @@ from .graph import BipartiteGraph
 from .stats import OpCounters
 
 
-class BlockRec:
-    """Vertex bag for one block, mergeable in O(1).
-
-    parts holds plain vertex ints and absorbed child BlockRecs; the
-    actual vertex set is only materialized on demand.  min_nc tracks
-    the smallest noncut member per side, which is all a binding edge
-    needs.
-    """
-
-    __slots__ = ("parts", "min_nc")
-
-    def __init__(self, parts: list, min_nc: list):
-        self.parts = parts
-        self.min_nc: list[Optional[int]] = min_nc
-
-    def vertices(self) -> list[int]:
-        out: list[int] = []
-        stack = [self.parts]
-        while stack:
-            parts = stack.pop()
-            for p in parts:
-                if isinstance(p, BlockRec):
-                    stack.append(p.parts)
-                else:
-                    out.append(p)
-        return out
-
-    def absorb_min(self, side: int, v: Optional[int]) -> None:
-        if v is None:
-            return
-        cur = self.min_nc[side]
-        if cur is None or v < cur:
-            self.min_nc[side] = v
+# smallest noncut vertex of a block on side A and on side B
+MinPair = tuple[Optional[int], Optional[int]]
 
 
 @dataclass
@@ -67,7 +36,7 @@ class PendantRec:
     ptype: str  # "A", "B", or "AB"
     comp: int
     key: int  # smallest member vertex, used for deterministic ordering
-    min_nc: tuple[Optional[int], Optional[int]]
+    min_nc: MinPair
 
 
 @dataclass
@@ -183,6 +152,17 @@ def decompose(g: BipartiteGraph, counters: OpCounters | None = None) -> Decompos
     return dec
 
 
+def _noncut_minima(g: BipartiteGraph, dec: Decomposition, blk: tuple) -> MinPair:
+    """Smallest noncut vertex on each side of the sorted block blk."""
+    mins: list[Optional[int]] = [None, None]
+    for v in blk:
+        if not dec.is_cut[v]:
+            s = g.sides[v]
+            if mins[s] is None:
+                mins[s] = v
+    return mins[0], mins[1]
+
+
 def pendant_records(g: BipartiteGraph, dec: Decomposition) -> list[PendantRec]:
     """All pendant blocks, ordered by smallest member vertex."""
     recs: list[PendantRec] = []
@@ -190,18 +170,12 @@ def pendant_records(g: BipartiteGraph, dec: Decomposition) -> list[PendantRec]:
         cuts = [v for v in blk if dec.is_cut[v]]
         if len(cuts) != 1:
             continue
-        mins: list[Optional[int]] = [None, None]
-        for v in blk:
-            if not dec.is_cut[v]:
-                s = g.sides[v]
-                if mins[s] is None:
-                    mins[s] = v
         recs.append(
             PendantRec(
                 ptype="AB",
                 comp=dec.comp_id[blk[0]],
                 key=blk[0],
-                min_nc=(mins[0], mins[1]),
+                min_nc=_noncut_minima(g, dec, blk),
             )
         )
     for v in range(g.n):
@@ -245,11 +219,8 @@ def tree_to_dot(g: BipartiteGraph) -> str:
         for x in t.live_nodes():
             kind = t.kind[x]
             if kind == B_NODE:
-                rec: BlockRec = t.payload[x]
-                lab = " ".join(g.labels[v] for v in sorted(rec.vertices()))
-            elif kind == S_NODE:
-                lab = g.labels[t.payload[x].parts[0]]
-            elif kind == C_NODE:
+                lab = " ".join(g.labels[v] for v in t.payload[x])
+            elif kind in (S_NODE, C_NODE):
                 lab = g.labels[t.payload[x]]
             else:
                 a, b = t.payload[x]
@@ -283,18 +254,23 @@ class BlockTree:
 
     def __init__(self) -> None:
         self.kind: list[str] = []
-        self.payload: list = []  # BlockRec | vertex int | (a, b) pair
+        # the sorted vertices of a decomposed block, None for a merged
+        # block, the vertex of a pendant or cut node, a bridge's (a, b)
+        self.payload: list = []
+        # a block or pendant node's smallest noncut vertex per side, all a
+        # binding edge reads; (None, None) on cut vertex and bridge nodes
+        self.min_nc: list[MinPair] = []
         self.alive: list[bool] = []
         self.parent: list[int] = []
         self.children: list[set[int]] = []
         self.root = -1
-        self.c_node_of: dict[int, int] = {}
         self.sides: tuple[int, ...] = ()
 
-    def new_node(self, kind: str, payload) -> int:
+    def new_node(self, kind: str, payload, min_nc: MinPair = (None, None)) -> int:
         node = len(self.kind)
         self.kind.append(kind)
         self.payload.append(payload)
+        self.min_nc.append(min_nc)
         self.alive.append(True)
         self.parent.append(-1)
         self.children.append(set())
@@ -314,8 +290,7 @@ class BlockTree:
         if k == B_NODE:
             return "AB"
         if k == S_NODE:
-            rec: BlockRec = self.payload[x]
-            return "A" if rec.min_nc[0] is not None else "B"
+            return "A" if self.min_nc[x][0] is not None else "B"
         raise ValueError(f"node {x} has no pendant type")
 
     def live_nodes(self) -> list[int]:
@@ -341,30 +316,23 @@ class BlockTree:
         t.sides = g.sides
         cid = dec.comp_id[comp[0]]
         undirected: list[tuple[int, int]] = []
+        cut_node: dict[int, int] = {}
 
         for blk in dec.ns_blocks:
             if dec.comp_id[blk[0]] != cid:
                 continue
-            mins: list[Optional[int]] = [None, None]
-            parts: list = []
-            for v in blk:
-                parts.append(v)
-                if not dec.is_cut[v]:
-                    s = g.sides[v]
-                    if mins[s] is None:
-                        mins[s] = v
-            node = t.new_node(B_NODE, BlockRec(parts, mins))
+            node = t.new_node(B_NODE, blk, _noncut_minima(g, dec, blk))
             for v in blk:
                 if dec.is_cut[v]:
                     undirected.append((node, ("c", v)))
         svnode: dict[int, int] = {}
         for v in comp:
             if dec.degree[v] == 1 and not dec.is_cut[v]:
-                mins = [v, None] if g.sides[v] == 0 else [None, v]
-                svnode[v] = t.new_node(S_NODE, BlockRec([v], mins))
+                mins = (v, None) if g.sides[v] == 0 else (None, v)
+                svnode[v] = t.new_node(S_NODE, v, mins)
         for v in comp:
             if dec.is_cut[v]:
-                t.c_node_of[v] = t.new_node(C_NODE, v)
+                cut_node[v] = t.new_node(C_NODE, v)
         for a, b in dec.cut_edges:
             if dec.comp_id[a] != cid:
                 continue
@@ -379,7 +347,7 @@ class BlockTree:
 
         adj: list[list[int]] = [[] for _ in t.kind]
         for x, ref in undirected:
-            y = t.c_node_of[ref[1]] if ref[0] == "c" else ref[1]
+            y = cut_node[ref[1]] if ref[0] == "c" else ref[1]
             adj[x].append(y)
             adj[y].append(x)
 
@@ -389,7 +357,7 @@ class BlockTree:
         cut_in_comp = [v for v in comp if dec.is_cut[v]]
         if cut_in_comp:
             best = max(cut_in_comp, key=lambda v: (dec.branch_count(v), -v))
-            root = t.c_node_of[best]
+            root = cut_node[best]
         elif any(t.kind[x] == K_NODE for x in range(len(t.kind))):
             root = next(x for x in range(len(t.kind)) if t.kind[x] == K_NODE)
         else:
@@ -456,28 +424,23 @@ class BlockTree:
         assert len(tops) == 1, "collapse path must be a contiguous tree path"
         top = tops[0]
 
-        parts: list = []
         mins: list[Optional[int]] = [None, None]
-        rec = BlockRec(parts, mins)
         for x in absorbed:
-            if self.kind[x] in (B_NODE, S_NODE):
-                child_rec: BlockRec = self.payload[x]
-                parts.append(child_rec)
-                rec.absorb_min(0, child_rec.min_nc[0])
-                rec.absorb_min(1, child_rec.min_nc[1])
-            elif self.kind[x] == C_NODE:
-                v = self.payload[x]
-                parts.append(v)
+            if self.kind[x] == C_NODE:
                 # absorbed cut vertices stop being cut, so they become
                 # noncut members of the merged block
-                rec.absorb_min(self.sides[v], v)
-        y = self.new_node(B_NODE, rec)
+                v = self.payload[x]
+                pair = (v, None) if self.sides[v] == 0 else (None, v)
+            else:
+                pair = self.min_nc[x]
+            for s in (0, 1):
+                v = pair[s]
+                if v is not None and (mins[s] is None or v < mins[s]):
+                    mins[s] = v
+        y = self.new_node(B_NODE, None, (mins[0], mins[1]))
         if counters:
             counters.tree_nodes += 1
             counters.collapse_steps += len(absorbed)
-
-        for c in survivors:
-            parts.append(self.payload[c])
 
         moved: list[int] = []
         for x in absorbed:
@@ -505,8 +468,6 @@ class BlockTree:
             self.alive[x] = False
             self.children[x] = set()
             self.parent[x] = -1
-            if self.kind[x] == C_NODE:
-                del self.c_node_of[self.payload[x]]
         if not self.alive[self.root]:
             self.root = y
 

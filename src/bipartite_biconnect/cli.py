@@ -50,6 +50,8 @@ def _read_text(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: not UTF-8 at byte {exc.start}") from exc
 
 
 def _parse_edge_lines(text: str) -> list[tuple[str, str]]:
@@ -232,7 +234,13 @@ def _parse_sizes(text: str) -> list[int]:
         token = token.strip()
         if not token:
             continue
-        out.append(int(float(token)))
+        try:
+            size = int(float(token))
+        except (ValueError, OverflowError):
+            raise ParseError(f"bad size {token!r}") from None
+        if size < 1:
+            raise ParseError(f"size must be positive, got {token!r}")
+        out.append(size)
     if not out:
         raise ParseError("no sizes given")
     return out

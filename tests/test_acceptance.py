@@ -176,12 +176,10 @@ def test_criterion_5_structure_lemmas_hold():
                     continue
                 tree = BlockTree.build(g, dec, comp)
                 for x in tree.leaves():
-                    got.add(
-                        (
-                            "sv" if tree.kind[x] == S_NODE else "ns",
-                            min(tree.payload[x].vertices()),
-                        )
-                    )
+                    # a fresh tree's leaf payload is the pendant vertex
+                    # or the block's sorted vertex tuple
+                    key = tree.payload[x]
+                    got.add(("sv", key) if tree.kind[x] == S_NODE else ("ns", key[0]))
             assert got == {(kind, key) for kind, key, _ in triples}
 
             # split counts match vertex deletion

@@ -358,3 +358,16 @@ def test_missed_target_raises(monkeypatch, spider4):
     monkeypatch.setattr(aug, "theorem_target", lambda *a: true_target(*a) + 1)
     with pytest.raises(InvariantViolation, match="emitted 3, target 4"):
         augment(spider4)
+
+
+@pytest.mark.parametrize(
+    "ends, what",
+    [(("a1", "b1"), "edge already present"), (("a1", "a2"), "edge within one side")],
+)
+def test_illegal_edge_raises(monkeypatch, p4, ends, what):
+    # plain raises as well, so every added edge is checked under python -O
+    aug = importlib.import_module("bipartite_biconnect.augment")
+    edge = tuple(p4.label_index[lab] for lab in ends)
+    monkeypatch.setattr(aug, "_binding_edge", lambda *a: edge)
+    with pytest.raises(InvariantViolation, match=what):
+        augment(p4)

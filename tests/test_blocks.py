@@ -111,11 +111,10 @@ def test_tree_leaves_are_exactly_the_pendants():
             if len(comp) < 2:
                 continue
             t = BlockTree.build(g, dec, comp)
+            # a fresh tree's leaf payload is the pendant vertex or the
+            # block's sorted vertex tuple
             leaf_keys = sorted(
-                (
-                    "sv" if t.kind[x] == S_NODE else "ns",
-                    min(t.payload[x].vertices()),
-                )
+                ("sv", t.payload[x]) if t.kind[x] == S_NODE else ("ns", t.payload[x][0])
                 for x in t.leaves()
             )
             assert leaf_keys == sorted(by_comp.get(cid, []))
@@ -128,9 +127,10 @@ def test_cut_vertex_tree_degree_equals_split_count():
             if len(comp) < 2:
                 continue
             t = BlockTree.build(g, dec, comp)
-            for v in comp:
-                if dec.is_cut[v]:
-                    assert t.degree(t.c_node_of[v]) == dec.branch_count(v)
+            cut_node = {t.payload[x]: x for x in t.live_nodes() if t.kind[x] == C_NODE}
+            assert sorted(cut_node) == [v for v in comp if dec.is_cut[v]]
+            for v, x in cut_node.items():
+                assert t.degree(x) == dec.branch_count(v)
 
 
 def test_bridge_nodes_have_degree_two():
@@ -176,6 +176,23 @@ def test_collapse_merges_a_leaf_path(p4):
     assert len(t.live_nodes()) < before
     # the whole path melted into one block, nothing else was live
     assert [t.kind[x] for x in t.live_nodes()] == [B_NODE]
+    # the absorbed cut vertex b1 is now the block's smallest B vertex
+    ix = p4.label_index
+    assert t.min_nc[info.y] == (ix["a1"], ix["b1"])
+
+
+def test_collapse_minima_skip_a_surviving_hub(spider4):
+    t = tree_of(spider4)
+    ix = spider4.label_index
+    leaf_of = {t.payload[x]: x for x in t.leaves()}
+    path = path_between(t, leaf_of[ix["a3"]], leaf_of[ix["b1"]])
+    info = t.collapse(path)
+    hub = next(x for x in path if t.kind[x] == C_NODE and t.payload[x] == ix["x"])
+    assert info.survivors == [hub] and t.alive[hub]
+    # the hub x has the smallest id but is still a cut vertex, so the A
+    # minimum is the pendant a3; b1 beats the absorbed cut vertex b3
+    assert ix["x"] < ix["a3"] and ix["b1"] < ix["b3"]
+    assert t.min_nc[info.y] == (ix["a3"], ix["b1"])
 
 
 def test_dot_export_mentions_every_vertex(p4):

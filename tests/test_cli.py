@@ -131,6 +131,17 @@ def test_augment_bad_graph(capsys, tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command", ["augment", "verify", "oracle", "tree"])
+def test_input_not_utf8_exits_one(capsys, tmp_path, command):
+    f = tmp_path / "latin1.txt"
+    f.write_bytes("A a\xe91\nB b1\n".encode("latin-1"))
+    rc, out, err = run(capsys, [command, str(f)])
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and "UTF-8" in err
+    assert len(err.splitlines()) == 1
+
+
 # ----------------------------------------------------------------------
 # verify
 
@@ -297,6 +308,15 @@ def test_bench_scientific_sizes(capsys):
     rc, out, _ = run(capsys, ["bench", "--kind", "caterpillar", "--sizes", "1e1"])
     assert rc == 0
     assert "size=10" in out
+
+
+@pytest.mark.parametrize("sizes", ["abc", "inf", "nan", "0", "-5", "20,1e999"])
+def test_bench_bad_sizes_exit_one(capsys, sizes):
+    rc, out, err = run(capsys, ["bench", "--kind", "broom", "--sizes", sizes])
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert len(err.splitlines()) == 1
 
 
 # ----------------------------------------------------------------------
