@@ -17,6 +17,7 @@ target; a miss raises InvariantViolation, also under python -O.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .blocks import (
     C_NODE,
@@ -37,7 +38,7 @@ from .bounds import (
     classify_m,
     theorem_target,
 )
-from .errors import ClingPartitionViolation, InvariantViolation, NoBiconnector
+from .errors import ClingPartitionViolation, NoBiconnector, check
 from .graph import BipartiteGraph
 from .matching import counts_of, maximum_legal_matching, pick_cross_pair, profile
 from .stats import OpCounters
@@ -69,8 +70,8 @@ class _State:
     def add_edge(self, u: int, v: int, case: str) -> None:
         if self.g.sides[u] == 1:
             u, v = v, u
-        _check(self.g.sides[u] == 0 and self.g.sides[v] == 1, "edge within one side")
-        _check((u, v) not in self.edge_set, "edge already present")
+        check(self.g.sides[u] == 0 and self.g.sides[v] == 1, "edge within one side")
+        check((u, v) not in self.edge_set, "edge already present")
         self.edge_set.add((u, v))
         self.adj[u].append(v)
         self.adj[v].append(u)
@@ -140,7 +141,7 @@ def augment(
         _case_m2(st, g, dec, cen, recs)
     else:
         _case_m3(st, cen, recs, self_check)
-    _check(len(st.added) == target, f"emitted {len(st.added)}, target {target}")
+    check(len(st.added) == target, f"emitted {len(st.added)}, target {target}")
     added_labels = [(g.labels[u], g.labels[v]) for u, v in st.added]
     return AugmentationResult(added_labels, st.cases, target)
 
@@ -271,61 +272,65 @@ def _case_m3(
 ) -> None:
     """Several components and pairable pendants: bridge them together.
 
-    Each bridge joins the first live component (component ids follow
+    Each bridge joins the first live component w1 (component ids follow
     the smallest vertex, and this one absorbs every other) to the rest
     through a pair that lowers the pair count by exactly one, so the
     remaining demand falls by one per edge.  Finishes with the one
     component case, or the uniform stitch if pairs run out first.
-    """
-    live = [
-        cid
-        for cid, cls in enumerate(cen.comp_classes)
-        if cls in (NEEDY, EDGE)
-    ]
-    pend: dict[int, dict[str, list[PendantRec]]] = {
-        cid: {"A": [], "B": [], "AB": []} for cid in live
-    }
-    for p in recs:
-        pend[p.comp][p.ptype].append(p)  # recs arrive sorted by key
-    w1 = live[0]
-    total = list(counts_of([p.ptype for p in recs]))
-    slot = {"A": 0, "B": 1, "AB": 2}
 
-    while len(live) > 1 and profile(*total).m > 0:
-        c1 = (
-            len(pend[w1]["A"]),
-            len(pend[w1]["B"]),
-            len(pend[w1]["AB"]),
-        )
+    A bridge costs O(1) amortized plus one heap pop, and each pendant
+    is pushed at most once.  w1's end of the bridge is the first of its
+    unused pendants of the chosen type, kept in a heap per type; the
+    partner is the first pendant of its type outside w1, found by a
+    cursor per type over recs that only moves forward, since a used
+    pendant always lies in w1 and joining w1 is permanent.  "First"
+    means first in recs, which is sorted by key: keys tie only between
+    AB pendants of one component, and recs order breaks those ties.
+    """
+    slot = {"A": 0, "B": 1, "AB": 2}
+    order: list[list[int]] = [[], [], []]  # recs indices per type
+    members: dict[int, list[int]] = {}  # recs indices per component
+    for i, p in enumerate(recs):  # recs arrive sorted by key
+        order[slot[p.ptype]].append(i)
+        members.setdefault(p.comp, []).append(i)
+    # components still to join w1; left counts them and w1
+    outside = [cls in (NEEDY, EDGE) for cls in cen.comp_classes]
+    left = sum(outside)
+    w1 = outside.index(True)
+    outside[w1] = False
+    own: list[list[int]] = [[], [], []]  # heaps of w1's unused pendants
+    for i in members.get(w1, ()):
+        own[slot[recs[i].ptype]].append(i)  # ascending, so already heaps
+    cursor = [0, 0, 0]
+    total = list(counts_of([p.ptype for p in recs]))
+
+    while left > 1 and profile(*total).m > 0:
+        c1 = (len(own[0]), len(own[1]), len(own[2]))
         c2 = tuple(t - o for t, o in zip(total, c1))
         t1, t2 = pick_cross_pair(c1, c2)
-        rep1 = pend[w1][t1].pop(0)
-        rep2 = None
-        w2 = -1
-        for cid in live:
-            if cid == w1 or not pend[cid][t2]:
-                continue
-            cand = pend[cid][t2][0]
-            if rep2 is None or cand.key < rep2.key:
-                rep2, w2 = cand, cid
-        assert rep2 is not None
-        pend[w2][t2].pop(0)
+        s1, s2 = slot[t1], slot[t2]
+        rep1 = recs[heappop(own[s1])]
+        ids, pos = order[s2], cursor[s2]
+        while not outside[recs[ids[pos]].comp]:
+            pos += 1
+        cursor[s2] = pos + 1
+        rep2 = recs[ids[pos]]
         u, v = _binding_edge(rep1.min_nc, t1, rep1.key, rep2.min_nc, t2, rep2.key)
         st.add_edge(u, v, "M3")
-        total[slot[t1]] -= 1
-        total[slot[t2]] -= 1
-        # merge w2 into w1
-        for t in ("A", "B", "AB"):
-            merged = pend[w1][t] + pend[w2][t]
-            merged.sort(key=lambda p: p.key)
-            pend[w1][t] = merged
-        live.remove(w2)
+        total[s1] -= 1
+        total[s2] -= 1
+        # join rep2's component to w1
+        outside[rep2.comp] = False
+        left -= 1
+        for i in members[rep2.comp]:
+            if i != ids[pos]:
+                heappush(own[slot[recs[i].ptype]], i)
 
     g2 = st.current_graph()
     dec2 = decompose(g2, st.counters)
     cen2 = census(dec2)
     recs2 = pendant_records(g2, dec2)
-    if len(live) == 1:
+    if left == 1:
         assert cen2.c_total == 1
         _case_m1(st, g2, dec2, cen2, self_check)
     else:
@@ -359,13 +364,7 @@ def _solve_connected(
             break
         if self_check:
             _audit_against_rebuild(st, comp[0], index)
-    _check(len(st.added) - start == eta0, "connected solve missed its bound")
-
-
-def _check(ok: bool, what: str) -> None:
-    """An invariant check that python -O keeps."""
-    if not ok:
-        raise InvariantViolation(what)
+    check(len(st.added) - start == eta0, "connected solve missed its bound")
 
 
 def _audit_against_rebuild(st: _State, anchor: int, index: AugTreeIndex) -> None:
@@ -377,11 +376,14 @@ def _audit_against_rebuild(st: _State, anchor: int, index: AugTreeIndex) -> None
     cid2 = dec2.comp_id[anchor]
     types = [p.ptype for p in pendant_records(g2, dec2) if p.comp == cid2]
     counts = counts_of(types)
-    assert index.counts() == counts, "leaf census drifted from rebuild"
+    check(index.counts() == counts, "leaf census drifted from rebuild")
     max_d = max(dec2.branch_count(v) for v in dec2.comps[cid2])
-    assert index.max_cdeg == max_d, "split degree drifted from rebuild"
+    check(index.max_cdeg == max_d, "split degree drifted from rebuild")
     prof = profile(*counts)
-    assert index.eta_now() == max(max_d - 1, prof.m + prof.r, 0)
+    check(
+        index.eta_now() == max(max_d - 1, prof.m + prof.r, 0),
+        "demand drifted from rebuild",
+    )
 
 
 def _emit_leaf_pair(st: _State, tree: BlockTree, n1: int, n2: int, case: str) -> None:
@@ -525,7 +527,7 @@ def _hub_step(st: _State, tree: BlockTree, index: AugTreeIndex) -> None:
     info = tree.collapse(full, st.counters)
     index.update_after_collapse(info)
     assert tree.degree(root) == deg_before - 1, "hub degree must drop by one"
-    _check(index.eta_now() == eta_before - 1, "demand must drop by one")
+    check(index.eta_now() == eta_before - 1, "demand must drop by one")
 
 
 def _branch_step(st: _State, tree: BlockTree, index: AugTreeIndex) -> None:
@@ -545,7 +547,7 @@ def _branch_step(st: _State, tree: BlockTree, index: AugTreeIndex) -> None:
     full = list(reversed(path1)) + [root] + path2
     info = tree.collapse(full, st.counters)
     index.update_after_collapse(info)
-    _check(index.eta_now() == eta_before - 1, "demand must drop by one")
+    check(index.eta_now() == eta_before - 1, "demand must drop by one")
 
 
 # terminal cases by the tag AugTreeIndex.s_case() gives them

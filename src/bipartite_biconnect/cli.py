@@ -212,7 +212,14 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _check_p(p: Optional[float]) -> None:
+    # written so that nan fails too
+    if p is not None and not 0.0 <= p <= 1.0:
+        raise ParseError(f"--p must lie in [0, 1], got {p}")
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
+    _check_p(args.p)
     try:
         g = generate_instance(args.kind, args.size, args.seed, args.p)
     except ValueError as exc:
@@ -247,6 +254,7 @@ def _parse_sizes(text: str) -> list[int]:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    _check_p(args.p)
     for size in _parse_sizes(args.sizes):
         g = generate_instance(args.kind, size, args.seed, args.p)
         counters = OpCounters()

@@ -25,6 +25,12 @@ class InvariantViolation(GraphError):
     """The solver broke one of its own invariants: a bug, never bad input."""
 
 
+def check(ok: bool, what: str) -> None:
+    """An invariant check that python -O keeps."""
+    if not ok:
+        raise InvariantViolation(what)
+
+
 class NoCrossPair(GraphError):
     """No matching-certified pendant pair exists across the requested split."""
 

@@ -19,7 +19,7 @@ tree, and so of the input alone: repeated runs make identical choices.
 from __future__ import annotations
 
 from .blocks import B_NODE, C_NODE, S_NODE, BlockTree, CollapseInfo
-from .errors import NoCrossPair
+from .errors import NoCrossPair, check
 from .matching import LEGAL_COMBOS, is_decrementing, profile
 from .stats import OpCounters
 
@@ -525,15 +525,17 @@ class AugTreeIndex:
         fresh = AugTreeIndex(t)
         live = set(t.live_nodes())
         for x in live:
-            assert self.code[x] == fresh.code[x], f"code mismatch at {x}"
+            check(self.code[x] == fresh.code[x], f"code mismatch at {x}")
             mine = _list_sets(self.bucket[x], self.snext)
             theirs = _list_sets(fresh.bucket[x], fresh.snext)
-            assert mine == theirs, f"bucket mismatch at {x}"
-        assert self.leaf_counts == fresh.leaf_counts
-        assert self.cnt_branching == fresh.cnt_branching
-        assert self.max_cdeg == fresh.max_cdeg
-        assert _list_sets(self.grp_head, self.gnext) == _list_sets(
-            fresh.grp_head, fresh.gnext
+            check(mine == theirs, f"bucket mismatch at {x}")
+        check(self.leaf_counts == fresh.leaf_counts, "leaf counts mismatch")
+        check(self.cnt_branching == fresh.cnt_branching, "branching count mismatch")
+        check(self.max_cdeg == fresh.max_cdeg, "max split degree mismatch")
+        check(
+            _list_sets(self.grp_head, self.gnext)
+            == _list_sets(fresh.grp_head, fresh.gnext),
+            "degree group mismatch",
         )
 
 

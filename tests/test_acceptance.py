@@ -7,15 +7,18 @@ One test per shipping criterion; each prints a single
 from __future__ import annotations
 
 import contextlib
+import functools
 import gc
 import random
 import signal
 import statistics
 import time
+from typing import Callable
 
 import pytest
 
 from bipartite_biconnect import (
+    BipartiteGraph,
     NoBiconnector,
     add_edges,
     augment,
@@ -304,8 +307,35 @@ def scaled_solve(g, counters) -> float:
     return wall * statistics.fmean(rates)
 
 
-def doubling_ratios(kind: str, sizes: list[int]):
-    """Time ratios and counter ratios of each doubling in sizes.
+def disjoint_paths_graph(n: int) -> BipartiteGraph:
+    """Disjoint paths of 3, 5, 4 and 6 vertices in turn, each starting
+    on the side the one before did not, until there are n vertices.
+
+    Every four paths carry four A and four B pendants (two A ends, two
+    B ends, then two mixed paths), so the bridges join all components
+    into one before the one component solver finishes.
+    """
+    a: list[str] = []
+    b: list[str] = []
+    edges: list[tuple[str, str]] = []
+    k = 0
+    while len(a) + len(b) < n:
+        prev = None
+        for i in range((3, 5, 4, 6)[k % 4]):
+            here = (k + i) % 2
+            names = a if here == 0 else b
+            lab = f"{'ab'[here]}{len(names) + 1}"
+            names.append(lab)
+            if prev is not None:
+                edges.append((lab, prev) if here == 0 else (prev, lab))
+            prev = lab
+        k += 1
+    return build_graph(a, b, edges)
+
+
+def doubling_ratios(make: Callable[[int], BipartiteGraph], sizes: list[int]):
+    """Time ratios and counter ratios of each doubling in sizes, on the
+    graphs make(size).
 
     Each of three rounds solves each size once, ascending in even
     rounds and descending in odd ones, so the two solves of a doubling
@@ -326,7 +356,7 @@ def doubling_ratios(kind: str, sizes: list[int]):
     for r in range(rounds):
         order = range(len(sizes)) if r % 2 == 0 else reversed(range(len(sizes)))
         for i in order:
-            g = generate_instance(kind, sizes[i])
+            g = make(sizes[i])
             counters = OpCounters()
             gc.collect()
             scaled[r][i] = scaled_solve(g, counters)
@@ -342,8 +372,14 @@ def test_criterion_6_linear_scaling():
     with criterion(6, desc) as notes:
         sizes = [10_000, 20_000, 40_000, 80_000]
         rows = []
-        for kind in ("spider", "caterpillar", "broom"):
-            times, works = doubling_ratios(kind, sizes)
+        families = {
+            kind: functools.partial(generate_instance, kind)
+            for kind in ("spider", "caterpillar", "broom")
+        }
+        # thousands of components: the bridge loop of the M3 case
+        families["paths"] = disjoint_paths_graph
+        for kind, make in families.items():
+            times, works = doubling_ratios(make, sizes)
             rows += [
                 (f"{kind} {a // 1000}k->{b // 1000}k", statistics.median(rounds), rounds, work)
                 for a, b, rounds, work in zip(sizes, sizes[1:], times, works)

@@ -4,7 +4,10 @@ against exhaustive search, and the step invariants."""
 from __future__ import annotations
 
 import importlib
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -273,6 +276,32 @@ def test_self_check_holds_past_brute_force_sizes(name):
     assert res.added_edges == augment(g).added_edges
     if name == "random_rebuild":
         assert counters.extra == {"index_rebuilds": 1}
+
+
+def test_self_check_audits_under_python_O():
+    # the audits raise InvariantViolation rather than assert, so an
+    # optimized interpreter still catches a drifted leaf census at the
+    # first audit, not only at the final bound check
+    script = (
+        "from bipartite_biconnect import InvariantViolation, augment\n"
+        "from bipartite_biconnect.graph import generate_instance\n"
+        "from bipartite_biconnect.treeindex import AugTreeIndex\n"
+        "AugTreeIndex.counts = lambda self: (9, 9, 9)\n"
+        "try:\n"
+        "    augment(generate_instance('spider', 40), self_check=True)\n"
+        "except InvariantViolation as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(__file__).parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "leaf census drifted from rebuild\n"
 
 
 # ----------------------------------------------------------------------

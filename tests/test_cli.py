@@ -319,6 +319,30 @@ def test_bench_bad_sizes_exit_one(capsys, sizes):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("p", ["nan", "inf", "-1", "2"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--kind", "random", "--size", "20"],
+        ["bench", "--kind", "random", "--sizes", "20"],
+    ],
+    ids=["gen", "bench"],
+)
+def test_bad_p_exits_one(capsys, argv, p):
+    rc, out, err = run(capsys, [*argv, "--p", p])
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("p", ["0", "0.25", "1"])
+def test_p_in_unit_interval_is_accepted(capsys, p):
+    rc, out, _ = run(capsys, ["gen", "--kind", "random", "--size", "20", "--p", p])
+    assert rc == 0
+    assert out
+
+
 # ----------------------------------------------------------------------
 # argparse behavior
 
