@@ -40,7 +40,13 @@ from .bounds import (
 )
 from .errors import ClingPartitionViolation, NoBiconnector, check
 from .graph import BipartiteGraph
-from .matching import counts_of, maximum_legal_matching, pick_cross_pair, profile
+from .matching import (
+    TYPE_SLOT,
+    counts_of,
+    maximum_legal_matching,
+    pick_cross_pair,
+    profile,
+)
 from .stats import OpCounters
 from .treeindex import AugTreeIndex
 
@@ -287,11 +293,10 @@ def _case_m3(
     means first in recs, which is sorted by key: keys tie only between
     AB pendants of one component, and recs order breaks those ties.
     """
-    slot = {"A": 0, "B": 1, "AB": 2}
     order: list[list[int]] = [[], [], []]  # recs indices per type
     members: dict[int, list[int]] = {}  # recs indices per component
     for i, p in enumerate(recs):  # recs arrive sorted by key
-        order[slot[p.ptype]].append(i)
+        order[TYPE_SLOT[p.ptype]].append(i)
         members.setdefault(p.comp, []).append(i)
     # components still to join w1; left counts them and w1
     outside = [cls in (NEEDY, EDGE) for cls in cen.comp_classes]
@@ -299,16 +304,16 @@ def _case_m3(
     w1 = outside.index(True)
     outside[w1] = False
     own: list[list[int]] = [[], [], []]  # heaps of w1's unused pendants
-    for i in members.get(w1, ()):
-        own[slot[recs[i].ptype]].append(i)  # ascending, so already heaps
+    for i in members[w1]:
+        own[TYPE_SLOT[recs[i].ptype]].append(i)  # ascending, so already heaps
     cursor = [0, 0, 0]
-    total = list(counts_of([p.ptype for p in recs]))
+    total = [len(ids) for ids in order]
 
     while left > 1 and profile(*total).m > 0:
         c1 = (len(own[0]), len(own[1]), len(own[2]))
         c2 = tuple(t - o for t, o in zip(total, c1))
         t1, t2 = pick_cross_pair(c1, c2)
-        s1, s2 = slot[t1], slot[t2]
+        s1, s2 = TYPE_SLOT[t1], TYPE_SLOT[t2]
         rep1 = recs[heappop(own[s1])]
         ids, pos = order[s2], cursor[s2]
         while not outside[recs[ids[pos]].comp]:
@@ -324,7 +329,7 @@ def _case_m3(
         left -= 1
         for i in members[rep2.comp]:
             if i != ids[pos]:
-                heappush(own[slot[recs[i].ptype]], i)
+                heappush(own[TYPE_SLOT[recs[i].ptype]], i)
 
     g2 = st.current_graph()
     dec2 = decompose(g2, st.counters)
