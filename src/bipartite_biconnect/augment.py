@@ -2,10 +2,12 @@
 
 The driver classifies the whole graph first: nothing to do, too thin
 to fix (one side has fewer than two vertices), one of two special
-shapes built around a lone edge, or the general shapes.  Disconnected
-graphs are merged component by component with bridge edges that each
-lower the remaining demand by one, after which a single component
-remains and the tree based solver finishes it.
+shapes built around a lone edge, or the general shapes.  Several
+components needing work are joined to the first one by bridge edges
+that each lower the remaining demand by one, in O(1) amortized per
+bridge.  If one component is left, one more decomposition hands it to
+the tree based solver; if the pendant pairs run out first, the bridge
+loop's own records finish the job with a round robin stitch in O(n).
 
 The connected solver walks the structure tree: terminal cases emit all
 their edges at once, iterative cases add one edge, collapse the tree
@@ -21,6 +23,7 @@ from heapq import heappop, heappush
 
 from .blocks import (
     C_NODE,
+    K_NODE,
     S_NODE,
     BlockTree,
     Decomposition,
@@ -67,7 +70,6 @@ class _State:
 
     def __init__(self, g: BipartiteGraph, counters: OpCounters):
         self.g = g
-        self.adj: list[list[int]] = [list(nb) for nb in g.adj]
         self.edge_set: set[tuple[int, int]] = set(g.edge_set)
         self.added: list[tuple[int, int]] = []
         self.cases: list[str] = []
@@ -79,8 +81,6 @@ class _State:
         check(self.g.sides[u] == 0 and self.g.sides[v] == 1, "edge within one side")
         check((u, v) not in self.edge_set, "edge already present")
         self.edge_set.add((u, v))
-        self.adj[u].append(v)
-        self.adj[v].append(u)
         self.added.append((u, v))
         self.cases.append(case)
         self.counters.edges_added += 1
@@ -143,10 +143,8 @@ def augment(
         _case_m5(st, g, dec, cen)
     elif label == "M1":
         _case_m1(st, g, dec, cen, self_check)
-    elif label == "M2":
-        _case_m2(st, g, dec, cen, recs)
     else:
-        _case_m3(st, cen, recs, self_check)
+        _case_m3(st, dec, cen, recs, self_check)
     check(len(st.added) == target, f"emitted {len(st.added)}, target {target}")
     added_labels = [(g.labels[u], g.labels[v]) for u, v in st.added]
     return AugmentationResult(added_labels, st.cases, target)
@@ -235,54 +233,20 @@ def _case_m1(
         st.add_edge(leaf, w2, "M1")
 
 
-def _case_m2(
-    st: _State,
-    g: BipartiteGraph,
-    dec: Decomposition,
-    cen: ComponentCensus,
-    recs: list[PendantRec],
-) -> None:
-    """Several components, all pendants one type: round robin stitch.
-
-    Every pendant vertex of component i gets an edge to the lowest
-    opposite side vertex of the next component in order.
-    """
-    cids = [
-        cid
-        for cid, cls in enumerate(cen.comp_classes)
-        if cls in (NEEDY, EDGE)
-    ]
-    assert len(cids) >= 2
-    types = {p.ptype for p in recs}
-    assert types in ({"A"}, {"B"}), f"uniform case saw pendant types {types}"
-    side = 0 if types == {"A"} else 1
-    anchors = {}
-    for cid in cids:
-        anchors[cid] = min(
-            x for x in dec.comps[cid] if g.sides[x] == 1 - side
-        )
-    by_comp: dict[int, list[PendantRec]] = {cid: [] for cid in cids}
-    for p in recs:
-        by_comp[p.comp].append(p)
-    for pos, cid in enumerate(cids):
-        nxt = cids[(pos + 1) % len(cids)]
-        for p in by_comp[cid]:
-            st.add_edge(p.key, anchors[nxt], "M2")
-
-
 def _case_m3(
     st: _State,
+    dec: Decomposition,
     cen: ComponentCensus,
     recs: list[PendantRec],
     self_check: bool = False,
 ) -> None:
-    """Several components and pairable pendants: bridge them together.
+    """Several components need work: bridge them, then stitch or solve.
 
-    Each bridge joins the first live component w1 (component ids follow
-    the smallest vertex, and this one absorbs every other) to the rest
-    through a pair that lowers the pair count by exactly one, so the
-    remaining demand falls by one per edge.  Finishes with the one
-    component case, or the uniform stitch if pairs run out first.
+    Each bridge joins the first component w1 (component ids follow the
+    smallest vertex, and this one absorbs every other) to the rest
+    through a pair that lowers the pair count m by exactly one, so the
+    remaining demand falls by one per edge and m is carried, not
+    recomputed.  With no pairs to begin with there are no bridges.
 
     A bridge costs O(1) amortized plus one heap pop, and each pendant
     is pushed at most once.  w1's end of the bridge is the first of its
@@ -292,6 +256,14 @@ def _case_m3(
     pendant always lies in w1 and joining w1 is permanent.  "First"
     means first in recs, which is sorted by key: keys tie only between
     AB pendants of one component, and recs order breaks those ties.
+
+    A bridge leaves every other pendant of both sides a pendant, so
+    when the pairs run out with two or more components left, the heaps
+    and the untouched components hold every pendant, all of one side:
+    each gets an edge to the smallest opposite side vertex of the next
+    group round robin, w1 with all it joined counting as one group,
+    in O(n) all told.  When one component is left, a single
+    decomposition of the bridged graph hands it to the tree solver.
     """
     order: list[list[int]] = [[], [], []]  # recs indices per type
     members: dict[int, list[int]] = {}  # recs indices per component
@@ -303,13 +275,15 @@ def _case_m3(
     left = sum(outside)
     w1 = outside.index(True)
     outside[w1] = False
+    joined = [w1]  # w1 and every component it absorbed
     own: list[list[int]] = [[], [], []]  # heaps of w1's unused pendants
     for i in members[w1]:
         own[TYPE_SLOT[recs[i].ptype]].append(i)  # ascending, so already heaps
     cursor = [0, 0, 0]
     total = [len(ids) for ids in order]
+    m = profile(*total).m
 
-    while left > 1 and profile(*total).m > 0:
+    while left > 1 and m > 0:
         c1 = (len(own[0]), len(own[1]), len(own[2]))
         c2 = tuple(t - o for t, o in zip(total, c1))
         t1, t2 = pick_cross_pair(c1, c2)
@@ -324,22 +298,36 @@ def _case_m3(
         st.add_edge(u, v, "M3")
         total[s1] -= 1
         total[s2] -= 1
+        m -= 1
         # join rep2's component to w1
         outside[rep2.comp] = False
+        joined.append(rep2.comp)
         left -= 1
         for i in members[rep2.comp]:
             if i != ids[pos]:
                 heappush(own[TYPE_SLOT[recs[i].ptype]], i)
 
-    g2 = st.current_graph()
-    dec2 = decompose(g2, st.counters)
-    cen2 = census(dec2)
-    recs2 = pendant_records(g2, dec2)
     if left == 1:
-        assert cen2.c_total == 1
-        _case_m1(st, g2, dec2, cen2, self_check)
-    else:
-        _case_m2(st, g2, dec2, cen2, recs2)
+        # bridges joined everything, so the component has two vertices
+        # on each side and is no star
+        g2 = st.current_graph()
+        dec2 = decompose(g2, st.counters)
+        cid = dec2.comp_id[dec.comps[w1][0]]
+        _solve_connected(st, g2, dec2, cid, self_check)
+        return
+    slot = 0 if total[0] else 1
+    check(total[1 - slot] == total[2] == 0, "stitch saw pendants of two types")
+    groups = [(sorted(own[slot]), joined)]
+    groups += [(members[cid], [cid]) for cid, out in enumerate(outside) if out]
+    sides = st.g.sides
+    anchors = [
+        min(next(x for x in dec.comps[cid] if sides[x] != slot) for cid in comps)
+        for _, comps in groups
+    ]
+    for pos, (pendants, _) in enumerate(groups):
+        nxt = anchors[(pos + 1) % len(groups)]
+        for i in pendants:
+            st.add_edge(recs[i].key, nxt, "M2")
 
 
 # ----------------------------------------------------------------------
@@ -419,38 +407,33 @@ def _terminal_uniform(
 ) -> None:
     """All pendants are single vertices on one side.
 
-    Every pendant hangs off some cut vertex by a bridge.  All pendants
-    on the first bridge head's side of the graph go to the first bridge
-    head, the rest to a second one, which yields a cycle through every
-    former bridge.
+    Every pendant hangs off some cut vertex, its head, by a bridge.
+    All pendants on the second head's side of the first head go to the
+    first head, the rest to the second head, which yields a cycle
+    through every former bridge.  The split is read off the structure
+    tree: the pendants the tree reaches from the second head's node
+    without entering the first head's node.
     """
     leaves = sorted(tree.leaves())
     assert all(tree.kind[x] == S_NODE for x in leaves)
-    pvs: list[int] = []
-    partners: list[int] = []
+    heads: list[int] = []
     for x in leaves:
-        v = tree.payload[x]
-        knode = tree.parent[x] if tree.parent[x] != -1 else next(iter(tree.children[x]))
-        assert tree.kind[knode] == "k"
-        a, b = tree.payload[knode]
-        pvs.append(v)
-        partners.append(b if a == v else a)
-    x1 = partners[0]
-    xj = next((p for p in partners if p != x1), None)
-    assert xj is not None, "all pendants share one bridge head"
-    # component of the current graph minus x1 that contains xj
-    seen = {x1, xj}
-    queue = [xj]
-    while queue:
-        cur = queue.pop()
-        for nb in st.adj[cur]:
-            if nb not in seen:
-                seen.add(nb)
-                queue.append(nb)
-    seen.discard(x1)
-    for v, partner in zip(pvs, partners):
-        target = x1 if v in seen else xj
-        st.add_edge(v, target, case)
+        (knode,) = tree.neighbors(x)
+        assert tree.kind[knode] == K_NODE
+        heads.append(next(y for y in tree.neighbors(knode) if y != x))
+    h1 = heads[0]
+    hj = next((h for h in heads if h != h1), None)
+    assert hj is not None, "all pendants share one bridge head"
+    seen = {h1, hj}
+    stack = [hj]
+    while stack:
+        for y in tree.neighbors(stack.pop()):
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    x1, xj = tree.payload[h1], tree.payload[hj]
+    for x in leaves:
+        st.add_edge(tree.payload[x], x1 if x in seen else xj, case)
 
 
 def _terminal_two_critical(st: _State, tree: BlockTree, index: AugTreeIndex) -> None:

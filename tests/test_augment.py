@@ -187,6 +187,20 @@ def test_bridge_merge_of_three_paths():
     assert res.trace.count("M3") >= 2
 
 
+@pytest.mark.parametrize(
+    "name,passes", [("m3_m2_tail", 1), ("m2_two_stars", 1), ("m3_two_paths", 2)]
+)
+def test_disconnected_inputs_are_decomposed_once_more_at_most(name, passes):
+    """The round robin stitch works from the bridge loop's own records;
+    only a single component left by the bridges is decomposed again,
+    for the tree solver."""
+    path = Path(__file__).parent / "golden" / "inputs" / f"{name}.txt"
+    g = parse_graph(path.read_text())
+    counters = OpCounters()
+    augment(g, counters)
+    assert counters.dfs_visits == passes * g.n
+
+
 def test_chain_spider_mixed_types():
     # four chains of two vertices each off one hub, ending A, A, B, AB
     g = spider_graph([2, 2, 1, 3])
