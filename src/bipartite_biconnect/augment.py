@@ -523,8 +523,7 @@ def _branch_step(st: _State, tree: BlockTree, index: AugTreeIndex) -> None:
     action, node = index.choose_root()
     if action == "rebuild":
         index.rebuild(node)
-        if st.counters:
-            st.counters.bump("index_rebuilds")
+        st.counters.index_rebuilds += 1
     elif action == "walk":
         index.reroot_walk(node)
     root = tree.root

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 
 @dataclass
@@ -12,7 +12,8 @@ class OpCounters:
     dfs_visits counts vertex expansions during block decomposition,
     tree_nodes counts structure-tree nodes created, collapse_steps counts
     nodes retired by path collapses, index_updates counts subtree-code
-    recomputations, and edges_added counts augmentation edges emitted.
+    recomputations, edges_added counts augmentation edges emitted, and
+    index_rebuilds counts O(n) re-rootings of the structure tree index.
     """
 
     dfs_visits: int = 0
@@ -20,24 +21,10 @@ class OpCounters:
     collapse_steps: int = 0
     index_updates: int = 0
     edges_added: int = 0
-    extra: dict[str, int] = field(default_factory=dict)
-
-    def bump(self, name: str, amount: int = 1) -> None:
-        if hasattr(self, name) and name != "extra":
-            setattr(self, name, getattr(self, name) + amount)
-        else:
-            self.extra[name] = self.extra.get(name, 0) + amount
+    index_rebuilds: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        out = {
-            "dfs_visits": self.dfs_visits,
-            "tree_nodes": self.tree_nodes,
-            "collapse_steps": self.collapse_steps,
-            "index_updates": self.index_updates,
-            "edges_added": self.edges_added,
-        }
-        out.update(sorted(self.extra.items()))
-        return out
+        return asdict(self)
 
     def total(self) -> int:
         return sum(self.as_dict().values())
