@@ -183,7 +183,14 @@ def _cmd_augment(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _check_cap(cap: int) -> None:
+    # the exhaustive search supports depths 0 to 8
+    if not 0 <= cap <= 8:
+        raise ParseError(f"--cap must lie in [0, 8], got {cap}")
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
+    _check_cap(args.cap)
     g = parse_graph(_read_text(args.input))
     if args.edges is not None:
         pairs = _parse_edge_lines(_read_text(args.edges))
@@ -197,6 +204,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    _check_cap(args.cap)
     g = parse_graph(_read_text(args.input))
     try:
         size, pairs = brute_force_optimal(g, cap=args.cap)
@@ -293,12 +301,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("input", help="graph file, or - for stdin")
     p_ver.add_argument("--edges", help="file of ADD lines to apply first")
     p_ver.add_argument("--oracle", action="store_true", help="compare against exhaustive search")
-    p_ver.add_argument("--cap", type=int, default=8, help="oracle search depth limit")
+    p_ver.add_argument("--cap", type=int, default=8, help="oracle search depth limit, 0 to 8")
     p_ver.set_defaults(func=_cmd_verify)
 
     p_orc = sub.add_parser("oracle", help="exhaustive minimum search for small graphs")
     p_orc.add_argument("input", help="graph file, or - for stdin")
-    p_orc.add_argument("--cap", type=int, default=8, help="search depth limit")
+    p_orc.add_argument("--cap", type=int, default=8, help="search depth limit, 0 to 8")
     p_orc.set_defaults(func=_cmd_oracle)
 
     p_gen = sub.add_parser("gen", help="generate a benchmark instance")

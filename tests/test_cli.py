@@ -239,6 +239,21 @@ def test_oracle_cap_hit(capsys, p4_file):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("cap", ["-1", "9"])
+@pytest.mark.parametrize("command", ["oracle", "verify"])
+def test_cap_outside_range_exits_one(capsys, tmp_path, p4_file, command, cap):
+    argv = [command, p4_file, "--cap", cap]
+    if command == "verify":
+        patch = tmp_path / "patch.txt"
+        patch.write_text("ADD a1 b2\n")
+        argv += ["--edges", str(patch), "--oracle"]
+    rc, out, err = run(capsys, argv)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert len(err.splitlines()) == 1
+
+
 def test_oracle_refuses_large_inputs(capsys, tmp_path):
     labels_a = " ".join(f"a{i}" for i in range(8))
     labels_b = " ".join(f"b{i}" for i in range(8))
