@@ -246,7 +246,7 @@ def _case_m3(
     smallest vertex, and this one absorbs every other) to the rest
     through a pair that lowers the pair count m by exactly one, so the
     remaining demand falls by one per edge and m is carried, not
-    recomputed.  With no pairs to begin with there are no bridges.
+    recomputed.  An input with no pairs gets no bridges.
 
     A bridge costs O(1) amortized plus one heap pop, and each pendant
     is pushed at most once.  w1's end of the bridge is the first of its
@@ -257,12 +257,13 @@ def _case_m3(
     means first in recs, which is sorted by key: keys tie only between
     AB pendants of one component, and recs order breaks those ties.
 
-    A bridge leaves every other pendant of both sides a pendant, so
-    when the pairs run out with two or more components left, the heaps
-    and the untouched components hold every pendant, all of one side:
-    each gets an edge to the smallest opposite side vertex of the next
-    group round robin, w1 with all it joined counting as one group,
-    in O(n) all told.  When one component is left, a single
+    A bridge uses up one pendant on each side and leaves every other
+    pendant a pendant.  So if the pairs run out with two or more
+    components left, w1's heaps and the untouched components' records
+    hold every pendant, all single vertices of one side, and a round
+    robin stitch finishes in O(n): each pendant gets an edge to the
+    smallest opposite side vertex of the next group, w1 with all it
+    joined being one group.  If one component is left, one
     decomposition of the bridged graph hands it to the tree solver.
     """
     order: list[list[int]] = [[], [], []]  # recs indices per type

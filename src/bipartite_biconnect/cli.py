@@ -26,7 +26,7 @@ from .graph import (
 from .matching import counts_of, profile
 from .stats import OpCounters
 from .treeindex import AugTreeIndex
-from .verify import brute_force_optimal, check_componentwise_biconnected, verify_result
+from .verify import MAX_CAP, brute_force_optimal, check_componentwise_biconnected, verify_result
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -184,9 +184,8 @@ def _cmd_augment(args: argparse.Namespace) -> int:
 
 
 def _check_cap(cap: int) -> None:
-    # the exhaustive search supports depths 0 to 8
-    if not 0 <= cap <= 8:
-        raise ParseError(f"--cap must lie in [0, 8], got {cap}")
+    if not 0 <= cap <= MAX_CAP:
+        raise ParseError(f"--cap must lie in [0, {MAX_CAP}], got {cap}")
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -301,12 +300,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("input", help="graph file, or - for stdin")
     p_ver.add_argument("--edges", help="file of ADD lines to apply first")
     p_ver.add_argument("--oracle", action="store_true", help="compare against exhaustive search")
-    p_ver.add_argument("--cap", type=int, default=8, help="oracle search depth limit, 0 to 8")
+    p_ver.add_argument("--cap", type=int, default=MAX_CAP, help="oracle search depth limit")
     p_ver.set_defaults(func=_cmd_verify)
 
     p_orc = sub.add_parser("oracle", help="exhaustive minimum search for small graphs")
     p_orc.add_argument("input", help="graph file, or - for stdin")
-    p_orc.add_argument("--cap", type=int, default=8, help="search depth limit, 0 to 8")
+    p_orc.add_argument("--cap", type=int, default=MAX_CAP, help="search depth limit")
     p_orc.set_defaults(func=_cmd_oracle)
 
     p_gen = sub.add_parser("gen", help="generate a benchmark instance")

@@ -16,6 +16,8 @@ from typing import Optional, Sequence
 from .errors import CapExceeded, NoBiconnector
 from .graph import BipartiteGraph, add_edges, components
 
+MAX_CAP = 8  # deepest exhaustive search supported
+
 
 def _reach(masks: Sequence[int], alive: int, start_bit: int) -> int:
     """Vertices reachable from start_bit inside the alive set, as a mask."""
@@ -235,8 +237,8 @@ def brute_force_optimal(
     legal = legal_nonedges(g)
     if len(legal) > 30:
         raise ValueError("too many candidate pairs for exhaustive search")
-    if cap > 8:
-        raise ValueError("cap above 8 is not supported")
+    if cap > MAX_CAP:
+        raise ValueError(f"cap above {MAX_CAP} is not supported")
     base = _adjacency_masks(g)
     limit = min(cap, len(legal))
     for k in range(limit + 1):
