@@ -12,7 +12,11 @@ cut vertex and bridge nodes.  Its collapse() applies the effect of one
 binding edge: the whole tree path between the two paired nodes fuses
 into a single new block node, degree two cut vertices on the path stop
 being cut vertices, and higher degree ones survive with their degree
-reduced by one.
+reduced by one.  The new node takes over the child set of the absorbed
+node with the most children as it is, so a collapse costs the path plus
+the other children it moves, not the size of the merged block.  The
+adopted children keep pointing at the retired node; up() resolves such
+stale parent pointers.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from .errors import check
 from .graph import BipartiteGraph
 from .stats import OpCounters
 
@@ -239,7 +244,9 @@ def tree_to_dot(g: BipartiteGraph) -> str:
 class CollapseInfo:
     """One collapse: the merged node y, the fused path with its top
     node, and what the tree no longer shows afterwards: the retired
-    nodes, the surviving cut vertices and the degrees before."""
+    nodes, the surviving cut vertices and the degrees before.  y took
+    over the children of the absorbed node adopted; moved lists the
+    off-path children of the other absorbed nodes, now y's too."""
 
     y: int
     path: list[int]
@@ -247,6 +254,8 @@ class CollapseInfo:
     survivors: list[int]
     top: int
     old_degrees: dict[int, int]
+    adopted: int
+    moved: list[int]
 
 
 class BlockTree:
@@ -261,6 +270,8 @@ class BlockTree:
         # binding edge reads; (None, None) on cut vertex and bridge nodes
         self.min_nc: list[MinPair] = []
         self.alive: list[bool] = []
+        # a live node's parent, or a retired node that up() resolves to
+        # it; a retired node's parent is the node that absorbed it
         self.parent: list[int] = []
         self.children: list[set[int]] = []
         self.root = -1
@@ -276,13 +287,34 @@ class BlockTree:
         self.children.append(set())
         return node
 
+    def up(self, x: int) -> int:
+        """x's live parent, or -1 at the root.
+
+        A stale pointer leads through retired nodes, each pointing at
+        the node that absorbed it; the walk points every node on it
+        straight at the live end, so later reads are one step.
+        """
+        parent, alive = self.parent, self.alive
+        p = parent[x]
+        if p == -1 or alive[p]:
+            return p
+        top = p
+        while not alive[top]:
+            top = parent[top]
+        while p != top:
+            parent[p], p = top, parent[p]
+        parent[x] = top
+        return top
+
     def degree(self, x: int) -> int:
+        # a stale parent pointer is never -1, so no need to resolve it
         return len(self.children[x]) + (1 if self.parent[x] != -1 else 0)
 
     def neighbors(self, x: int) -> list[int]:
         out = sorted(self.children[x])
-        if self.parent[x] != -1:
-            out.append(self.parent[x])
+        p = self.up(x)
+        if p != -1:
+            out.append(p)
         return out
 
     def leaf_type(self, x: int) -> str:
@@ -390,7 +422,7 @@ class BlockTree:
         live = self.live_nodes()
         adj: list[list[int]] = [[] for _ in self.kind]
         for x in live:
-            p = self.parent[x]
+            p = self.up(x)
             if p != -1:
                 adj[x].append(p)
                 adj[p].append(x)
@@ -407,26 +439,42 @@ class BlockTree:
         Both path ends must be block or pendant vertex nodes.  Returns
         what changed, so index structures can update incrementally.
         """
-        assert len(path) >= 3
-        assert self.kind[path[0]] in (B_NODE, S_NODE)
-        assert self.kind[path[-1]] in (B_NODE, S_NODE)
+        check(len(path) >= 3, "collapse path needs three nodes or more")
+        kind, parent, alive = self.kind, self.parent, self.alive
+        children = self.children
+        check(
+            kind[path[0]] in (B_NODE, S_NODE) and kind[path[-1]] in (B_NODE, S_NODE),
+            "collapse path must end in block or pendant nodes",
+        )
         pathset = set(path)
         absorbed: list[int] = []
         survivors: list[int] = []
         old_degrees: dict[int, int] = {}
+        tops: list[int] = []
+        # y adopts the child set of the absorbed node with the most
+        # children, the first on the path among equals
+        adopted, most = -1, -1
         for x in path:
-            old_degrees[x] = self.degree(x)
-            if self.kind[x] == C_NODE and self.degree(x) >= 3:
+            p = parent[x]
+            kids_n = len(children[x])
+            d = kids_n + (1 if p != -1 else 0)
+            old_degrees[x] = d
+            if kind[x] == C_NODE and d >= 3:
                 survivors.append(x)
             else:
                 absorbed.append(x)
-        tops = [x for x in path if self.parent[x] == -1 or self.parent[x] not in pathset]
-        assert len(tops) == 1, "collapse path must be a contiguous tree path"
+                if kids_n > most:
+                    adopted, most = x, kids_n
+            if p != -1 and not alive[p]:
+                p = self.up(x)
+            if p == -1 or p not in pathset:
+                tops.append(x)
+        check(len(tops) == 1, "collapse path must be a contiguous tree path")
         top = tops[0]
 
         mins: list[Optional[int]] = [None, None]
         for x in absorbed:
-            if self.kind[x] == C_NODE:
+            if kind[x] == C_NODE:
                 # absorbed cut vertices stop being cut, so they become
                 # noncut members of the merged block
                 v = self.payload[x]
@@ -438,37 +486,43 @@ class BlockTree:
                 if v is not None and (mins[s] is None or v < mins[s]):
                     mins[s] = v
         y = self.new_node(B_NODE, None, (mins[0], mins[1]))
-        if counters:
-            counters.tree_nodes += 1
-            counters.collapse_steps += len(absorbed)
 
+        # the adopted children keep their parent pointers, which reach y
+        # through the retired node; only the others move
+        kids = children[adopted]
+        kids -= pathset
+        children[y] = kids
         moved: list[int] = []
         for x in absorbed:
-            for ch in self.children[x]:
-                if ch not in pathset:
-                    moved.append(ch)
+            if x != adopted:
+                for ch in children[x]:
+                    if ch not in pathset:
+                        moved.append(ch)
         for ch in moved:
-            self.parent[ch] = y
-            self.children[y].add(ch)
+            parent[ch] = y
+            kids.add(ch)
+        if counters:
+            counters.tree_nodes += 1
+            counters.collapse_steps += len(absorbed) + len(moved)
         for c in survivors:
-            self.children[c] -= pathset
+            children[c] -= pathset
             if c != top:
-                self.parent[c] = y
-                self.children[y].add(c)
+                parent[c] = y
+                kids.add(c)
         if top in survivors:
-            self.children[top].add(y)
-            self.parent[y] = top
+            children[top].add(y)
+            parent[y] = top
         else:
-            p = self.parent[top]
-            self.parent[y] = p
+            p = self.up(top)
+            parent[y] = p
             if p != -1:
-                self.children[p].discard(top)
-                self.children[p].add(y)
+                children[p].discard(top)
+                children[p].add(y)
         for x in absorbed:
-            self.alive[x] = False
-            self.children[x] = set()
-            self.parent[x] = -1
-        if not self.alive[self.root]:
+            alive[x] = False
+            children[x] = set()
+            parent[x] = y
+        if not alive[self.root]:
             self.root = y
 
         return CollapseInfo(
@@ -478,4 +532,6 @@ class BlockTree:
             survivors=survivors,
             top=top,
             old_degrees=old_degrees,
+            adopted=adopted,
+            moved=moved,
         )

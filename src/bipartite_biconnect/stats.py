@@ -11,9 +11,11 @@ class OpCounters:
 
     dfs_visits counts vertex expansions during block decomposition,
     tree_nodes counts structure-tree nodes created, collapse_steps counts
-    nodes retired by path collapses, index_updates counts subtree-code
-    recomputations, edges_added counts augmentation edges emitted, and
-    index_rebuilds counts O(n) re-rootings of the structure tree index.
+    nodes retired by path collapses plus the children each collapse
+    moves one by one onto the merged node, index_updates counts
+    subtree-code recomputations, edges_added counts augmentation edges
+    emitted, and index_rebuilds counts O(n) re-rootings of the
+    structure tree index.
     """
 
     dfs_visits: int = 0

@@ -12,7 +12,8 @@ particular degree constant time queries as well.
 A fresh build fills every list in descending node id order, so right
 after it each head is the lowest eligible id.  That stops holding once
 _recode_cascade, reroot_walk or a collapse pushes a single node to the
-head of a list.  What does hold is that every push is a function of the
+head of a list, and a merged node inherits its adopted node's lists
+as they stand.  What does hold is that every push is a function of the
 tree, and so of the input alone: repeated runs make identical choices.
 """
 
@@ -185,13 +186,16 @@ class AugTreeIndex:
     def _recode_cascade(self, x: int) -> None:
         """Recompute x's code and ripple the change toward the root."""
         t = self.tree
+        parent, alive = t.parent, t.alive
         while x != -1:
             new = self._fresh_code(x)
             if self.counters:
                 self.counters.index_updates += 1
             if new == self.code[x]:
                 return
-            p = t.parent[x]
+            p = parent[x]
+            if p != -1 and not alive[p]:
+                p = t.up(x)
             if p != -1:
                 self._pop(p, x)
                 self.code[x] = new
@@ -342,8 +346,8 @@ class AugTreeIndex:
         x = target
         while x != -1:
             path.append(x)
-            x = t.parent[x]
-        assert path[-1] == t.root
+            x = t.up(x)
+        check(path[-1] == t.root, "walk target is not below the root")
         path.reverse()  # root ... target
         for i in range(len(path) - 1):
             a, b = path[i], path[i + 1]
@@ -375,7 +379,7 @@ class AugTreeIndex:
         y = info.y
         # the collapse must leave structure around the merged block; a
         # path that swallows the whole tree never occurs mid solve
-        assert t.parent[y] != -1 or t.children[y], "tree fully melted"
+        check(t.parent[y] != -1 or bool(t.children[y]), "tree fully melted")
         self._grow(y)
 
         # branching and degree group exits for retired nodes
@@ -391,16 +395,17 @@ class AugTreeIndex:
             self._group_remove(c)
             self._group_add(c, old - 1)
 
-        # survivors lose their absorbed path children; the path climbs
-        # to top and descends again, so each path edge's upper end is the
-        # one nearer top
+        # survivors and the adopted node lose their path children; the
+        # path climbs to top and descends again, so each path edge's
+        # upper end is the one nearer top
         path = info.path
+        adopted = info.adopted
         k = path.index(info.top)
         for i in range(len(path) - 1):
             up, down = (path[i + 1], path[i]) if i < k else (path[i], path[i + 1])
-            if t.alive[up]:
+            if up == adopted or t.alive[up]:
                 self._pop(up, down)
-        p = t.parent[y]
+        p = t.up(y)
         if p != -1 and p != info.top:
             # top was absorbed: its parent now holds y in its place
             self._pop(p, info.top)
@@ -412,8 +417,12 @@ class AugTreeIndex:
                 if self.counters:
                     self.counters.index_updates += 1
 
-        # assemble the merged node
-        for ch in sorted(t.children[y], reverse=True):
+        # assemble the merged node: the adopted lists, then the children
+        # y gained one by one
+        self.bucket[y] = self.bucket[adopted]
+        self.bucket[adopted] = {}
+        gained = info.moved + [c for c in info.survivors if c != info.top]
+        for ch in sorted(gained, reverse=True):
             self._push(y, ch)
         self.code[y] = self._fresh_code(y)
         if self.counters:
@@ -525,6 +534,11 @@ class AugTreeIndex:
         fresh = AugTreeIndex(t)
         live = set(t.live_nodes())
         for x in live:
+            p = t.up(x)
+            if x == t.root:
+                check(p == -1, "root has a parent")
+            else:
+                check(p in live and x in t.children[p], f"parent link broken at {x}")
             check(self.code[x] == fresh.code[x], f"code mismatch at {x}")
             mine = _list_sets(self.bucket[x], self.snext)
             theirs = _list_sets(fresh.bucket[x], fresh.snext)

@@ -262,20 +262,20 @@ def path_between(tree, x: int, y: int) -> list[int]:
     cur = x
     while cur != -1:
         mark.add(cur)
-        cur = tree.parent[cur]
+        cur = tree.up(cur)
     lca = y
     while lca not in mark:
-        lca = tree.parent[lca]
+        lca = tree.up(lca)
     up = []
     cur = x
     while cur != lca:
         up.append(cur)
-        cur = tree.parent[cur]
+        cur = tree.up(cur)
     down = []
     cur = y
     while cur != lca:
         down.append(cur)
-        cur = tree.parent[cur]
+        cur = tree.up(cur)
     return up + [lca] + list(reversed(down))
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import gc
+import math
 import random
 import signal
 import statistics
@@ -333,6 +334,28 @@ def disjoint_paths_graph(n: int) -> BipartiteGraph:
     return build_graph(a, b, edges)
 
 
+def sparse_random_graph(n: int) -> BipartiteGraph:
+    """G(n/2, n/2) with average degree 2, seeded by n.
+
+    Geometric skipping draws each gap between chosen cells of the
+    na x nb grid at once (Batagelj and Brandes 2005), so building costs
+    O(n); graph.random_bipartite flips a coin per cell, 1.6e9 at 80k.
+    """
+    rng = random.Random(n)
+    na = n // 2
+    nb = n - na
+    log_q = math.log(1.0 - 2.0 / nb)
+    edges = set()
+    cell = -1
+    while True:
+        cell += 1 + int(math.log(1.0 - rng.random()) / log_q)
+        if cell >= na * nb:
+            break
+        edges.add((cell // nb, na + cell % nb))
+    labels = [f"a{i + 1}" for i in range(na)] + [f"b{j + 1}" for j in range(nb)]
+    return BipartiteGraph(labels, [0] * na + [1] * nb, edges)
+
+
 def doubling_ratios(make: Callable[[int], BipartiteGraph], sizes: list[int]):
     """Time ratios and counter ratios of each doubling in sizes, on the
     graphs make(size).
@@ -378,6 +401,8 @@ def test_criterion_6_linear_scaling():
         }
         # thousands of components: the bridge loop of the M3 case
         families["paths"] = disjoint_paths_graph
+        # one giant component whose merged block keeps growing
+        families["random"] = sparse_random_graph
         for kind, make in families.items():
             times, works = doubling_ratios(make, sizes)
             rows += [

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -193,6 +197,33 @@ def test_collapse_minima_skip_a_surviving_hub(spider4):
     # minimum is the pendant a3; b1 beats the absorbed cut vertex b3
     assert ix["x"] < ix["a3"] and ix["b1"] < ix["b3"]
     assert t.min_nc[info.y] == (ix["a3"], ix["b1"])
+
+
+def test_collapse_rejects_a_broken_path_under_python_O():
+    # the tree invariants raise InvariantViolation rather than assert,
+    # so an optimized interpreter still refuses a path with a gap
+    script = (
+        "from bipartite_biconnect import InvariantViolation, decompose\n"
+        "from bipartite_biconnect.blocks import BlockTree\n"
+        "from bipartite_biconnect.graph import spider_graph\n"
+        "g = spider_graph([1, 1, 1])\n"
+        "dec = decompose(g)\n"
+        "t = BlockTree.build(g, dec, dec.comps[0])\n"
+        "a, b = sorted(t.leaves())[:2]\n"
+        "try:\n"
+        "    t.collapse([a, t.up(a), b])\n"
+        "except InvariantViolation as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")},
+        check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "collapse path must be a contiguous tree path\n"
 
 
 def test_dot_export_mentions_every_vertex(p4):

@@ -16,6 +16,7 @@ from bipartite_biconnect.blocks import C_NODE, BlockTree
 from bipartite_biconnect.bounds import eta_extended
 from bipartite_biconnect.graph import caterpillar_graph, spider_graph
 from bipartite_biconnect.matching import counts_of
+from bipartite_biconnect.stats import OpCounters
 from bipartite_biconnect.treeindex import AugTreeIndex
 
 from .helpers import all_graphs, path_between, random_graph
@@ -115,6 +116,7 @@ def test_collapse_update_matches_fresh_build():
     # collapse any leaf pair as long as a third leaf keeps the tree
     # alive, which is the only regime the solver collapses in
     rng = random.Random(10)
+    moved = 0
     for _, _, tree in needy_trees():
         index = AugTreeIndex(tree)
         for _ in range(4):
@@ -123,9 +125,18 @@ def test_collapse_update_matches_fresh_build():
                 break
             n1, n2 = rng.sample(leaves, 2)
             path = path_between(tree, n1, n2)
-            info = tree.collapse(path)
+            counters = OpCounters()
+            info = tree.collapse(path, counters)
+            # the counter sees the retired nodes and every child moved
+            # one by one; the adopted node's children are not moved
+            assert counters.collapse_steps == len(info.absorbed) + len(info.moved)
+            assert info.adopted in info.absorbed
+            assert not set(info.moved) & set(path)
+            moved += len(info.moved)
             index.update_after_collapse(info)
             index.audit()
+    # the corpus exercises collapses that move children
+    assert moved > 0
 
 
 def test_chain_queries_on_spider():
@@ -162,8 +173,8 @@ def test_find_pair_descents_start_at_root():
     elif action == "rebuild":
         index.rebuild(node)
     d1, d2 = index.find_pair()
-    assert tree.parent[d1[0]] == tree.root
-    assert tree.parent[d2[0]] == tree.root
+    assert tree.up(d1[0]) == tree.root
+    assert tree.up(d2[0]) == tree.root
     assert tree.leaf_type(d1[-1]) is not None
     assert tree.leaf_type(d2[-1]) is not None
 
@@ -181,5 +192,5 @@ def test_descend_returns_a_path_to_the_right_type():
                 assert path[0] == child
                 assert tree.leaf_type(path[-1]) == ptype
                 for a, b in zip(path, path[1:]):
-                    assert tree.parent[b] == a
+                    assert tree.up(b) == a
                 break
