@@ -1,10 +1,15 @@
-"""Deletion based checker and exhaustive reference solver.
+"""Independent feasibility checker and exhaustive reference solver.
 
-Everything here is plain reachability over bit masks, kept deliberately
-independent of the block decomposition so it can referee the solver.
-A component passes when it is a single vertex, or has at least three
-vertices and survives every single vertex deletion and every single
-edge deletion connected.  Two vertex components always fail.
+Everything here is kept deliberately independent of the block
+decomposition so it can referee the solver.  A component passes when it
+is a single vertex, or has at least three vertices and no cut vertex.
+Two vertex components always fail.
+
+The checker finds cut vertices in linear time by Schmidt's chain
+decomposition ("A simple test on 2-vertex- and 2-edge-connectivity",
+IPL 2013), which shares no code with the solver's lowpoint pass.  The
+exhaustive search tests its candidate subsets by plain reachability
+over bit masks, deleting one vertex at a time.
 """
 
 from __future__ import annotations
@@ -50,38 +55,19 @@ def _adjacency_masks(g: BipartiteGraph) -> list[int]:
     return masks
 
 
-def _component_witness(
-    masks: list[int], comp_mask: int, size: int, labels: Sequence[str]
-) -> Optional[str]:
-    """None when the component is biconnected, else what breaks it."""
+def _component_ok(masks: list[int], comp_mask: int, size: int) -> bool:
+    """Does the component survive every single vertex deletion connected?"""
     if size == 1:
-        return None
+        return True
     if size == 2:
-        return "a two vertex component is never biconnected"
+        return False
     c = comp_mask
     while c:
         low = c & -c
         c ^= low
         if not _connected(masks, comp_mask ^ low):
-            return f"deleting vertex {labels[low.bit_length() - 1]} disconnects it"
-    c = comp_mask
-    while c:
-        low = c & -c
-        c ^= low
-        u = low.bit_length() - 1
-        nb = masks[u] & comp_mask & ~(low | (low - 1))
-        while nb:
-            vb = nb & -nb
-            nb ^= vb
-            v = vb.bit_length() - 1
-            masks[u] ^= vb
-            masks[v] ^= low
-            ok = _connected(masks, comp_mask)
-            masks[u] ^= vb
-            masks[v] ^= low
-            if not ok:
-                return f"deleting edge {labels[u]} {labels[v]} disconnects it"
-    return None
+            return False
+    return True
 
 
 @dataclass
@@ -115,21 +101,102 @@ class VerifyReport:
         return out
 
 
+def _lowest_cut_vertex(
+    adj: Sequence[Sequence[int]],
+    root: int,
+    pre: list[int],
+    parent: list[int],
+    pos: list[int],
+    chained: list[int],
+) -> int:
+    """Smallest cut vertex of root's component, or -1 when it has none.
+
+    A chain decomposition: one DFS numbers the component in preorder;
+    then, for each vertex v in preorder and each back edge from v down
+    to a descendant w, the chain runs v, w and up the tree from w until
+    it meets a vertex an earlier chain (or v itself) reached.  A vertex
+    is a cut vertex exactly when it has degree two or more and ends a
+    tree edge no chain covers (a bridge), or when it starts a chain that
+    closes a cycle and is not the first chain.
+
+    The component must be connected with three or more vertices, and
+    the four lists hold one slot per vertex of the whole graph.  They
+    are not reset: components are disjoint, so each slot is written by
+    one component only.  chained[x] is 0 until a chain reaches x, 1 when
+    x only starts chains, and 2 once the tree edge from x to its parent
+    lies on a chain.
+    """
+    order = [root]
+    pre[root] = 0
+    stack = [root]
+    while stack:
+        v = stack[-1]
+        nbrs = adj[v]
+        i = pos[v]
+        if i == len(nbrs):
+            stack.pop()
+            continue
+        pos[v] = i + 1
+        w = nbrs[i]
+        if pre[w] < 0:
+            pre[w] = len(order)
+            parent[w] = v
+            order.append(w)
+            stack.append(w)
+
+    cut = len(pre)
+    first = True
+    for v in order:
+        pv = pre[v]
+        for w in adj[v]:
+            if pre[w] <= pv or parent[w] == v:
+                continue  # not a back edge down from v
+            if not chained[v]:
+                chained[v] = 1
+            x = w
+            while not chained[x]:
+                chained[x] = 2
+                x = parent[x]
+            if x == v and not first and v < cut:
+                cut = v
+            first = False
+    for x in order[1:]:
+        if chained[x] != 2:
+            p = parent[x]
+            if len(adj[x]) >= 2 and x < cut:
+                cut = x
+            if len(adj[p]) >= 2 and p < cut:
+                cut = p
+    return cut if cut < len(pre) else -1
+
+
 def check_componentwise_biconnected(g: BipartiteGraph) -> VerifyReport:
-    """Is every component an isolated vertex or a biconnected set?"""
-    masks = _adjacency_masks(g)
+    """Is every component an isolated vertex or a biconnected set?
+
+    Linear time.  The witness names the lowest cut vertex of the first
+    failing component, in components(g) order.
+    """
     comps = components(g)
+    n = g.n
+    pre = [-1] * n
+    parent = [-1] * n
+    pos = [0] * n
+    chained = [0] * n
     for cid, comp in enumerate(comps):
-        comp_mask = 0
-        for v in comp:
-            comp_mask |= 1 << v
-        why = _component_witness(masks, comp_mask, len(comp), g.labels)
-        if why is not None:
-            return VerifyReport(
-                componentwise_biconnected=False,
-                witness=(cid, why),
-                components_checked=len(comps),
-            )
+        if len(comp) == 1:
+            continue
+        if len(comp) == 2:
+            why = "a two vertex component is never biconnected"
+        else:
+            cut = _lowest_cut_vertex(g.adj, comp[0], pre, parent, pos, chained)
+            if cut < 0:
+                continue
+            why = f"deleting vertex {g.labels[cut]} disconnects it"
+        return VerifyReport(
+            componentwise_biconnected=False,
+            witness=(cid, why),
+            components_checked=len(comps),
+        )
     return VerifyReport(
         componentwise_biconnected=True,
         witness=None,
@@ -209,7 +276,7 @@ def legal_nonedges(g: BipartiteGraph) -> list[tuple[int, int]]:
     return out
 
 
-def _masks_componentwise_ok(masks: list[int], n: int, labels: Sequence[str]) -> bool:
+def _masks_componentwise_ok(masks: list[int], n: int) -> bool:
     seen = 0
     for s in range(n):
         sb = 1 << s
@@ -218,7 +285,7 @@ def _masks_componentwise_ok(masks: list[int], n: int, labels: Sequence[str]) -> 
         comp_mask = _reach(masks, (1 << n) - 1, sb)
         seen |= comp_mask
         size = bin(comp_mask).count("1")
-        if _component_witness(masks, comp_mask, size, labels) is not None:
+        if not _component_ok(masks, comp_mask, size):
             return False
     return True
 
@@ -247,7 +314,7 @@ def brute_force_optimal(
             for u, v in subset:
                 masks[u] |= 1 << v
                 masks[v] |= 1 << u
-            if _masks_componentwise_ok(masks, g.n, g.labels):
+            if _masks_componentwise_ok(masks, g.n):
                 return k, subset
     if limit == len(legal):
         raise NoBiconnector("exhaustive search proves no augmentation exists")

@@ -6,6 +6,7 @@ with the package under test."""
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import deque
 
@@ -42,6 +43,49 @@ def random_graph(rng: random.Random, na: int, nb: int, p: float) -> BipartiteGra
         if rng.random() < p
     }
     return BipartiteGraph(labels, sides, edges)
+
+
+def mixed_graph(rng: random.Random, n: int, join: float, extra: int) -> BipartiteGraph:
+    """A forest plus extra edges: each new vertex joins a random earlier
+    vertex of the other side with probability join, else starts a new
+    component; then extra random A-B edges close cycles (repeats are
+    dropped).  Both sides get at least two vertices."""
+    sides = [0, 1, 0, 1] + [rng.randrange(2) for _ in range(n - 4)]
+    labels = []
+    by_side: list[list[int]] = [[], []]
+    edges = set()
+    for v, s in enumerate(sides):
+        labels.append(f"{'ab'[s]}{len(by_side[s]) + 1}")
+        other = by_side[1 - s]
+        if other and rng.random() < join:
+            u = rng.choice(other)
+            edges.add((v, u) if s == 0 else (u, v))
+        by_side[s].append(v)
+    for _ in range(extra):
+        edges.add((rng.choice(by_side[0]), rng.choice(by_side[1])))
+    return BipartiteGraph(labels, sides, edges)
+
+
+def sparse_random_graph(n: int) -> BipartiteGraph:
+    """G(n/2, n/2) with average degree 2, seeded by n.
+
+    Geometric skipping draws each gap between chosen cells of the
+    na x nb grid at once (Batagelj and Brandes 2005), so building costs
+    O(n); graph.random_bipartite flips a coin per cell, 1.6e9 at 80k.
+    """
+    rng = random.Random(n)
+    na = n // 2
+    nb = n - na
+    log_q = math.log(1.0 - 2.0 / nb)
+    edges = set()
+    cell = -1
+    while True:
+        cell += 1 + int(math.log(1.0 - rng.random()) / log_q)
+        if cell >= na * nb:
+            break
+        edges.add((cell // nb, na + cell % nb))
+    labels = [f"a{i + 1}" for i in range(na)] + [f"b{j + 1}" for j in range(nb)]
+    return BipartiteGraph(labels, [0] * na + [1] * nb, edges)
 
 
 # ----------------------------------------------------------------------
@@ -85,16 +129,26 @@ def _connected_avoiding(g: BipartiteGraph, u: int, v: int, banned: int) -> bool:
     return False
 
 
+def reached_avoiding(g: BipartiteGraph, start: int, banned: int) -> set[int]:
+    """Vertices reachable from start without passing the banned vertex."""
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        for y in g.adj[queue.popleft()]:
+            if y != banned and y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return seen
+
+
 def oracle_cut_vertices(g: BipartiteGraph) -> set[int]:
     cuts = set()
     for comp in oracle_components(g):
         if len(comp) < 3:
             continue
         for v in comp:
-            rest = [x for x in comp if x != v]
-            if not all(
-                _connected_avoiding(g, rest[0], x, v) for x in rest[1:]
-            ):
+            start = comp[1] if v == comp[0] else comp[0]
+            if len(reached_avoiding(g, start, v)) < len(comp) - 1:
                 cuts.add(v)
     return cuts
 

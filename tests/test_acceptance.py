@@ -9,7 +9,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import gc
-import math
 import random
 import signal
 import statistics
@@ -50,6 +49,7 @@ from .helpers import (
     oracle_split_count,
     pendant_kind,
     random_graph,
+    sparse_random_graph,
 )
 
 
@@ -332,28 +332,6 @@ def disjoint_paths_graph(n: int) -> BipartiteGraph:
             prev = lab
         k += 1
     return build_graph(a, b, edges)
-
-
-def sparse_random_graph(n: int) -> BipartiteGraph:
-    """G(n/2, n/2) with average degree 2, seeded by n.
-
-    Geometric skipping draws each gap between chosen cells of the
-    na x nb grid at once (Batagelj and Brandes 2005), so building costs
-    O(n); graph.random_bipartite flips a coin per cell, 1.6e9 at 80k.
-    """
-    rng = random.Random(n)
-    na = n // 2
-    nb = n - na
-    log_q = math.log(1.0 - 2.0 / nb)
-    edges = set()
-    cell = -1
-    while True:
-        cell += 1 + int(math.log(1.0 - rng.random()) / log_q)
-        if cell >= na * nb:
-            break
-        edges.add((cell // nb, na + cell % nb))
-    labels = [f"a{i + 1}" for i in range(na)] + [f"b{j + 1}" for j in range(nb)]
-    return BipartiteGraph(labels, [0] * na + [1] * nb, edges)
 
 
 def doubling_ratios(make: Callable[[int], BipartiteGraph], sizes: list[int]):

@@ -5,10 +5,14 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bipartite_biconnect import (
     AugmentationResult,
     NoBiconnector,
+    add_edges,
+    augment,
     build_graph,
     brute_force_optimal,
     check_componentwise_biconnected,
@@ -16,12 +20,23 @@ from bipartite_biconnect import (
     verify_result,
 )
 from bipartite_biconnect.errors import CapExceeded
-from bipartite_biconnect.verify import legal_nonedges
+from bipartite_biconnect.graph import cycle_graph, generate_instance, path_graph
+from bipartite_biconnect.verify import (
+    _adjacency_masks,
+    _masks_componentwise_ok,
+    legal_nonedges,
+)
 
 from .helpers import (
     all_graphs,
+    graph_from_mask,
+    mixed_graph,
+    oracle_components,
     oracle_componentwise_biconnected,
+    oracle_cut_vertices,
     random_graph,
+    reached_avoiding,
+    sparse_random_graph,
 )
 
 
@@ -56,12 +71,37 @@ def test_cycle_passes(c4):
     assert rep.components_checked == 1
 
 
+def expected_witness(g):
+    """The first failing component, in order of lowest member, and what
+    fails in it: its own size, or its lowest cut vertex."""
+    cuts = oracle_cut_vertices(g)
+    for cid, comp in enumerate(oracle_components(g)):
+        if len(comp) == 2:
+            return cid, "a two vertex component is never biconnected"
+        mine = [v for v in comp if v in cuts]
+        if mine:
+            return cid, f"deleting vertex {g.labels[min(mine)]} disconnects it"
+    return None
+
+
+def assert_witness_and_masks_agree(g):
+    rep = check_componentwise_biconnected(g)
+    assert rep.witness == expected_witness(g)
+    assert rep.componentwise_biconnected == (rep.witness is None)
+    assert rep.components_checked == len(oracle_components(g))
+    assert is_componentwise_biconnected(g) == _masks_componentwise_ok(
+        _adjacency_masks(g), g.n
+    )
+
+
 def test_checker_matches_reference_on_everything_small():
-    for na, nb in [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)]:
-        for g in all_graphs(na, nb):
-            assert is_componentwise_biconnected(g) == (
-                oracle_componentwise_biconnected(g)
-            )
+    for na in range(1, 4):
+        for nb in range(1, 4):
+            for g in all_graphs(na, nb):
+                assert is_componentwise_biconnected(g) == (
+                    oracle_componentwise_biconnected(g)
+                )
+                assert_witness_and_masks_agree(g)
 
 
 def test_checker_matches_reference_on_randoms():
@@ -71,6 +111,75 @@ def test_checker_matches_reference_on_randoms():
         assert is_componentwise_biconnected(g) == (
             oracle_componentwise_biconnected(g)
         )
+        assert_witness_and_masks_agree(g)
+
+
+def mixed_corpus(count):
+    """Seeded forests with extra edges of 4 to 40 vertices, each raw,
+    patched by augment, and patched less its last added edge."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        n = rng.randint(4, 40)
+        g = mixed_graph(rng, n, rng.choice([0.6, 0.85, 1.0]), rng.randint(0, n // 2))
+        yield g
+        pairs = [
+            (g.label_index[x], g.label_index[y]) for x, y in augment(g).added_edges
+        ]
+        yield add_edges(g, pairs)
+        if pairs:
+            yield add_edges(g, pairs[:-1])
+
+
+def test_witness_is_lowest_cut_vertex_on_mixed_graphs():
+    graphs = passed = 0
+    for g in mixed_corpus(2000):
+        assert_witness_and_masks_agree(g)
+        graphs += 1
+        passed += is_componentwise_biconnected(g)
+    # both verdicts occur often: every patched graph passes, and most
+    # raw and shortened ones fail
+    assert passed >= 2000 and graphs - passed >= 2000
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.data())
+def test_witness_property_on_random_bipartite_graphs(na, nb, data):
+    mask = data.draw(st.integers(0, (1 << (na * nb)) - 1))
+    assert_witness_and_masks_agree(graph_from_mask(na, nb, mask))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda n: generate_instance("spider", n),
+        lambda n: generate_instance("caterpillar", n),
+        sparse_random_graph,
+    ],
+    ids=["spider", "caterpillar", "random"],
+)
+def test_verify_at_ten_thousand_vertices(make):
+    g = make(10_000)
+    res = augment(g)
+    assert verify_result(g, res).passed
+    # drop one added edge: the check fails and names a true cut vertex
+    short = res.added_edges[:-1]
+    rep = verify_result(g, short)
+    assert not rep.passed and not rep.edge_errors
+    _, why = rep.witness
+    assert why.startswith("deleting vertex ") and why.endswith(" disconnects it")
+    x = g.label_index[why.split()[2]]
+    patched = add_edges(
+        g, [(g.label_index[a], g.label_index[b]) for a, b in short]
+    )
+    # one BFS from a neighbour of x, with x deleted, misses another one
+    reached = reached_avoiding(patched, patched.adj[x][0], x)
+    assert not all(w in reached for w in patched.adj[x])
+
+
+def test_deep_path_and_cycle_need_no_recursion():
+    rep = check_componentwise_biconnected(path_graph(100_000))
+    assert rep.witness == (0, "deleting vertex a2 disconnects it")
+    assert check_componentwise_biconnected(cycle_graph(100_000)).passed
 
 
 def test_report_lines_are_printable(p4):
