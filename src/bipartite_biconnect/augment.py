@@ -126,8 +126,9 @@ def augment(
     dec = decompose(g, counters)
     cen = census(dec)
     recs = pendant_records(g, dec)
-    target = theorem_target(g, dec, recs)
-    label = classify_m(cen, profile(*counts_of([p.ptype for p in recs])).m)
+    prof = profile(*counts_of([p.ptype for p in recs]))
+    target = theorem_target(g, dec, cen, prof)
+    label = classify_m(cen, prof.m)
     if label == "M6":
         return AugmentationResult([], [], 0)
     na = sum(1 for s in g.sides if s == 0)

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blocks import Decomposition, PendantRec, decompose, pendant_records
+from .blocks import Decomposition, decompose, pendant_records
 from .graph import BipartiteGraph
-from .matching import counts_of, profile
+from .matching import MatchingProfile, counts_of, profile
 
 ISOLATED = "isolated"
 EDGE = "edge"
@@ -60,16 +60,16 @@ def eta(g: BipartiteGraph) -> int:
     dec = decompose(g)
     if len(dec.comps) != 1:
         raise ValueError("eta is defined on connected graphs")
-    return eta_extended(g, dec, pendant_records(g, dec))
+    recs = pendant_records(g, dec)
+    return eta_extended(g, dec, census(dec), profile(*counts_of([p.ptype for p in recs])))
 
 
 def eta_extended(
-    g: BipartiteGraph, dec: Decomposition, recs: list[PendantRec]
+    g: BipartiteGraph, dec: Decomposition, cen: ComponentCensus, prof: MatchingProfile
 ) -> int:
-    """The same bound evaluated on an arbitrary graph."""
-    cen = census(dec)
+    """The same bound evaluated on an arbitrary graph, given its census
+    and the profile of its pendant types."""
     max_d = max((dec.branch_count(v) for v in range(g.n)), default=0)
-    prof = profile(*counts_of([p.ptype for p in recs]))
     return _eta_formula(max_d, cen.c_total, prof.m, prof.r)
 
 
@@ -85,11 +85,10 @@ def classify_m(cen: ComponentCensus, m: int) -> str:
 
 
 def theorem_target(
-    g: BipartiteGraph, dec: Decomposition, recs: list[PendantRec]
+    g: BipartiteGraph, dec: Decomposition, cen: ComponentCensus, prof: MatchingProfile
 ) -> int:
-    """Exact optimum size for the full graph."""
-    cen = census(dec)
-    prof = profile(*counts_of([p.ptype for p in recs]))
+    """Exact optimum size for the full graph, given its census and the
+    profile of its pendant types."""
     label = classify_m(cen, prof.m)
     if label == "M6":
         return 0
@@ -99,4 +98,4 @@ def theorem_target(
         return 2
     if label == "M2":
         return prof.r  # m == 0, so this is the pendant count
-    return eta_extended(g, dec, recs)
+    return eta_extended(g, dec, cen, prof)

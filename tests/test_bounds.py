@@ -240,7 +240,8 @@ def test_theorem_target_fixture_values(
 ):
     def target(g):
         dec = decompose(g)
-        return theorem_target(g, dec, pendant_records(g, dec))
+        types = [p.ptype for p in pendant_records(g, dec)]
+        return theorem_target(g, dec, census(dec), profile(*counts_of(types)))
 
     assert target(lone_edge_plus_isolated) == 3
     assert target(lone_edge_plus_block) == 2
@@ -251,5 +252,5 @@ def test_theorem_target_fixture_values(
 def test_eta_extended_matches_eta_on_connected(p4, spider4):
     for g in (p4, spider4):
         dec = decompose(g)
-        recs = pendant_records(g, dec)
-        assert eta_extended(g, dec, recs) == eta(g)
+        prof = profile(*counts_of([p.ptype for p in pendant_records(g, dec)]))
+        assert eta_extended(g, dec, census(dec), prof) == eta(g)
