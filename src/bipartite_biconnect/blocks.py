@@ -139,7 +139,7 @@ def decompose(g: BipartiteGraph, counters: OpCounters | None = None) -> Decompos
                     ns_blocks.append(tuple(sorted(vset)))
         comps.append(sorted(comp))
 
-    ns_blocks.sort(key=lambda blk: blk[0])
+    ns_blocks.sort()
     cut_edges.sort()
     degree = [len(g.adj[v]) for v in range(n)]
     dec = Decomposition(
