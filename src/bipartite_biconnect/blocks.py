@@ -7,6 +7,12 @@ pieces deleting each vertex leaves behind.  A vertex on no nonsingular
 block forms a block of its own; such a vertex with degree one is a
 pendant, with degree zero it is already a finished component.
 
+Blocks, bridges and component members are kept sorted, so the
+structure tree of a component is a function of its sorted block set,
+not of the order the DFS met the blocks in.  That lets join() add
+bridges between components to a decomposition in place of decomposing
+the bridged graph again.
+
 BlockTree models one component as a tree over block, pendant vertex,
 cut vertex and bridge nodes.  Its collapse() applies the effect of one
 binding edge: the whole tree path between the two paired nodes fuses
@@ -48,20 +54,38 @@ class PendantRec:
 class Decomposition:
     comp_id: list[int]
     comps: list[list[int]]
-    comp_root: list[int]
-    split: list[int]
+    # pieces deleting a vertex leaves behind in its component
+    branches: list[int]
     is_cut: list[bool]
     ns_blocks: list[tuple[int, ...]]
     cut_edges: list[tuple[int, int]]
     degree: list[int]
 
-    def branch_count(self, u: int) -> int:
-        """Number of components deleting u leaves behind in its component."""
-        if self.degree[u] == 0:
-            return 0
-        if self.comp_root[self.comp_id[u]] == u:
-            return self.split[u]
-        return self.split[u] + 1
+    def join(self, comps: list[int], edges: list[tuple[int, int]]) -> int:
+        """Join the listed components into the first, whose id it
+        returns, along the bridges in edges.
+
+        Every bridge end must be a noncut vertex; it becomes a cut
+        vertex of two branches, and no block changes.  The result is
+        what decompose() reports for the graph with the bridges added.
+        """
+        cid = comps[0]
+        merged = []
+        for c in comps:
+            for v in self.comps[c]:
+                self.comp_id[v] = cid
+            merged += self.comps[c]
+            self.comps[c] = []
+        self.comps[cid] = sorted(merged)
+        for a, b in edges:
+            for x in (a, b):
+                check(self.branches[x] == 1, "bridge end is not a noncut vertex")
+                self.branches[x] = 2
+                self.is_cut[x] = True
+                self.degree[x] += 1
+        self.cut_edges += edges
+        self.cut_edges.sort()
+        return cid
 
 
 def decompose(g: BipartiteGraph, counters: OpCounters | None = None) -> Decomposition:
@@ -69,10 +93,9 @@ def decompose(g: BipartiteGraph, counters: OpCounters | None = None) -> Decompos
     disc = [-1] * n
     low = [0] * n
     parent = [-1] * n
-    split = [0] * n
+    branches = [1] * n
     comp_id = [-1] * n
     comps: list[list[int]] = []
-    comp_root: list[int] = []
     ns_blocks: list[tuple[int, ...]] = []
     cut_edges: list[tuple[int, int]] = []
     edge_stack: list[tuple[int, int]] = []
@@ -83,7 +106,7 @@ def decompose(g: BipartiteGraph, counters: OpCounters | None = None) -> Decompos
             continue
         cid = len(comps)
         comp = [s]
-        comp_root.append(s)
+        branches[s] = 0  # the root has no piece above it
         comp_id[s] = cid
         disc[s] = low[s] = timer
         timer += 1
@@ -119,7 +142,7 @@ def decompose(g: BipartiteGraph, counters: OpCounters | None = None) -> Decompos
             if low[v] < low[u]:
                 low[u] = low[v]
             if low[v] >= disc[u]:
-                split[u] += 1
+                branches[u] += 1
                 bcc = []
                 while True:
                     e = edge_stack.pop()
@@ -141,20 +164,15 @@ def decompose(g: BipartiteGraph, counters: OpCounters | None = None) -> Decompos
 
     ns_blocks.sort()
     cut_edges.sort()
-    degree = [len(g.adj[v]) for v in range(n)]
-    dec = Decomposition(
+    return Decomposition(
         comp_id=comp_id,
         comps=comps,
-        comp_root=comp_root,
-        split=split,
-        is_cut=[False] * n,
+        branches=branches,
+        is_cut=[b >= 2 for b in branches],
         ns_blocks=ns_blocks,
         cut_edges=cut_edges,
-        degree=degree,
+        degree=[len(g.adj[v]) for v in range(n)],
     )
-    for u in range(n):
-        dec.is_cut[u] = dec.branch_count(u) >= 2
-    return dec
 
 
 def _noncut_minima(g: BipartiteGraph, dec: Decomposition, blk: tuple) -> MinPair:
@@ -388,7 +406,7 @@ class BlockTree:
         # bridge node, single block components at the block.
         cut_in_comp = [v for v in comp if dec.is_cut[v]]
         if cut_in_comp:
-            best = max(cut_in_comp, key=lambda v: (dec.branch_count(v), -v))
+            best = max(cut_in_comp, key=lambda v: (dec.branches[v], -v))
             root = cut_node[best]
         elif any(t.kind[x] == K_NODE for x in range(len(t.kind))):
             root = next(x for x in range(len(t.kind)) if t.kind[x] == K_NODE)

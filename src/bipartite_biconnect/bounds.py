@@ -69,7 +69,7 @@ def eta_extended(
 ) -> int:
     """The same bound evaluated on an arbitrary graph, given its census
     and the profile of its pendant types."""
-    max_d = max((dec.branch_count(v) for v in range(g.n)), default=0)
+    max_d = max(dec.branches, default=0)
     return _eta_formula(max_d, cen.c_total, prof.m, prof.r)
 
 

@@ -188,7 +188,7 @@ def test_criterion_5_structure_lemmas_hold():
 
             # split counts match vertex deletion
             for v in range(g.n):
-                assert dec.branch_count(v) == oracle_split_count(g, v)
+                assert dec.branches[v] == oracle_split_count(g, v)
 
             # criticality census invariants; the solver's index finds
             # the same massive and critical vertices
@@ -256,7 +256,7 @@ def test_criterion_5_structure_lemmas_hold():
                 dec0 = decompose(g)
                 tree0 = BlockTree.build(g, dec0, dec0.comps[0])
                 hub = tree0.payload[AugTreeIndex(tree0).massive_node()]
-                d_prev = dec0.branch_count(hub)
+                d_prev = dec0.branches[hub]
                 cur = g
                 for (a, b), tag in zip(res.added_edges, res.trace):
                     if tag != "S5":
@@ -264,7 +264,7 @@ def test_criterion_5_structure_lemmas_hold():
                     cur = add_edges(
                         cur, [(cur.label_index[a], cur.label_index[b])]
                     )
-                    d_now = decompose(cur).branch_count(hub)
+                    d_now = decompose(cur).branches[hub]
                     assert d_now == d_prev - 1
                     d_prev = d_now
         assert stepped > 100

@@ -66,7 +66,7 @@ def test_split_counts_match_reference():
     for g in small_corpus():
         dec = decompose(g)
         for v in range(g.n):
-            assert dec.branch_count(v) == oracle_split_count(g, v), (
+            assert dec.branches[v] == oracle_split_count(g, v), (
                 g.edges,
                 g.labels[v],
             )
@@ -134,7 +134,7 @@ def test_cut_vertex_tree_degree_equals_split_count():
             cut_node = {t.payload[x]: x for x in t.live_nodes() if t.kind[x] == C_NODE}
             assert sorted(cut_node) == [v for v in comp if dec.is_cut[v]]
             for v, x in cut_node.items():
-                assert t.degree(x) == dec.branch_count(v)
+                assert t.degree(x) == dec.branches[v]
 
 
 def test_bridge_nodes_have_degree_two():

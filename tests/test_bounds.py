@@ -86,7 +86,7 @@ def test_criticality_on_two_hub_broom(broom2):
     assert sorted(broom2.labels[v] for v in critical) == ["a0", "b0"]
     assert massive == []
     assert m == 2 and r == 0
-    assert max(dec.branch_count(v) for v in dec.comps[0]) == 3
+    assert max(dec.branches[v] for v in dec.comps[0]) == 3
     assert index_massive_and_critical(broom2, dec, 0) == (massive, critical)
 
 
@@ -95,7 +95,7 @@ def test_criticality_flags_massive_hub(spider4):
     massive, critical, _, _ = massive_and_critical(dec, pendant_records(spider4, dec), 0)
     assert [spider4.labels[v] for v in massive] == ["x"]
     assert critical == []
-    assert max(dec.branch_count(v) for v in dec.comps[0]) == 4
+    assert max(dec.branches[v] for v in dec.comps[0]) == 4
     assert index_massive_and_critical(spider4, dec, 0) == (massive, critical)
 
 

@@ -70,7 +70,7 @@ def test_max_degree_and_eta_match_the_decomposition():
             if tree.kind[x] == C_NODE
         )
         comp = dec.comps[dec.comp_id[anchor]]
-        max_d = max(dec.branch_count(v) for v in comp)
+        max_d = max(dec.branches[v] for v in comp)
         assert index.max_cdeg == max_d
         assert index.eta_now() == max(max_d - 1, index.m_plus_r(), 0)
 
