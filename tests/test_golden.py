@@ -40,6 +40,7 @@ SMALL = {
     "m1_star",
     "m1_star_block",
     "m2_two_stars",
+    "m3_block_tie",
     "m3_m2_tail",
     "m3_two_paths",
     "m4_lone_edge",
