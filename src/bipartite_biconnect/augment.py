@@ -5,10 +5,10 @@ to fix (one side has fewer than two vertices), one of two special
 shapes built around a lone edge, or the general shapes.  Several
 components needing work are joined to the first one by bridge edges
 that each lower the remaining demand by one, in O(1) amortized per
-bridge.  If one component is left, the bridges are joined into the
-first decomposition, with no second pass, and the tree based solver
-takes it from there; if the pendant pairs run out first, the bridge loop's own
-records finish the job with a round robin stitch in O(n).
+bridge.  If one component is left, the tree based solver gets the
+first decomposition joined along the bridges; if the pendant pairs run
+out first, the bridge loop's own records finish with a round robin
+stitch in O(n).
 
 The connected solver walks the structure tree: terminal cases emit all
 their edges at once, iterative cases add one edge, collapse the tree
@@ -262,10 +262,8 @@ def _case_m3(
     hold every pendant, all single vertices of one side, and a round
     robin stitch finishes in O(n): each pendant gets an edge to the
     smallest opposite side vertex of the next group, w1 with all it
-    joined being one group.  If one component is left, the bridges are
-    joined into the first decomposition: each ends at a noncut vertex,
-    which turns cut, and no block changes, so the tree solver gets what
-    a decomposition of the bridged graph would report.
+    joined being one group.  If one component is left, the tree solver
+    gets the first decomposition joined along the bridges.
     """
     order: list[list[int]] = [[], [], []]  # recs indices per type
     members: dict[int, list[int]] = {}  # recs indices per component

@@ -6,12 +6,9 @@ component: the maximal biconnected vertex sets of size three or more
 pieces deleting each vertex leaves behind.  A vertex on no nonsingular
 block forms a block of its own; such a vertex with degree one is a
 pendant, with degree zero it is already a finished component.
-
-Blocks, bridges and component members are kept sorted, so the
-structure tree of a component is a function of its sorted block set,
-not of the order the DFS met the blocks in.  That lets join() add
-bridges between components to a decomposition in place of decomposing
-the bridged graph again.
+Members, blocks and bridges are kept sorted, so a structure tree is a
+function of the sorted block set, not of the DFS order, and join() can
+add bridges between components without decomposing the graph again.
 
 BlockTree models one component as a tree over block, pendant vertex,
 cut vertex and bridge nodes.  Its collapse() applies the effect of one
@@ -54,37 +51,31 @@ class PendantRec:
 class Decomposition:
     comp_id: list[int]
     comps: list[list[int]]
-    # pieces deleting a vertex leaves behind in its component
-    branches: list[int]
+    branches: list[int]  # pieces deleting a vertex leaves in its component
     is_cut: list[bool]
     ns_blocks: list[tuple[int, ...]]
     cut_edges: list[tuple[int, int]]
     degree: list[int]
 
     def join(self, comps: list[int], edges: list[tuple[int, int]]) -> int:
-        """Join the listed components into the first, whose id it
-        returns, along the bridges in edges.
-
-        Every bridge end must be a noncut vertex; it becomes a cut
-        vertex of two branches, and no block changes.  The result is
-        what decompose() reports for the graph with the bridges added.
-        """
+        """Join the listed components into the first, whose id it returns,
+        along the bridges in edges.  Each bridge end must be a noncut
+        vertex; it becomes a cut vertex of two branches and no block
+        changes, so the result is what decompose() reports for the
+        bridged graph."""
         cid = comps[0]
-        merged = []
+        merged = sorted(v for c in comps for v in self.comps[c])
+        for v in merged:
+            self.comp_id[v] = cid
         for c in comps:
-            for v in self.comps[c]:
-                self.comp_id[v] = cid
-            merged += self.comps[c]
-            self.comps[c] = []
-        self.comps[cid] = sorted(merged)
+            self.comps[c] = merged if c == cid else []
         for a, b in edges:
             for x in (a, b):
                 check(self.branches[x] == 1, "bridge end is not a noncut vertex")
                 self.branches[x] = 2
                 self.is_cut[x] = True
                 self.degree[x] += 1
-        self.cut_edges += edges
-        self.cut_edges.sort()
+        self.cut_edges = sorted(self.cut_edges + edges)
         return cid
 
 

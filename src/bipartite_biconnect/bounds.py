@@ -46,10 +46,6 @@ def census(dec: Decomposition) -> ComponentCensus:
     return ComponentCensus(c1, c2, c3, c_iso, classes)
 
 
-def _eta_formula(max_d: int, c_non_block: int, m: int, r: int) -> int:
-    return max(max_d + c_non_block - 2, m + r, 0)
-
-
 def eta(g: BipartiteGraph) -> int:
     """Lower bound on the number of edges any augmentation needs.
 
@@ -70,7 +66,7 @@ def eta_extended(
     """The same bound evaluated on an arbitrary graph, given its census
     and the profile of its pendant types."""
     max_d = max(dec.branches, default=0)
-    return _eta_formula(max_d, cen.c_total, prof.m, prof.r)
+    return max(max_d + cen.c_total - 2, prof.m + prof.r, 0)
 
 
 def classify_m(cen: ComponentCensus, m: int) -> str:

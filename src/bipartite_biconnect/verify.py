@@ -253,10 +253,8 @@ def verify_result(
             agreement=False,
             edge_errors=edge_errors,
         )
-    # the pairs are checked above; the constructor still checks each edge
-    rep = check_componentwise_biconnected(
-        BipartiteGraph(g.labels, g.sides, g.edges + tuple(idx_pairs))
-    )
+    patched = BipartiteGraph(g.labels, g.sides, g.edges + tuple(idx_pairs))
+    rep = check_componentwise_biconnected(patched)
     if use_oracle:
         try:
             oracle_size, _ = brute_force_optimal(g, cap)
