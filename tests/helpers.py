@@ -67,8 +67,8 @@ def mixed_graph(rng: random.Random, n: int, join: float, extra: int) -> Bipartit
 
 
 def flower_graph(rng: random.Random, comps: int) -> BipartiteGraph:
-    """comps components, each a hub on two or three even cycles through
-    it, with up to two tails hung off random members.  Vertices are
+    """A graph of comps components, each a hub on two or three even
+    cycles with up to two tails hung off random members.  Vertices are
     numbered in order of creation, so each hub is the smallest vertex of
     its component and its cycles are blocks that share their smallest
     vertex."""

@@ -208,10 +208,10 @@ def test_every_input_is_decomposed_once(path):
 
 def test_join_matches_a_decomposition_of_the_bridged_graph(monkeypatch):
     """When the bridges leave one component, the tree solver gets the
-    first decomposition with the bridges joined in; on the merged
-    component it must read exactly as a fresh decomposition of the
-    bridged graph, also where blocks of a bridged component share their
-    smallest vertex, whose order the second DFS would meet differently."""
+    first decomposition with the bridges joined in.  It must read as a
+    fresh decomposition of the bridged graph does, also where blocks of
+    a bridged component share their smallest vertex, so that a DFS
+    entering through a bridge meets them in another order."""
     aug = importlib.import_module("bipartite_biconnect.augment")
     solve = aug._solve_connected
     joins = []
@@ -250,6 +250,7 @@ def test_join_matches_a_decomposition_of_the_bridged_graph(monkeypatch):
         assert [e for e in dec.cut_edges if dec.comp_id[e[0]] == cid] == [
             e for e in ref.cut_edges if ref.comp_id[e[0]] == rid
         ]
+        # blocks of a bridged component that share their smallest vertex
         first = decompose(g0).comp_id
         mins = [b[0] for b in on_comp if first[b[0]] != first[comp[0]]]
         ties += len(mins) != len(set(mins))
