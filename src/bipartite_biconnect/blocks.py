@@ -61,8 +61,8 @@ class Decomposition:
         """Join the listed components into the first, whose id it returns,
         along the bridges in edges.  Each bridge end must be a noncut
         vertex; it becomes a cut vertex of two branches and no block
-        changes, so the result is what decompose() reports for the
-        bridged graph."""
+        changes, so the joined component reads as decompose() of the
+        bridged graph would report it; the others are left empty."""
         cid = comps[0]
         merged = sorted(v for c in comps for v in self.comps[c])
         for v in merged:
