@@ -5,10 +5,9 @@ to fix (one side has fewer than two vertices), one of two special
 shapes built around a lone edge, or the general shapes.  Several
 components needing work are joined to the first one by bridge edges
 that each lower the remaining demand by one, in O(1) amortized per
-bridge.  If one component is left, the tree based solver gets the
-first decomposition joined along the bridges; if the pendant pairs run
-out first, the bridge loop's own records finish with a round robin
-stitch in O(n).
+bridge.  If one component is left, one more decomposition hands it to
+the tree based solver; if the pendant pairs run out first, the bridge
+loop's own records finish the job with a round robin stitch in O(n).
 
 The connected solver walks the structure tree: terminal cases emit all
 their edges at once, iterative cases add one edge, collapse the tree
@@ -85,6 +84,9 @@ class _State:
         self.added.append((u, v))
         self.cases.append(case)
         self.counters.edges_added += 1
+
+    def current_graph(self) -> BipartiteGraph:
+        return BipartiteGraph(self.g.labels, self.g.sides, self.edge_set)
 
 
 def _binding_edge(
@@ -203,7 +205,7 @@ def _case_m1(
     a_in = [x for x in comp if g.sides[x] == 0]
     b_in = [x for x in comp if g.sides[x] == 1]
     if len(a_in) >= 2 and len(b_in) >= 2:
-        _solve_connected(st, dec, cid, self_check)
+        _solve_connected(st, g, dec, cid, self_check)
         return
     # the component is a star: one hub on the thin side, all other
     # members are its leaves; borrow opposite side vertices from outside
@@ -262,8 +264,8 @@ def _case_m3(
     hold every pendant, all single vertices of one side, and a round
     robin stitch finishes in O(n): each pendant gets an edge to the
     smallest opposite side vertex of the next group, w1 with all it
-    joined being one group.  If one component is left, the tree solver
-    gets the first decomposition joined along the bridges.
+    joined being one group.  If one component is left, one
+    decomposition of the bridged graph hands it to the tree solver.
     """
     order: list[list[int]] = [[], [], []]  # recs indices per type
     members: dict[int, list[int]] = {}  # recs indices per component
@@ -310,7 +312,10 @@ def _case_m3(
     if left == 1:
         # bridges joined everything, so the component has two vertices
         # on each side and is no star
-        _solve_connected(st, dec, dec.join(joined, st.added), self_check)
+        g2 = st.current_graph()
+        dec2 = decompose(g2, st.counters)
+        cid = dec2.comp_id[dec.comps[w1][0]]
+        _solve_connected(st, g2, dec2, cid, self_check)
         return
     slot = 0 if total[0] else 1
     check(total[1 - slot] == total[2] == 0, "stitch saw pendants of two types")
@@ -333,12 +338,13 @@ def _case_m3(
 
 def _solve_connected(
     st: _State,
+    gcur: BipartiteGraph,
     dec: Decomposition,
     cid: int,
     self_check: bool = False,
 ) -> None:
     comp = dec.comps[cid]
-    tree = BlockTree.build(st.g, dec, comp, st.counters)
+    tree = BlockTree.build(gcur, dec, comp, st.counters)
     index = AugTreeIndex(tree, st.counters)
     eta0 = index.eta_now()
     start = len(st.added)
@@ -360,7 +366,7 @@ def _audit_against_rebuild(st: _State, anchor: int, index: AugTreeIndex) -> None
     """Compare the incrementally maintained state with a from-scratch
     decomposition of the graph as it stands now."""
     index.audit()
-    g2 = BipartiteGraph(st.g.labels, st.g.sides, st.edge_set)
+    g2 = st.current_graph()
     dec2 = decompose(g2)
     cid2 = dec2.comp_id[anchor]
     types = [p.ptype for p in pendant_records(g2, dec2) if p.comp == cid2]

@@ -7,8 +7,7 @@ pieces deleting each vertex leaves behind.  A vertex on no nonsingular
 block forms a block of its own; such a vertex with degree one is a
 pendant, with degree zero it is already a finished component.
 Members, blocks and bridges are kept sorted, so a structure tree is a
-function of the sorted block set, not of the DFS order, and join() can
-add bridges between components without decomposing the graph again.
+function of the sorted block set, not of the order the DFS met them in.
 
 BlockTree models one component as a tree over block, pendant vertex,
 cut vertex and bridge nodes.  Its collapse() applies the effect of one
@@ -56,27 +55,6 @@ class Decomposition:
     ns_blocks: list[tuple[int, ...]]
     cut_edges: list[tuple[int, int]]
     degree: list[int]
-
-    def join(self, comps: list[int], edges: list[tuple[int, int]]) -> int:
-        """Join the listed components into the first, whose id it returns,
-        along the bridges in edges.  Each bridge end must be a noncut
-        vertex; it becomes a cut vertex of two branches and no block
-        changes, so the joined component reads as decompose() of the
-        bridged graph would report it; the others are left empty."""
-        cid = comps[0]
-        merged = sorted(v for c in comps for v in self.comps[c])
-        for v in merged:
-            self.comp_id[v] = cid
-        for c in comps:
-            self.comps[c] = merged if c == cid else []
-        for a, b in edges:
-            for x in (a, b):
-                check(self.branches[x] == 1, "bridge end is not a noncut vertex")
-                self.branches[x] = 2
-                self.is_cut[x] = True
-                self.degree[x] += 1
-        self.cut_edges = sorted(self.cut_edges + edges)
-        return cid
 
 
 def decompose(g: BipartiteGraph, counters: OpCounters | None = None) -> Decomposition:

@@ -66,40 +66,6 @@ def mixed_graph(rng: random.Random, n: int, join: float, extra: int) -> Bipartit
     return BipartiteGraph(labels, sides, edges)
 
 
-def flower_graph(rng: random.Random, comps: int) -> BipartiteGraph:
-    """A graph of comps components, each a hub on two or three even
-    cycles with up to two tails hung off random members.  Vertices are
-    numbered in order of creation, so each hub is the smallest vertex of
-    its component and its cycles are blocks that share their smallest
-    vertex."""
-    sides: list[int] = []
-    edges = set()
-
-    def grow(prev: int) -> int:
-        sides.append(1 - sides[prev])
-        v = len(sides) - 1
-        edges.add((prev, v) if sides[prev] == 0 else (v, prev))
-        return v
-
-    for _ in range(comps):
-        sides.append(rng.randrange(2))
-        hub = len(sides) - 1
-        members = [hub]
-        for _ in range(rng.randint(2, 3)):
-            v = hub
-            for _ in range(2 * rng.randint(2, 3) - 1):
-                v = grow(v)
-                members.append(v)
-            edges.add((hub, v) if sides[hub] == 0 else (v, hub))
-        for _ in range(rng.randint(0, 2)):
-            v = rng.choice(members)
-            for _ in range(rng.randint(1, 3)):
-                v = grow(v)
-                members.append(v)
-    labels = [f"{'ab'[s]}{i + 1}" for i, s in enumerate(sides)]
-    return BipartiteGraph(labels, sides, edges)
-
-
 def sparse_random_graph(n: int) -> BipartiteGraph:
     """G(n/2, n/2) with average degree 2, seeded by n.
 
