@@ -46,7 +46,9 @@ from .graph import BipartiteGraph
 from .matching import (
     TYPE_SLOT,
     counts_of,
+    joinable,
     maximum_legal_matching,
+    pair_count,
     pick_cross_pair,
     profile,
 )
@@ -127,8 +129,8 @@ def augment(
     cen = census(dec)
     recs = pendant_records(g, dec)
     prof = profile(*counts_of([p.ptype for p in recs]))
-    target = theorem_target(g, dec, cen, prof)
     label = classify_m(cen, prof.m)
+    target = theorem_target(label, dec, cen, prof)
     if label == "M6":
         return AugmentationResult([], [], 0)
     na = sum(1 for s in g.sides if s == 0)
@@ -283,7 +285,7 @@ def _case_m3(
         own[TYPE_SLOT[recs[i].ptype]].append(i)  # ascending, so already heaps
     cursor = [0, 0, 0]
     total = [len(ids) for ids in order]
-    m = profile(*total).m
+    m = pair_count(*total)
 
     while left > 1 and m > 0:
         c1 = (len(own[0]), len(own[1]), len(own[2]))
@@ -374,9 +376,8 @@ def _audit_against_rebuild(st: _State, anchor: int, index: AugTreeIndex) -> None
     check(index.counts() == counts, "leaf census drifted from rebuild")
     max_d = max(dec2.branches[v] for v in dec2.comps[cid2])
     check(index.max_cdeg == max_d, "split degree drifted from rebuild")
-    prof = profile(*counts)
     check(
-        index.eta_now() == max(max_d - 1, prof.m + prof.r, 0),
+        index.eta_now() == max(max_d - 1, sum(counts) - pair_count(*counts), 0),
         "demand drifted from rebuild",
     )
 
@@ -392,10 +393,10 @@ def _terminal_small(st: _State, tree: BlockTree, index: AugTreeIndex) -> None:
     leaves = sorted(tree.leaves())
     if len(leaves) == 2:
         t1, t2 = tree.leaf_type(leaves[0]), tree.leaf_type(leaves[1])
-        if t1 == t2 and t1 in ("A", "B"):
-            _terminal_uniform(st, tree, index, case="S1")
-        else:
+        if joinable(t1, t2):
             _emit_leaf_pair(st, tree, leaves[0], leaves[1], "S1")
+        else:
+            _terminal_uniform(st, tree, index, case="S1")
         return
     assert len(leaves) == 3
     if index.m_value() == 0:
@@ -493,7 +494,7 @@ def _terminal_one_branch(
     matched.sort()
     first_partner = {
         t: next(
-            (x for x in matched if not (t == tree.leaf_type(x) and t in ("A", "B"))),
+            (x for x in matched if joinable(t, tree.leaf_type(x))),
             -1,
         )
         for t in ("A", "B", "AB")
@@ -504,20 +505,31 @@ def _terminal_one_branch(
         _emit_leaf_pair(st, tree, lone, partner, case)
 
 
+def _join_and_collapse(
+    st: _State,
+    tree: BlockTree,
+    index: AugTreeIndex,
+    path1: list[int],
+    path2: list[int],
+    case: str,
+) -> None:
+    """Join the two leaves that end the descent paths from the root,
+    then collapse the tree path the new edge closes."""
+    eta_before = index.eta_now()
+    _emit_leaf_pair(st, tree, path1[-1], path2[-1], case)
+    full = list(reversed(path1)) + [tree.root] + path2
+    info = tree.collapse(full, st.counters)
+    index.update_after_collapse(info)
+    check(index.eta_now() == eta_before - 1, "demand must drop by one")
+
+
 def _hub_step(st: _State, tree: BlockTree, index: AugTreeIndex) -> None:
     """One reduction at a cut vertex splitting harder than pairs can pay."""
     root = tree.root
     assert tree.kind[root] == C_NODE
-    eta_before = index.eta_now()
     deg_before = tree.degree(root)
-    path1, path2 = index.hub_step_pair()
-    n1, n2 = path1[-1], path2[-1]
-    _emit_leaf_pair(st, tree, n1, n2, "S5")
-    full = list(reversed(path1)) + [root] + path2
-    info = tree.collapse(full, st.counters)
-    index.update_after_collapse(info)
+    _join_and_collapse(st, tree, index, *index.hub_step_pair(), "S5")
     assert tree.degree(root) == deg_before - 1, "hub degree must drop by one"
-    check(index.eta_now() == eta_before - 1, "demand must drop by one")
 
 
 def _branch_step(st: _State, tree: BlockTree, index: AugTreeIndex) -> None:
@@ -528,15 +540,7 @@ def _branch_step(st: _State, tree: BlockTree, index: AugTreeIndex) -> None:
         st.counters.index_rebuilds += 1
     elif action == "walk":
         index.reroot_walk(node)
-    root = tree.root
-    eta_before = index.eta_now()
-    path1, path2 = index.find_pair()
-    n1, n2 = path1[-1], path2[-1]
-    _emit_leaf_pair(st, tree, n1, n2, "S4_2")
-    full = list(reversed(path1)) + [root] + path2
-    info = tree.collapse(full, st.counters)
-    index.update_after_collapse(info)
-    check(index.eta_now() == eta_before - 1, "demand must drop by one")
+    _join_and_collapse(st, tree, index, *index.find_pair(), "S4_2")
 
 
 # terminal cases by the tag AugTreeIndex.s_case() gives them

@@ -57,12 +57,10 @@ def eta(g: BipartiteGraph) -> int:
     if len(dec.comps) != 1:
         raise ValueError("eta is defined on connected graphs")
     recs = pendant_records(g, dec)
-    return eta_extended(g, dec, census(dec), profile(*counts_of([p.ptype for p in recs])))
+    return eta_extended(dec, census(dec), profile(*counts_of([p.ptype for p in recs])))
 
 
-def eta_extended(
-    g: BipartiteGraph, dec: Decomposition, cen: ComponentCensus, prof: MatchingProfile
-) -> int:
+def eta_extended(dec: Decomposition, cen: ComponentCensus, prof: MatchingProfile) -> int:
     """The same bound evaluated on an arbitrary graph, given its census
     and the profile of its pendant types."""
     max_d = max(dec.branches, default=0)
@@ -81,11 +79,10 @@ def classify_m(cen: ComponentCensus, m: int) -> str:
 
 
 def theorem_target(
-    g: BipartiteGraph, dec: Decomposition, cen: ComponentCensus, prof: MatchingProfile
+    label: str, dec: Decomposition, cen: ComponentCensus, prof: MatchingProfile
 ) -> int:
-    """Exact optimum size for the full graph, given its census and the
-    profile of its pendant types."""
-    label = classify_m(cen, prof.m)
+    """Exact optimum size for the full graph, given its case label from
+    classify_m, its census and the profile of its pendant types."""
     if label == "M6":
         return 0
     if label == "M4":
@@ -94,4 +91,4 @@ def theorem_target(
         return 2
     if label == "M2":
         return prof.r  # m == 0, so this is the pendant count
-    return eta_extended(g, dec, cen, prof)
+    return eta_extended(dec, cen, prof)

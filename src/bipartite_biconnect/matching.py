@@ -2,9 +2,21 @@
 
 Pendants come in three types: A and B for single vertex pendants by
 side, AB for nonsingular pendant blocks.  Every combination except A
-with A and B with B can be joined by an edge.  The largest number of
-disjoint joinable pairs has a closed form, and greedy pairing in the
-order A-B, leftover side with AB, AB-AB achieves it.
+with A and B with B can be joined by an edge: LEGAL_COMBOS lists them
+and joinable() asks it.  This module is the one place that knows these
+rules; the other layers ask it.
+
+The pair count m, the largest number of disjoint joinable pairs, has
+one closed form, pair_count(): min(A, B) pairs A with B, then the
+surplus side takes up to as many AB pendants, then the remaining AB
+pendants pair among themselves.  The r pendants left over number the
+pendants minus 2m, so m + r is the pendants minus m.  Greedy pairing in
+that order reaches m.
+
+When two pendant sets must be joined by one pair that lowers the count
+of their union by exactly one, the candidates are tried in one fixed
+order, CROSS_ORDER: LEGAL_COMBOS with both orientations, AB with AB
+once.
 """
 
 from __future__ import annotations
@@ -15,7 +27,16 @@ from typing import Sequence
 from .errors import NoCrossPair
 
 LEGAL_COMBOS = (("A", "B"), ("A", "AB"), ("B", "AB"), ("AB", "AB"))
+# (t1, t2) oriented: t1 from the first set, t2 from the second
+CROSS_ORDER = tuple(
+    dict.fromkeys(o for ta, tb in LEGAL_COMBOS for o in ((ta, tb), (tb, ta)))
+)
 TYPE_SLOT = {"A": 0, "B": 1, "AB": 2}
+
+
+def joinable(t1: str, t2: str) -> bool:
+    """True when a t1 pendant and a t2 pendant may be joined by an edge."""
+    return (t1, t2) in CROSS_ORDER
 
 
 @dataclass(frozen=True)
@@ -23,20 +44,20 @@ class MatchingProfile:
     n_a: int
     n_b: int
     n_ab: int
-    alpha: int
-    beta: int
-    gamma: int
     m: int
     r: int
 
 
+def pair_count(n_a: int, n_b: int, n_ab: int) -> int:
+    """m, the closed form size of a largest legal pairing."""
+    surplus = min(abs(n_a - n_b), n_ab)
+    return min(n_a, n_b) + surplus + (n_ab - surplus) // 2
+
+
 def profile(n_a: int, n_b: int, n_ab: int) -> MatchingProfile:
     """Closed form pairing profile for the given type counts."""
-    alpha = min(n_a, n_b)
-    beta = min(abs(n_a - n_b), n_ab)
-    gamma = (n_ab - beta) // 2
-    m = alpha + beta + gamma
-    return MatchingProfile(n_a, n_b, n_ab, alpha, beta, gamma, m, n_a + n_b + n_ab - 2 * m)
+    m = pair_count(n_a, n_b, n_ab)
+    return MatchingProfile(n_a, n_b, n_ab, m, n_a + n_b + n_ab - 2 * m)
 
 
 def counts_of(types: Sequence[str]) -> tuple[int, int, int]:
@@ -52,26 +73,22 @@ def is_decrementing(counts: tuple[int, int, int], t1: str, t2: str) -> bool:
     c = list(counts)
     c[TYPE_SLOT[t1]] -= 1
     c[TYPE_SLOT[t2]] -= 1
-    if min(c) < 0:
-        return False
-    return profile(*c).m == profile(*counts).m - 1
+    return min(c) >= 0 and pair_count(*c) == pair_count(*counts) - 1
 
 
 def pick_cross_pair(
     counts1: tuple[int, int, int], counts2: tuple[int, int, int]
 ) -> tuple[str, str]:
     """Choose pendant types (t1 from set one, t2 from set two) whose
-    pairing lowers the pair count of the union by exactly one.
-
-    Combos are tried in a fixed order so the choice is deterministic.
+    pairing lowers the pair count of the union by exactly one: the first
+    such combo in CROSS_ORDER, so the choice is deterministic.
     """
-    union = tuple(a + b for a, b in zip(counts1, counts2))
-    for ta, tb in LEGAL_COMBOS:
-        for t1, t2 in ((ta, tb), (tb, ta)):
-            if counts1[TYPE_SLOT[t1]] < 1 or counts2[TYPE_SLOT[t2]] < 1:
-                continue
-            if is_decrementing(union, t1, t2):
-                return t1, t2
+    union = (counts1[0] + counts2[0], counts1[1] + counts2[1], counts1[2] + counts2[2])
+    for t1, t2 in CROSS_ORDER:
+        if counts1[TYPE_SLOT[t1]] < 1 or counts2[TYPE_SLOT[t2]] < 1:
+            continue
+        if is_decrementing(union, t1, t2):
+            return t1, t2
     raise NoCrossPair(f"no joinable cross pair for counts {counts1} and {counts2}")
 
 
@@ -89,25 +106,14 @@ def maximum_legal_matching(
     for ids in by_type.values():
         ids.sort()
     a, b, ab = by_type["A"], by_type["B"], by_type["AB"]
-    prof = profile(len(a), len(b), len(ab))
-    pairs: list[tuple[int, int]] = []
-    ia = ib = iab = 0
-    for _ in range(prof.alpha):
-        pairs.append((a[ia], b[ib]))
-        ia += 1
-        ib += 1
-    longer, il = (a, ia) if len(a) - ia >= len(b) - ib else (b, ib)
-    for _ in range(prof.beta):
-        pairs.append((longer[il], ab[iab]))
-        il += 1
-        iab += 1
-    if longer is a:
-        ia = il
-    else:
-        ib = il
-    for _ in range(prof.gamma):
-        pairs.append((ab[iab], ab[iab + 1]))
-        iab += 2
-    leftovers = sorted(a[ia:] + b[ib:] + ab[iab:])
-    assert len(pairs) == prof.m and len(leftovers) == prof.r
+    pairs: list[tuple[int, int]] = list(zip(a, b))
+    k = len(pairs)
+    surplus = a[k:] if len(a) > len(b) else b[k:]
+    pairs += zip(surplus, ab)
+    k2 = min(len(surplus), len(ab))
+    rest = ab[k2:]
+    pairs += zip(rest[0::2], rest[1::2])
+    leftovers = sorted(surplus[k2:] + rest[2 * (len(rest) // 2) :])
+    assert len(pairs) == pair_count(len(a), len(b), len(ab))
+    assert len(leftovers) == len(pendants) - 2 * len(pairs)
     return pairs, leftovers

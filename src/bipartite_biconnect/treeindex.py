@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from .blocks import B_NODE, C_NODE, S_NODE, BlockTree, CollapseInfo
 from .errors import NoCrossPair, check
-from .matching import LEGAL_COMBOS, is_decrementing, profile
+from .matching import CROSS_ORDER, LEGAL_COMBOS, is_decrementing, joinable, pair_count
 from .stats import OpCounters
 
 LEAF_CODE = {"A": 4, "B": 2, "AB": 1}
@@ -216,11 +216,11 @@ class AugTreeIndex:
         return (self.leaf_counts["A"], self.leaf_counts["B"], self.leaf_counts["AB"])
 
     def m_plus_r(self) -> int:
-        prof = profile(*self.counts())
-        return prof.m + prof.r
+        n_a, n_b, n_ab = self.counts()
+        return n_a + n_b + n_ab - pair_count(n_a, n_b, n_ab)
 
     def m_value(self) -> int:
-        return profile(*self.counts()).m
+        return pair_count(*self.counts())
 
     def eta_now(self) -> int:
         return max(self.max_cdeg - 1, self.m_plus_r(), 0)
@@ -443,28 +443,19 @@ class AugTreeIndex:
     # ------------------------------------------------------------------
     # pair searches
 
-    def _certified_combos(self) -> list[tuple[str, str]]:
-        counts = self.counts()
-        out = []
-        for ta, tb in LEGAL_COMBOS:
-            for t1, t2 in ((ta, tb), (tb, ta)):
-                if (t1, t2) in out:
-                    continue
-                if is_decrementing(counts, t1, t2):
-                    out.append((t1, t2))
-        return out
-
     def find_pair(self) -> tuple[list[int], list[int]]:
         """Locate a pairable pendant pair in different root branches.
 
         Returns the two descent paths (root child ... leaf); the full
         collapse path is rev(first) + [root] + second.  The pairing is
-        certified to lower the pair count by one.
+        certified to lower the pair count by one; combos are tried in
+        CROSS_ORDER.
         """
         t = self.tree
         root = t.root
         deg = t.degree(root)
-        combos = self._certified_combos()
+        counts = self.counts()
+        combos = (c for c in CROSS_ORDER if is_decrementing(counts, *c))
         if deg == 2:
             k1, k2 = sorted(t.children[root])
             for t1, t2 in combos:
@@ -491,7 +482,8 @@ class AugTreeIndex:
         """
         t = self.tree
         root = t.root
-        for c1, c2 in ((4, 2), (4, 1), (2, 1), (1, 1)):
+        for t1, t2 in LEGAL_COMBOS:
+            c1, c2 = LEAF_CODE[t1], LEAF_CODE[t2]
             need = 2 if c1 == c2 else 1
             first = self.chain_children(root, c1, need=need)
             if not first:
@@ -505,10 +497,7 @@ class AugTreeIndex:
                 if not second:
                     continue
                 x1, x2 = first[0], second[0]
-            return (
-                self.descend(x1, TYPE_OF_CHAIN_CODE[c1]),
-                self.descend(x2, TYPE_OF_CHAIN_CODE[c2]),
-            )
+            return self.descend(x1, t1), self.descend(x2, t2)
         # all chains carry one type; find the partner in a branching branch
         lead = None
         for c in TYPE_OF_CHAIN_CODE:
@@ -518,8 +507,9 @@ class AugTreeIndex:
                 break
         assert lead is not None, "overloaded hub without chain branches"
         x1, t1 = lead
-        partner_types = [tt for tt in ("A", "B", "AB") if (t1, tt) != ("A", "A") and (t1, tt) != ("B", "B")]
-        for t2 in partner_types:
+        for t2 in LEAF_CODE:
+            if not joinable(t1, t2):
+                continue
             others = self.child_with(root, t2, many_only=True, exclude=(x1,), need=1)
             if others:
                 return self.descend(x1, t1), self.descend(others[0], t2)

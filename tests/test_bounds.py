@@ -240,8 +240,9 @@ def test_theorem_target_fixture_values(
 ):
     def target(g):
         dec = decompose(g)
-        types = [p.ptype for p in pendant_records(g, dec)]
-        return theorem_target(g, dec, census(dec), profile(*counts_of(types)))
+        cen = census(dec)
+        prof = profile(*counts_of([p.ptype for p in pendant_records(g, dec)]))
+        return theorem_target(classify_m(cen, prof.m), dec, cen, prof)
 
     assert target(lone_edge_plus_isolated) == 3
     assert target(lone_edge_plus_block) == 2
@@ -253,4 +254,4 @@ def test_eta_extended_matches_eta_on_connected(p4, spider4):
     for g in (p4, spider4):
         dec = decompose(g)
         prof = profile(*counts_of([p.ptype for p in pendant_records(g, dec)]))
-        assert eta_extended(g, dec, census(dec), prof) == eta(g)
+        assert eta_extended(dec, census(dec), prof) == eta(g)

@@ -35,7 +35,7 @@ def test_profile_known_values():
     assert profile(0, 0, 5).m == 2
     assert profile(0, 0, 5).r == 1
     assert profile(3, 3, 0).m == 3
-    assert profile(1, 0, 0) == MatchingProfile(1, 0, 0, 0, 0, 0, 0, 1)
+    assert profile(1, 0, 0) == MatchingProfile(1, 0, 0, 0, 1)
 
 
 def test_counts_of():
@@ -65,7 +65,7 @@ def test_maximum_matching_reaches_the_formula():
         pendants = sorted(zip(range(len(types)), types))
         pairs, leftovers = maximum_legal_matching(pendants)
         prof = profile(*counts_of(types))
-        assert len(pairs) == prof.m
+        assert len(pairs) == prof.m == oracle_max_matching(*counts_of(types))
         assert len(leftovers) == prof.r
         used = [p for pair in pairs for p in pair] + list(leftovers)
         assert sorted(used) == [pid for pid, _ in pendants]
@@ -107,6 +107,39 @@ def test_cross_pair_lowers_the_count_by_one(counts1, counts2):
     after[i1] -= 1
     after[i2] -= 1
     assert profile(*after).m == m_before - 1
+
+
+def test_cross_pair_is_the_first_available_combo_the_oracle_certifies():
+    # the pair order, spelled out here rather than read from the module
+    order = [
+        ("A", "B"),
+        ("B", "A"),
+        ("A", "AB"),
+        ("AB", "A"),
+        ("B", "AB"),
+        ("AB", "B"),
+        ("AB", "AB"),
+    ]
+    slot = {"A": 0, "B": 1, "AB": 2}
+    for counts1 in itertools.product(range(4), repeat=3):
+        for counts2 in itertools.product(range(4), repeat=3):
+            total = [x + y for x, y in zip(counts1, counts2)]
+            m_before = oracle_max_matching(*total)
+            expected = None
+            for t1, t2 in order:
+                if counts1[slot[t1]] < 1 or counts2[slot[t2]] < 1:
+                    continue
+                after = list(total)
+                after[slot[t1]] -= 1
+                after[slot[t2]] -= 1
+                if oracle_max_matching(*after) == m_before - 1:
+                    expected = (t1, t2)
+                    break
+            if expected is None:
+                with pytest.raises(NoCrossPair):
+                    pick_cross_pair(counts1, counts2)
+            else:
+                assert pick_cross_pair(counts1, counts2) == expected, (counts1, counts2)
 
 
 def test_cross_pair_raises_when_nothing_works():
