@@ -59,13 +59,12 @@ class BipartiteGraph:
         self.edges: tuple[tuple[int, int], ...] = tuple(sorted(canon))
         self.edge_set: frozenset[tuple[int, int]] = frozenset(canon)
 
+        # edges ascend with the A end first, so each row fills in order
         lists: list[list[int]] = [[] for _ in self.labels]
         for u, v in self.edges:
             lists[u].append(v)
             lists[v].append(u)
-        self.adj: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(nb)) for nb in lists
-        )
+        self.adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, lists))
 
     @property
     def n(self) -> int:

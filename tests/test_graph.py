@@ -12,11 +12,14 @@ from bipartite_biconnect import (
     ParseError,
     UnknownVertex,
     add_edges,
+    augment,
     build_graph,
     is_legal_edge,
     parse_graph,
     serialize_graph,
+    verify_result,
 )
+from bipartite_biconnect import verify
 from bipartite_biconnect.graph import (
     broom_graph,
     caterpillar_graph,
@@ -28,7 +31,7 @@ from bipartite_biconnect.graph import (
     spider_graph,
 )
 
-from .helpers import oracle_components
+from .helpers import mixed_graph, oracle_components, random_graph
 
 
 def test_vertices_take_first_appearance_order(p4):
@@ -42,9 +45,36 @@ def test_edges_stored_a_side_first(p4):
         assert p4.sides[u] == 0 and p4.sides[v] == 1
 
 
-def test_adjacency_is_sorted(p4):
-    for u in range(p4.n):
-        assert list(p4.adj[u]) == sorted(p4.adj[u])
+def _assert_rows_sorted(g):
+    neighbours: list[set[int]] = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        neighbours[u].add(v)
+        neighbours[v].add(u)
+    assert [list(row) for row in g.adj] == [sorted(nb) for nb in neighbours]
+
+
+def test_adjacency_is_sorted(p4, monkeypatch):
+    _assert_rows_sorted(p4)
+    rng = random.Random(31)
+    for _ in range(200):
+        _assert_rows_sorted(random_graph(rng, rng.randint(1, 7), rng.randint(1, 7), 0.4))
+        # sides interleave here, so B ids also fall below A ids
+        _assert_rows_sorted(mixed_graph(rng, rng.randint(4, 14), 0.6, rng.randint(0, 4)))
+    # verify_result builds its patched graph from g.edges plus the pairs
+    patched = []
+    checker = verify.check_componentwise_biconnected
+
+    def spy(g):
+        patched.append(g)
+        return checker(g)
+
+    monkeypatch.setattr(verify, "check_componentwise_biconnected", spy)
+    for _ in range(150):
+        g = mixed_graph(rng, rng.randint(4, 14), 0.7, rng.randint(0, 3))
+        res = augment(g)
+        assert verify_result(g, res).componentwise_biconnected
+        assert patched[-1].m == g.m + res.size
+        _assert_rows_sorted(patched[-1])
 
 
 def test_degrees(p4):
