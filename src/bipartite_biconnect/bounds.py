@@ -60,7 +60,9 @@ def eta(g: BipartiteGraph) -> int:
     return eta_extended(dec, census(dec), profile(*counts_of([p.ptype for p in recs])))
 
 
-def eta_extended(dec: Decomposition, cen: ComponentCensus, prof: MatchingProfile) -> int:
+def eta_extended(
+    dec: Decomposition, cen: ComponentCensus, prof: MatchingProfile
+) -> int:
     """The same bound evaluated on an arbitrary graph, given its census
     and the profile of its pendant types."""
     max_d = max(dec.branches, default=0)
