@@ -42,7 +42,7 @@ from .bounds import (
     theorem_target,
 )
 from .errors import ClingPartitionViolation, NoBiconnector, check
-from .graph import BipartiteGraph
+from .graph import BipartiteGraph, add_edges
 from .matching import (
     TYPE_SLOT,
     counts_of,
@@ -88,7 +88,7 @@ class _State:
         self.counters.edges_added += 1
 
     def current_graph(self) -> BipartiteGraph:
-        return BipartiteGraph(self.g.labels, self.g.sides, self.edge_set)
+        return add_edges(self.g, self.added)
 
 
 def _binding_edge(
@@ -389,16 +389,8 @@ def _emit_leaf_pair(st: _State, tree: BlockTree, n1: int, n2: int, case: str) ->
 
 
 def _terminal_small(st: _State, tree: BlockTree, index: AugTreeIndex) -> None:
-    """At most three pendants left."""
-    leaves = sorted(tree.leaves())
-    if len(leaves) == 2:
-        t1, t2 = tree.leaf_type(leaves[0]), tree.leaf_type(leaves[1])
-        if joinable(t1, t2):
-            _emit_leaf_pair(st, tree, leaves[0], leaves[1], "S1")
-        else:
-            _terminal_uniform(st, tree, index, case="S1")
-        return
-    assert len(leaves) == 3
+    """At most three pendants left: none pair up, or one branch pairs
+    them and attaches the leftover."""
     if index.m_value() == 0:
         _terminal_uniform(st, tree, index, case="S1")
     else:

@@ -6,8 +6,11 @@ component: the maximal biconnected vertex sets of size three or more
 pieces deleting each vertex leaves behind.  A vertex on no nonsingular
 block forms a block of its own; such a vertex with degree one is a
 pendant, with degree zero it is already a finished component.
-Members, blocks and bridges are kept sorted, so a structure tree is a
-function of the sorted block set, not of the order the DFS met them in.
+Blocks and bridges are grouped by component, and each component's
+group is sorted (blocks by vertex tuple, bridges by pair), as are the
+members of each block and component.  A structure tree is thus a
+function of the sorted block set, not of the order the DFS met them in,
+and it reads only its own component's group.
 
 BlockTree models one component as a tree over block, pendant vertex,
 cut vertex and bridge nodes.  Its collapse() applies the effect of one
@@ -52,8 +55,13 @@ class Decomposition:
     comps: list[list[int]]
     branches: list[int]  # pieces deleting a vertex leaves in its component
     is_cut: list[bool]
+    # grouped by component and sorted within each group; component c's
+    # blocks are ns_blocks[block_starts[c]:block_starts[c + 1]], its
+    # bridges cut_edges[bridge_starts[c]:bridge_starts[c + 1]]
     ns_blocks: list[tuple[int, ...]]
     cut_edges: list[tuple[int, int]]
+    block_starts: list[int]
+    bridge_starts: list[int]
     degree: list[int]
 
 
@@ -67,6 +75,8 @@ def decompose(g: BipartiteGraph, counters: OpCounters | None = None) -> Decompos
     comps: list[list[int]] = []
     ns_blocks: list[tuple[int, ...]] = []
     cut_edges: list[tuple[int, int]] = []
+    block_starts = [0]
+    bridge_starts = [0]
     edge_stack: list[tuple[int, int]] = []
     timer = 0
 
@@ -79,8 +89,6 @@ def decompose(g: BipartiteGraph, counters: OpCounters | None = None) -> Decompos
         comp_id[s] = cid
         disc[s] = low[s] = timer
         timer += 1
-        if counters:
-            counters.dfs_visits += 1
         frames: list[tuple[int, Iterable[int]]] = [(s, iter(g.adj[s]))]
         while frames:
             v, it = frames[-1]
@@ -94,8 +102,6 @@ def decompose(g: BipartiteGraph, counters: OpCounters | None = None) -> Decompos
                     comp.append(w)
                     edge_stack.append((v, w))
                     frames.append((w, iter(g.adj[w])))
-                    if counters:
-                        counters.dfs_visits += 1
                     advanced = True
                     break
                 if w != parent[v] and disc[w] < disc[v]:
@@ -129,10 +135,16 @@ def decompose(g: BipartiteGraph, counters: OpCounters | None = None) -> Decompos
                         vset.add(a)
                         vset.add(b)
                     ns_blocks.append(tuple(sorted(vset)))
+        # every vertex of the component was expanded exactly once, and
+        # its blocks and bridges are the ones found since it started
+        if counters:
+            counters.dfs_visits += len(comp)
         comps.append(sorted(comp))
+        ns_blocks[block_starts[-1]:] = sorted(ns_blocks[block_starts[-1]:])
+        cut_edges[bridge_starts[-1]:] = sorted(cut_edges[bridge_starts[-1]:])
+        block_starts.append(len(ns_blocks))
+        bridge_starts.append(len(cut_edges))
 
-    ns_blocks.sort()
-    cut_edges.sort()
     return Decomposition(
         comp_id=comp_id,
         comps=comps,
@@ -140,6 +152,8 @@ def decompose(g: BipartiteGraph, counters: OpCounters | None = None) -> Decompos
         is_cut=[b >= 2 for b in branches],
         ns_blocks=ns_blocks,
         cut_edges=cut_edges,
+        block_starts=block_starts,
+        bridge_starts=bridge_starts,
         degree=[len(g.adj[v]) for v in range(n)],
     )
 
@@ -331,92 +345,80 @@ class BlockTree:
     ) -> "BlockTree":
         if len(comp) < 2:
             raise ValueError("structure tree needs a component with >= 2 vertices")
+        cid = dec.comp_id[comp[0]]
+        blocks = dec.ns_blocks[dec.block_starts[cid] : dec.block_starts[cid + 1]]
+        bridges = dec.cut_edges[dec.bridge_starts[cid] : dec.bridge_starts[cid + 1]]
+        pendants = [v for v in comp if dec.degree[v] == 1 and not dec.is_cut[v]]
+        cuts = [v for v in comp if dec.is_cut[v]]
+        # node ids: blocks, then pendant vertices, then cut vertices, then
+        # bridges
         t = BlockTree()
         t.sides = g.sides
-        cid = dec.comp_id[comp[0]]
-        undirected: list[tuple[int, int]] = []
-        cut_node: dict[int, int] = {}
-
-        for blk in dec.ns_blocks:
-            if dec.comp_id[blk[0]] != cid:
-                continue
-            node = t.new_node(B_NODE, blk, _noncut_minima(g, dec, blk))
+        t.kind = [B_NODE] * len(blocks) + [S_NODE] * len(pendants)
+        t.kind += [C_NODE] * len(cuts) + [K_NODE] * len(bridges)
+        t.payload = blocks + pendants + cuts + bridges
+        t.min_nc = [_noncut_minima(g, dec, blk) for blk in blocks]
+        t.min_nc += [(v, None) if g.sides[v] == 0 else (None, v) for v in pendants]
+        t.min_nc += [(None, None)] * (len(cuts) + len(bridges))
+        size = len(t.kind)
+        t.alive = [True] * size
+        t.parent = [-1] * size
+        # every tree neighbour of a node, until the walk below takes out
+        # its parent
+        kids = t.children = [set() for _ in range(size)]
+        node_of = {v: x for x, v in enumerate(pendants + cuts, len(blocks))}
+        for x, blk in enumerate(blocks):
             for v in blk:
                 if dec.is_cut[v]:
-                    undirected.append((node, ("c", v)))
-        svnode: dict[int, int] = {}
-        for v in comp:
-            if dec.degree[v] == 1 and not dec.is_cut[v]:
-                mins = (v, None) if g.sides[v] == 0 else (None, v)
-                svnode[v] = t.new_node(S_NODE, v, mins)
-        for v in comp:
-            if dec.is_cut[v]:
-                cut_node[v] = t.new_node(C_NODE, v)
-        for a, b in dec.cut_edges:
-            if dec.comp_id[a] != cid:
-                continue
-            node = t.new_node(K_NODE, (a, b))
-            for e in (a, b):
-                if dec.is_cut[e]:
-                    undirected.append((node, ("c", e)))
-                else:
-                    undirected.append((node, ("s", svnode[e])))
+                    kids[x].add(node_of[v])
+                    kids[node_of[v]].add(x)
+        for x, bridge in enumerate(bridges, size - len(bridges)):
+            for v in bridge:
+                kids[x].add(node_of[v])
+                kids[node_of[v]].add(x)
         if counters:
-            counters.tree_nodes += len(t.kind)
-
-        adj: list[list[int]] = [[] for _ in t.kind]
-        for x, ref in undirected:
-            y = cut_node[ref[1]] if ref[0] == "c" else ref[1]
-            adj[x].append(y)
-            adj[y].append(x)
+            counters.tree_nodes += size
 
         # Root at the cut vertex splitting the component the most, ties to
         # the lowest vertex; bridge-only two vertex components root at the
         # bridge node, single block components at the block.
-        cut_in_comp = [v for v in comp if dec.is_cut[v]]
-        if cut_in_comp:
-            best = max(cut_in_comp, key=lambda v: (dec.branches[v], -v))
-            root = cut_node[best]
-        elif any(t.kind[x] == K_NODE for x in range(len(t.kind))):
-            root = next(x for x in range(len(t.kind)) if t.kind[x] == K_NODE)
+        if cuts:
+            t.root = node_of[max(cuts, key=lambda v: (dec.branches[v], -v))]
         else:
-            root = 0
-        if t._orient(root, adj) != len(t.kind):
-            raise AssertionError("structure tree is not connected")
-        return t
-
-    def _orient(self, root: int, adj: list[list[int]]) -> int:
-        """Hang the tree from root along the undirected adjacency adj,
-        visiting neighbours in id order; returns the nodes placed."""
-        seen = [False] * len(self.kind)
-        seen[root] = True
-        stack = [root]
+            t.root = size - 1 if bridges else 0
+        # a tree hangs from its root in one way
+        stack = [t.root]
         placed = 1
         while stack:
             x = stack.pop()
-            for y in sorted(adj[x]):
-                if not seen[y]:
-                    seen[y] = True
-                    self.parent[y] = x
-                    self.children[x].add(y)
-                    stack.append(y)
-                    placed += 1
-        self.root = root
-        return placed
+            for y in kids[x]:
+                t.parent[y] = x
+                kids[y].discard(x)
+                stack.append(y)
+                placed += 1
+        if placed != size:
+            raise AssertionError("structure tree is not connected")
+        return t
 
-    def reorient(self, new_root: int) -> None:
-        """Re-hang the live tree from new_root, keeping its edges."""
-        live = self.live_nodes()
-        adj: list[list[int]] = [[] for _ in self.kind]
-        for x in live:
-            p = self.up(x)
-            if p != -1:
-                adj[x].append(p)
-                adj[p].append(x)
-        for x in live:
-            self.parent[x] = -1
-            self.children[x] = set()
-        self._orient(new_root, adj)
+    def reroot(self, target: int) -> list[int]:
+        """Hang the tree from target by reversing the tree path to it from
+        the root, in O(path); returns that path, root first.  Parent
+        pointers off the path stay as they are, stale ones included."""
+        path = []
+        x = target
+        while x != -1:
+            path.append(x)
+            x = self.up(x)
+        check(path[-1] == self.root, "reroot target is not below the root")
+        path.reverse()
+        parent, children = self.parent, self.children
+        for a, b in zip(path, path[1:]):
+            children[a].discard(b)
+            parent[a] = b
+            children[b].add(a)
+        parent[target] = -1
+        self.root = target
+        return path
 
     def collapse(
         self, path: list[int], counters: OpCounters | None = None

@@ -41,7 +41,10 @@ class BipartiteGraph:
                 raise ParseError(f"duplicate vertex label {lab!r}")
             self.label_index[lab] = i
 
+        # the edges in the order given, beside the set that finds repeats:
+        # sorted edges plus a short patch sort in linear time as two runs
         canon = set()
+        given: list[tuple[int, int]] = []
         for u, v in edges:
             if not (0 <= u < len(self.labels)) or not (0 <= v < len(self.labels)):
                 raise IllegalEdge(f"edge ({u}, {v}) references missing vertex")
@@ -51,12 +54,15 @@ class BipartiteGraph:
                 )
             if self.sides[u] == 1:
                 u, v = v, u
-            if (u, v) in canon:
+            e = (u, v)
+            if e in canon:
                 raise ParseError(
                     f"duplicate edge {self.labels[u]!r} {self.labels[v]!r}"
                 )
-            canon.add((u, v))
-        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(canon))
+            canon.add(e)
+            given.append(e)
+        given.sort()
+        self.edges: tuple[tuple[int, int], ...] = tuple(given)
         self.edge_set: frozenset[tuple[int, int]] = frozenset(canon)
 
         # edges ascend with the A end first, so each row fills in order

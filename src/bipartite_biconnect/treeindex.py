@@ -341,33 +341,20 @@ class AugTreeIndex:
 
     def reroot_walk(self, target: int) -> None:
         """Move the root down along the tree path to target, O(path)."""
-        t = self.tree
-        path = []
-        x = target
-        while x != -1:
-            path.append(x)
-            x = t.up(x)
-        check(path[-1] == t.root, "walk target is not below the root")
-        path.reverse()  # root ... target
-        for i in range(len(path) - 1):
-            a, b = path[i], path[i + 1]
+        path = self.tree.reroot(target)
+        for a, b in zip(path, path[1:]):
             self._pop(a, b)
-            t.children[a].discard(b)
             self.code[a] = self._fresh_code(a)
             if self.counters:
                 self.counters.index_updates += 1
-            t.parent[a] = b
-            t.children[b].add(a)
             self._push(b, a)
-        t.parent[target] = -1
-        t.root = target
         self.code[target] = self._fresh_code(target)
         if self.counters:
             self.counters.index_updates += 1
 
     def rebuild(self, new_root: int) -> None:
-        """Reorient the whole tree at new_root and rebuild from scratch."""
-        self.tree.reorient(new_root)
+        """Re-root the tree at new_root and rebuild the index from scratch."""
+        self.tree.reroot(new_root)
         self._reset()
 
     # ------------------------------------------------------------------

@@ -163,24 +163,34 @@ def oracle_on_common_cycle(g: BipartiteGraph, u: int, v: int) -> bool:
     if g.has_edge(u, v):
         # the edge is one path; any second path avoids no vertex in
         # particular, so look for a u..v walk not using the edge
-        seen = {u}
-        queue = deque([u])
-        while queue:
-            x = queue.popleft()
-            for y in g.adj[x]:
-                if x == u and y == v:
-                    continue
-                if y == v:
-                    return True
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return False
+        return _joined_without_edge(g, u, v)
     return all(
         _connected_avoiding(g, u, v, w)
         for w in range(g.n)
         if w not in (u, v)
     )
+
+
+def _joined_without_edge(g: BipartiteGraph, u: int, v: int) -> bool:
+    """Is there a u..v walk that does not use the edge between them?"""
+    seen = {u}
+    queue = deque([u])
+    while queue:
+        x = queue.popleft()
+        for y in g.adj[x]:
+            if x == u and y == v:
+                continue
+            if y == v:
+                return True
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return False
+
+
+def oracle_bridges(g: BipartiteGraph) -> list[tuple[int, int]]:
+    """Edges on no cycle, A end first and ascending."""
+    return [(u, v) for u, v in g.edges if not _joined_without_edge(g, u, v)]
 
 
 def oracle_nonsingular_blocks(g: BipartiteGraph) -> list[frozenset[int]]:

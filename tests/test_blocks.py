@@ -22,6 +22,8 @@ from bipartite_biconnect.blocks import (
 
 from .helpers import (
     all_graphs,
+    mixed_graph,
+    oracle_bridges,
     oracle_components,
     oracle_cut_vertices,
     oracle_nonsingular_blocks,
@@ -60,6 +62,50 @@ def test_nonsingular_blocks_match_reference():
             (frozenset(blk) for blk in dec.ns_blocks), key=sorted
         )
         assert mine == oracle_nonsingular_blocks(g)
+
+
+def shuffled_union(graphs: list[BipartiteGraph], rng: random.Random) -> BipartiteGraph:
+    """Disjoint union of graphs, with the vertex ids of all of them mixed."""
+    verts = [(i, v) for i, h in enumerate(graphs) for v in range(h.n)]
+    rng.shuffle(verts)
+    where = {iv: x for x, iv in enumerate(verts)}
+    return BipartiteGraph(
+        [f"g{i}{graphs[i].labels[v]}" for i, v in verts],
+        [graphs[i].sides[v] for i, v in verts],
+        [(where[i, u], where[i, v]) for i, h in enumerate(graphs) for u, v in h.edges],
+    )
+
+
+def test_component_slices_partition_blocks_and_bridges():
+    # each component's blocks and bridges are one sorted run of the flat
+    # lists, and the runs together are the reference blocks and bridges
+    rng = random.Random(78)
+    unions = [
+        shuffled_union([mixed_graph(rng, 7, 1.0, 2) for _ in range(3)], rng)
+        for _ in range(40)
+    ]
+    regrouped = 0
+    for g in [*small_corpus(), *unions]:
+        dec = decompose(g)
+        regrouped += dec.ns_blocks != sorted(dec.ns_blocks)
+        n_comps = len(dec.comps)
+        assert len(dec.block_starts) == len(dec.bridge_starts) == n_comps + 1
+        assert dec.block_starts[-1] == len(dec.ns_blocks)
+        assert dec.bridge_starts[-1] == len(dec.cut_edges)
+        blocks, bridges = [], []
+        for cid in range(n_comps):
+            own_blocks = dec.ns_blocks[dec.block_starts[cid] : dec.block_starts[cid + 1]]
+            own_bridges = dec.cut_edges[dec.bridge_starts[cid] : dec.bridge_starts[cid + 1]]
+            assert own_blocks == sorted(own_blocks)
+            assert own_bridges == sorted(own_bridges)
+            assert all(dec.comp_id[v] == cid for blk in own_blocks for v in blk)
+            assert all(dec.comp_id[v] == cid for e in own_bridges for v in e)
+            blocks += own_blocks
+            bridges += own_bridges
+        assert sorted(map(frozenset, blocks), key=sorted) == oracle_nonsingular_blocks(g)
+        assert sorted(bridges) == oracle_bridges(g)
+    # in some graphs the grouping by component is not the global order
+    assert regrouped > 0
 
 
 def test_split_counts_match_reference():
@@ -147,6 +193,48 @@ def test_bridge_nodes_have_degree_two():
             for x in t.live_nodes():
                 if t.kind[x] == K_NODE:
                     assert t.degree(x) == 2
+
+
+class _CountingList(list):
+    """A list that counts the items read from it."""
+
+    reads = 0
+
+    def __iter__(self):
+        self.reads += len(self)
+        return super().__iter__()
+
+    def __getitem__(self, i):
+        out = super().__getitem__(i)
+        self.reads += len(out) if isinstance(i, slice) else 1
+        return out
+
+
+def test_trees_of_many_components_read_each_record_boundedly():
+    # 2,000 components, alternately a three vertex path (two bridges)
+    # and a four cycle with a tail (one block, one bridge); a tree that
+    # scanned every component's records would read each 2,000 times
+    labels, sides, edges = [], [], []
+    for i in range(2000):
+        base = len(labels)
+        size = 3 if i % 2 == 0 else 5
+        for j in range(size):
+            labels.append(f"{'ab'[j % 2]}{base + j}")
+            sides.append(j % 2)
+        if size == 3:
+            edges += [(base, base + 1), (base + 2, base + 1)]
+        else:
+            edges += [(base, base + 1), (base, base + 3), (base + 2, base + 1)]
+            edges += [(base + 2, base + 3), (base + 4, base + 3)]
+    g = BipartiteGraph(labels, sides, edges)
+    dec = decompose(g)
+    dec.ns_blocks = _CountingList(dec.ns_blocks)
+    dec.cut_edges = _CountingList(dec.cut_edges)
+    assert len(dec.ns_blocks) == 1000 and len(dec.cut_edges) == 3000
+    for comp in dec.comps:
+        BlockTree.build(g, dec, comp)
+    assert dec.ns_blocks.reads <= 2 * len(dec.ns_blocks)
+    assert dec.cut_edges.reads <= 2 * len(dec.cut_edges)
 
 
 def test_tree_shape_on_path(p4):

@@ -90,26 +90,73 @@ def test_cut_degree_groups_track_tree_degrees():
                 assert x in members
 
 
+def collapse_leaf_pairs(tree, index, rng, steps: int) -> None:
+    """Collapse up to steps random leaf pairs, each while a third leaf
+    keeps the tree alive, the only regime the solver collapses in."""
+    for _ in range(steps):
+        leaves = sorted(tree.leaves())
+        if len(leaves) < 3:
+            return
+        n1, n2 = rng.sample(leaves, 2)
+        index.update_after_collapse(tree.collapse(path_between(tree, n1, n2)))
+
+
+def has_stale_parent(tree) -> bool:
+    """Does a live node point at a retired parent that up() resolves?"""
+    return any(
+        tree.parent[x] != -1 and not tree.alive[tree.parent[x]]
+        for x in tree.live_nodes()
+    )
+
+
+def live_edges(tree) -> set[frozenset[int]]:
+    """The tree's edges, read without up(), whose path compression
+    would take the stale parent pointers away before the re-root."""
+    edges = set()
+    for x in tree.live_nodes():
+        p = tree.parent[x]
+        while p != -1 and not tree.alive[p]:
+            p = tree.parent[p]
+        if p != -1:
+            edges.add(frozenset((x, p)))
+    return edges
+
+
 def test_reroot_walk_keeps_the_index_consistent():
+    # on fresh trees, then after collapses have left stale parent pointers
     rng = random.Random(8)
-    for _, _, tree in needy_trees():
-        index = AugTreeIndex(tree)
-        live = tree.live_nodes()
-        for _ in range(3):
-            target = rng.choice(live)
-            index.reroot_walk(target)
-            assert tree.root == target
-            index.audit()
+    stale = 0
+    for collapses in (0, 2):
+        for _, _, tree in needy_trees():
+            index = AugTreeIndex(tree)
+            collapse_leaf_pairs(tree, index, rng, collapses)
+            stale += has_stale_parent(tree)
+            edges = live_edges(tree)
+            live = tree.live_nodes()
+            for _ in range(3):
+                target = rng.choice(live)
+                index.reroot_walk(target)
+                assert tree.root == target
+                assert live_edges(tree) == edges
+                index.audit()
+    assert stale > 0
 
 
 def test_rebuild_reaches_any_root():
     rng = random.Random(9)
-    for _, _, tree in needy_trees():
-        index = AugTreeIndex(tree)
-        target = rng.choice(tree.live_nodes())
-        index.rebuild(target)
-        assert tree.root == target
-        index.audit()
+    stale = 0
+    for collapses in (0, 2):
+        for _, _, tree in needy_trees():
+            index = AugTreeIndex(tree)
+            collapse_leaf_pairs(tree, index, rng, collapses)
+            stale += has_stale_parent(tree)
+            edges = live_edges(tree)
+            target = rng.choice(tree.live_nodes())
+            index.rebuild(target)
+            assert tree.root == target
+            assert live_edges(tree) == edges
+            index.audit()
+    assert stale > 0
 
 
 def test_collapse_update_matches_fresh_build():
