@@ -345,58 +345,63 @@ class BlockTree:
     ) -> "BlockTree":
         if len(comp) < 2:
             raise ValueError("structure tree needs a component with >= 2 vertices")
-        cid = dec.comp_id[comp[0]]
-        blocks = dec.ns_blocks[dec.block_starts[cid] : dec.block_starts[cid + 1]]
-        bridges = dec.cut_edges[dec.bridge_starts[cid] : dec.bridge_starts[cid + 1]]
-        pendants = [v for v in comp if dec.degree[v] == 1 and not dec.is_cut[v]]
-        cuts = [v for v in comp if dec.is_cut[v]]
-        # node ids: blocks, then pendant vertices, then cut vertices, then
-        # bridges
         t = BlockTree()
         t.sides = g.sides
-        t.kind = [B_NODE] * len(blocks) + [S_NODE] * len(pendants)
-        t.kind += [C_NODE] * len(cuts) + [K_NODE] * len(bridges)
-        t.payload = blocks + pendants + cuts + bridges
-        t.min_nc = [_noncut_minima(g, dec, blk) for blk in blocks]
-        t.min_nc += [(v, None) if g.sides[v] == 0 else (None, v) for v in pendants]
-        t.min_nc += [(None, None)] * (len(cuts) + len(bridges))
-        size = len(t.kind)
-        t.alive = [True] * size
-        t.parent = [-1] * size
-        # every tree neighbour of a node, until the walk below takes out
-        # its parent
-        kids = t.children = [set() for _ in range(size)]
-        node_of = {v: x for x, v in enumerate(pendants + cuts, len(blocks))}
-        for x, blk in enumerate(blocks):
+        cid = dec.comp_id[comp[0]]
+        undirected: list[tuple[int, tuple[str, int]]] = []
+        cut_node: dict[int, int] = {}
+
+        for blk in dec.ns_blocks[dec.block_starts[cid] : dec.block_starts[cid + 1]]:
+            node = t.new_node(B_NODE, blk, _noncut_minima(g, dec, blk))
             for v in blk:
                 if dec.is_cut[v]:
-                    kids[x].add(node_of[v])
-                    kids[node_of[v]].add(x)
-        for x, bridge in enumerate(bridges, size - len(bridges)):
-            for v in bridge:
-                kids[x].add(node_of[v])
-                kids[node_of[v]].add(x)
+                    undirected.append((node, ("c", v)))
+        svnode: dict[int, int] = {}
+        for v in comp:
+            if dec.degree[v] == 1 and not dec.is_cut[v]:
+                mins = (v, None) if g.sides[v] == 0 else (None, v)
+                svnode[v] = t.new_node(S_NODE, v, mins)
+        for v in comp:
+            if dec.is_cut[v]:
+                cut_node[v] = t.new_node(C_NODE, v)
+        bridges = dec.cut_edges[dec.bridge_starts[cid] : dec.bridge_starts[cid + 1]]
+        for a, b in bridges:
+            node = t.new_node(K_NODE, (a, b))
+            for e in (a, b):
+                if dec.is_cut[e]:
+                    undirected.append((node, ("c", e)))
+                else:
+                    undirected.append((node, ("s", svnode[e])))
         if counters:
-            counters.tree_nodes += size
+            counters.tree_nodes += len(t.kind)
+
+        adj: list[list[int]] = [[] for _ in t.kind]
+        for x, ref in undirected:
+            y = cut_node[ref[1]] if ref[0] == "c" else ref[1]
+            adj[x].append(y)
+            adj[y].append(x)
 
         # Root at the cut vertex splitting the component the most, ties to
         # the lowest vertex; bridge-only two vertex components root at the
         # bridge node, single block components at the block.
-        if cuts:
-            t.root = node_of[max(cuts, key=lambda v: (dec.branches[v], -v))]
+        if cut_node:
+            root = cut_node[max(cut_node, key=lambda v: (dec.branches[v], -v))]
         else:
-            t.root = size - 1 if bridges else 0
-        # a tree hangs from its root in one way
-        stack = [t.root]
+            root = len(t.kind) - 1 if bridges else 0
+        # a tree hangs from its root in one way: every neighbour of a node
+        # but its parent is its child
+        stack = [root]
         placed = 1
         while stack:
             x = stack.pop()
-            for y in kids[x]:
-                t.parent[y] = x
-                kids[y].discard(x)
-                stack.append(y)
-                placed += 1
-        if placed != size:
+            for y in adj[x]:
+                if y != t.parent[x]:
+                    t.parent[y] = x
+                    t.children[x].add(y)
+                    stack.append(y)
+                    placed += 1
+        t.root = root
+        if placed != len(t.kind):
             raise AssertionError("structure tree is not connected")
         return t
 
