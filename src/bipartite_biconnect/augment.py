@@ -27,7 +27,6 @@ from .blocks import (
     S_NODE,
     BlockTree,
     Decomposition,
-    MinPair,
     PendantRec,
     decompose,
     pendant_records,
@@ -92,23 +91,24 @@ class _State:
 
 
 def _binding_edge(
-    m1: MinPair, t1: str, k1: int, m2: MinPair, t2: str, k2: int
+    a1: int, b1: int, t1: str, k1: int, a2: int, b2: int, t2: str, k2: int
 ) -> tuple[int, int]:
     """Edge between noncut vertices of two pendant blocks, A side first.
 
-    m1 and m2 are the pendants' smallest noncut vertices per side.  For
-    two nonsingular pendants the A endpoint comes from the lower keyed
-    block, so repeated runs pick identical vertices.
+    a1, b1 and a2, b2 are the pendants' smallest noncut vertices on side
+    A and on side B, -1 for none.  For two nonsingular pendants the A
+    endpoint comes from the lower keyed block, so repeated runs pick
+    identical vertices.
     """
     if t1 == "A" or (t1 == "AB" and t2 == "B"):
-        ma, mb = m1, m2
+        first_is_a = True
     elif t2 == "A" or (t2 == "AB" and t1 == "B"):
-        ma, mb = m2, m1
+        first_is_a = False
     else:
         assert t1 == t2 == "AB"
-        ma, mb = (m1, m2) if k1 <= k2 else (m2, m1)
-    u, v = ma[0], mb[1]
-    assert u is not None and v is not None, "pendant lacks a noncut vertex"
+        first_is_a = k1 <= k2
+    u, v = (a1, b2) if first_is_a else (a2, b1)
+    assert u != -1 and v != -1, "pendant lacks a noncut vertex"
     return u, v
 
 
@@ -133,7 +133,7 @@ def augment(
     target = theorem_target(label, dec, cen, prof)
     if label == "M6":
         return AugmentationResult([], [], 0)
-    na = sum(1 for s in g.sides if s == 0)
+    na = g.sides.count(0)
     nb = g.n - na
     if na < 2 or nb < 2:
         raise NoBiconnector(
@@ -298,7 +298,9 @@ def _case_m3(
             pos += 1
         cursor[s2] = pos + 1
         rep2 = recs[ids[pos]]
-        u, v = _binding_edge(rep1.min_nc, t1, rep1.key, rep2.min_nc, t2, rep2.key)
+        u, v = _binding_edge(
+            rep1.min_a, rep1.min_b, t1, rep1.key, rep2.min_a, rep2.min_b, t2, rep2.key
+        )
         st.add_edge(u, v, "M3")
         total[s1] -= 1
         total[s2] -= 1
@@ -384,7 +386,8 @@ def _audit_against_rebuild(st: _State, anchor: int, index: AugTreeIndex) -> None
 
 def _emit_leaf_pair(st: _State, tree: BlockTree, n1: int, n2: int, case: str) -> None:
     t1, t2 = tree.leaf_type(n1), tree.leaf_type(n2)
-    u, v = _binding_edge(tree.min_nc[n1], t1, n1, tree.min_nc[n2], t2, n2)
+    a, b = tree.min_a, tree.min_b
+    u, v = _binding_edge(a[n1], b[n1], t1, n1, a[n2], b[n2], t2, n2)
     st.add_edge(u, v, case)
 
 

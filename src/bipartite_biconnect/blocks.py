@@ -17,25 +17,27 @@ cut vertex and bridge nodes.  Its collapse() applies the effect of one
 binding edge: the whole tree path between the two paired nodes fuses
 into a single new block node, degree two cut vertices on the path stop
 being cut vertices, and higher degree ones survive with their degree
-reduced by one.  The new node takes over the child set of the absorbed
-node with the most children as it is, so a collapse costs the path plus
-the other children it moves, not the size of the merged block.  The
-adopted children keep pointing at the retired node; up() resolves such
-stale parent pointers.
+reduced by one.  The new node takes over the child list of the absorbed
+node with the most children by its head, so a collapse costs the path
+plus the other children it moves, not the size of the merged block.
+The adopted children keep pointing at the retired node; up() resolves
+such stale parent pointers.
+
+Every per-node field of a BlockTree is a flat list sized once, when the
+tree is built, for every node it can ever hold, and children are
+intrusive sibling lists threaded through three of those lists.  So
+building, collapsing and re-rooting a tree allocate no container per
+node, and the cyclic garbage collector has nothing per node to scan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterator
 
 from .errors import check
 from .graph import BipartiteGraph
 from .stats import OpCounters
-
-
-# smallest noncut vertex of a block on side A and on side B
-MinPair = tuple[Optional[int], Optional[int]]
 
 
 @dataclass
@@ -46,7 +48,9 @@ class PendantRec:
     ptype: str  # "A", "B", or "AB"
     comp: int
     key: int  # smallest member vertex, used for deterministic ordering
-    min_nc: MinPair
+    # smallest noncut member vertex on side A and on side B, -1 for none
+    min_a: int
+    min_b: int
 
 
 @dataclass
@@ -67,9 +71,11 @@ class Decomposition:
 
 def decompose(g: BipartiteGraph, counters: OpCounters | None = None) -> Decomposition:
     n = g.n
+    adj = g.adj
     disc = [-1] * n
     low = [0] * n
     parent = [-1] * n
+    nxt = [0] * n  # position in each vertex's row the DFS resumes at
     branches = [1] * n
     comp_id = [-1] * n
     comps: list[list[int]] = []
@@ -77,7 +83,9 @@ def decompose(g: BipartiteGraph, counters: OpCounters | None = None) -> Decompos
     cut_edges: list[tuple[int, int]] = []
     block_starts = [0]
     bridge_starts = [0]
-    edge_stack: list[tuple[int, int]] = []
+    # the edge stack, as the tails and the heads of its edges
+    tails: list[int] = []
+    heads: list[int] = []
     timer = 0
 
     for s in range(n):
@@ -89,49 +97,53 @@ def decompose(g: BipartiteGraph, counters: OpCounters | None = None) -> Decompos
         comp_id[s] = cid
         disc[s] = low[s] = timer
         timer += 1
-        frames: list[tuple[int, Iterable[int]]] = [(s, iter(g.adj[s]))]
-        while frames:
-            v, it = frames[-1]
-            advanced = False
-            for w in it:
-                if disc[w] == -1:
-                    parent[w] = v
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    comp_id[w] = cid
-                    comp.append(w)
-                    edge_stack.append((v, w))
-                    frames.append((w, iter(g.adj[w])))
-                    advanced = True
+        stack = [s]
+        while stack:
+            v = stack[-1]
+            row = adj[v]
+            i, end = nxt[v], len(row)
+            dv, pv, lv = disc[v], parent[v], low[v]
+            w = -1
+            while i < end:
+                x = row[i]
+                i += 1
+                dx = disc[x]
+                if dx == -1:
+                    w = x
                     break
-                if w != parent[v] and disc[w] < disc[v]:
-                    edge_stack.append((v, w))
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
-            if advanced:
+                if dx < dv and x != pv:
+                    tails.append(v)
+                    heads.append(x)
+                    if dx < lv:
+                        lv = dx
+            nxt[v] = i
+            low[v] = lv
+            if w != -1:
+                parent[w] = v
+                disc[w] = low[w] = timer
+                timer += 1
+                comp_id[w] = cid
+                comp.append(w)
+                tails.append(v)
+                heads.append(w)
+                stack.append(w)
                 continue
-            frames.pop()
-            if not frames:
+            stack.pop()
+            if not stack:
                 continue
-            u = frames[-1][0]
-            if low[v] < low[u]:
-                low[u] = low[v]
-            if low[v] >= disc[u]:
+            u = stack[-1]
+            if lv < low[u]:
+                low[u] = lv
+            if lv >= disc[u]:
                 branches[u] += 1
-                bcc = []
-                while True:
-                    e = edge_stack.pop()
-                    bcc.append(e)
-                    if e == (u, v):
-                        break
-                if len(bcc) == 1:
-                    a, b = bcc[0]
-                    if g.sides[a] == 1:
-                        a, b = b, a
-                    cut_edges.append((a, b))
+                # the edges above (u, v) on the stack and (u, v) itself
+                a, b = tails.pop(), heads.pop()
+                if a == u and b == v:
+                    cut_edges.append((u, v) if g.sides[u] == 0 else (v, u))
                 else:
-                    vset = set()
-                    for a, b in bcc:
+                    vset = {a, b}
+                    while a != u or b != v:
+                        a, b = tails.pop(), heads.pop()
                         vset.add(a)
                         vset.add(b)
                     ns_blocks.append(tuple(sorted(vset)))
@@ -154,19 +166,8 @@ def decompose(g: BipartiteGraph, counters: OpCounters | None = None) -> Decompos
         cut_edges=cut_edges,
         block_starts=block_starts,
         bridge_starts=bridge_starts,
-        degree=[len(g.adj[v]) for v in range(n)],
+        degree=list(map(len, adj)),
     )
-
-
-def _noncut_minima(g: BipartiteGraph, dec: Decomposition, blk: tuple) -> MinPair:
-    """Smallest noncut vertex on each side of the sorted block blk."""
-    mins: list[Optional[int]] = [None, None]
-    for v in blk:
-        if not dec.is_cut[v]:
-            s = g.sides[v]
-            if mins[s] is None:
-                mins[s] = v
-    return mins[0], mins[1]
 
 
 def pendant_records(g: BipartiteGraph, dec: Decomposition) -> list[PendantRec]:
@@ -176,25 +177,17 @@ def pendant_records(g: BipartiteGraph, dec: Decomposition) -> list[PendantRec]:
         cuts = [v for v in blk if dec.is_cut[v]]
         if len(cuts) != 1:
             continue
-        recs.append(
-            PendantRec(
-                ptype="AB",
-                comp=dec.comp_id[blk[0]],
-                key=blk[0],
-                min_nc=_noncut_minima(g, dec, blk),
-            )
-        )
+        mins = [-1, -1]
+        for v in blk:
+            if not dec.is_cut[v] and mins[g.sides[v]] == -1:
+                mins[g.sides[v]] = v
+        recs.append(PendantRec("AB", dec.comp_id[blk[0]], blk[0], mins[0], mins[1]))
     for v in range(g.n):
         if dec.degree[v] == 1 and not dec.is_cut[v]:
-            side = g.sides[v]
-            recs.append(
-                PendantRec(
-                    ptype="A" if side == 0 else "B",
-                    comp=dec.comp_id[v],
-                    key=v,
-                    min_nc=(v, None) if side == 0 else (None, v),
-                )
-            )
+            if g.sides[v] == 0:
+                recs.append(PendantRec("A", dec.comp_id[v], v, v, -1))
+            else:
+                recs.append(PendantRec("B", dec.comp_id[v], v, -1, v))
     recs.sort(key=lambda r: r.key)
     return recs
 
@@ -241,52 +234,128 @@ def tree_to_dot(g: BipartiteGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass
+@dataclass(slots=True)
 class CollapseInfo:
     """One collapse: the merged node y, the fused path with its top
     node, and what the tree no longer shows afterwards: the retired
-    nodes, the surviving cut vertices and the degrees before.  y took
-    over the children of the absorbed node adopted; moved lists the
-    off-path children of the other absorbed nodes, now y's too."""
+    nodes, of which branching had degree three or more, and the
+    surviving cut vertices, each now one degree lower.  y took over
+    the children of the absorbed node adopted; moved lists the off-path
+    children of the other absorbed nodes, now y's too."""
 
     y: int
     path: list[int]
     absorbed: list[int]
     survivors: list[int]
     top: int
-    old_degrees: dict[int, int]
+    branching: int
     adopted: int
     moved: list[int]
 
 
-class BlockTree:
-    """Structure tree of one connected component with >= 2 vertices."""
+class _Children:
+    """tree.children[x]: a read-only view of x's children, in list
+    order.  For tests and tracing; the solver walks the lists itself."""
 
-    def __init__(self) -> None:
-        self.kind: list[str] = []
+    __slots__ = ("_tree",)
+
+    def __init__(self, tree: "BlockTree") -> None:
+        self._tree = tree
+
+    def __getitem__(self, x: int) -> "_ChildList":
+        return _ChildList(self._tree, x)
+
+
+class _ChildList:
+    __slots__ = ("_tree", "_x")
+
+    def __init__(self, tree: "BlockTree", x: int) -> None:
+        self._tree, self._x = tree, x
+
+    def __len__(self) -> int:
+        return self._tree.nkids[self._x]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._tree.kids(self._x))
+
+
+class BlockTree:
+    """Structure tree of one connected component with >= 2 vertices.
+
+    Every per-node field is a flat list sized once, at build, for all
+    the nodes the tree can ever hold: each collapse adds one node and
+    ends two leaves while making at most one, so the initial nodes plus
+    the initial leaves are enough.  Children form an intrusive doubly
+    linked list per node (first_child, next_sib, prev_sib) with a count
+    in nkids, so a node moves between lists in O(1) and a merged node
+    takes over a whole list by its head.  A node sits in the list of
+    its live parent; parent itself may point at a retired node.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self.size = 0  # nodes made so far, retired ones included
+        self.kind: list[str] = [B_NODE] * capacity
         # the sorted vertices of a decomposed block, None for a merged
         # block, the vertex of a pendant or cut node, a bridge's (a, b)
-        self.payload: list = []
-        # a block or pendant node's smallest noncut vertex per side, all a
-        # binding edge reads; (None, None) on cut vertex and bridge nodes
-        self.min_nc: list[MinPair] = []
-        self.alive: list[bool] = []
+        self.payload: list = [None] * capacity
+        # a block or pendant node's smallest noncut vertex per side, -1
+        # for none, all a binding edge reads; -1 on cut and bridge nodes
+        self.min_a = [-1] * capacity
+        self.min_b = [-1] * capacity
+        self.alive = [False] * capacity
         # a live node's parent, or a retired node that up() resolves to
         # it; a retired node's parent is the node that absorbed it
-        self.parent: list[int] = []
-        self.children: list[set[int]] = []
+        self.parent = [-1] * capacity
+        self.first_child = [-1] * capacity
+        self.next_sib = [-1] * capacity
+        self.prev_sib = [-1] * capacity
+        self.nkids = [0] * capacity
+        self.children = _Children(self)
         self.root = -1
         self.sides: tuple[int, ...] = ()
 
-    def new_node(self, kind: str, payload, min_nc: MinPair = (None, None)) -> int:
-        node = len(self.kind)
-        self.kind.append(kind)
-        self.payload.append(payload)
-        self.min_nc.append(min_nc)
-        self.alive.append(True)
-        self.parent.append(-1)
-        self.children.append(set())
+    def new_node(self, kind: str, payload, min_a: int, min_b: int) -> int:
+        node = self.size
+        check(node < self.capacity, "structure tree outgrew its capacity")
+        self.size = node + 1
+        self.kind[node] = kind
+        self.payload[node] = payload
+        self.min_a[node] = min_a
+        self.min_b[node] = min_b
+        self.alive[node] = True
         return node
+
+    def _link(self, p: int, x: int) -> None:
+        """Put x at the head of p's child list."""
+        h = self.first_child[p]
+        self.next_sib[x] = h
+        self.prev_sib[x] = -1
+        if h != -1:
+            self.prev_sib[h] = x
+        self.first_child[p] = x
+        self.nkids[p] += 1
+
+    def _unlink(self, p: int, x: int) -> None:
+        """Take x out of p's child list."""
+        a, b = self.prev_sib[x], self.next_sib[x]
+        if a != -1:
+            self.next_sib[a] = b
+        else:
+            self.first_child[p] = b
+        if b != -1:
+            self.prev_sib[b] = a
+        self.nkids[p] -= 1
+
+    def kids(self, x: int) -> list[int]:
+        """x's children, in list order."""
+        out = []
+        nxt = self.next_sib
+        c = self.first_child[x]
+        while c != -1:
+            out.append(c)
+            c = nxt[c]
+        return out
 
     def up(self, x: int) -> int:
         """x's live parent, or -1 at the root.
@@ -309,10 +378,10 @@ class BlockTree:
 
     def degree(self, x: int) -> int:
         # a stale parent pointer is never -1, so no need to resolve it
-        return len(self.children[x]) + (1 if self.parent[x] != -1 else 0)
+        return self.nkids[x] + (1 if self.parent[x] != -1 else 0)
 
     def neighbors(self, x: int) -> list[int]:
-        out = sorted(self.children[x])
+        out = sorted(self.kids(x))
         p = self.up(x)
         if p != -1:
             out.append(p)
@@ -323,11 +392,12 @@ class BlockTree:
         if k == B_NODE:
             return "AB"
         if k == S_NODE:
-            return "A" if self.min_nc[x][0] is not None else "B"
+            return "A" if self.min_a[x] != -1 else "B"
         raise ValueError(f"node {x} has no pendant type")
 
     def live_nodes(self) -> list[int]:
-        return [x for x in range(len(self.kind)) if self.alive[x]]
+        alive = self.alive
+        return [x for x in range(self.size) if alive[x]]
 
     def leaves(self) -> list[int]:
         return [
@@ -343,65 +413,114 @@ class BlockTree:
         comp: list[int],
         counters: OpCounters | None = None,
     ) -> "BlockTree":
+        """The component's tree, in one walk over its slice.
+
+        Node ids follow a fixed order: blocks, pendant vertices, cut
+        vertices, bridges, each in sorted order.  The walk records each
+        node's degree and the xor of its neighbours' ids, and the tree
+        then hangs from its root by peeling leaves: a leaf's one
+        neighbour left is the xor, and it is the leaf's parent.
+        """
         if len(comp) < 2:
             raise ValueError("structure tree needs a component with >= 2 vertices")
-        t = BlockTree()
-        t.sides = g.sides
         cid = dec.comp_id[comp[0]]
-        undirected: list[tuple[int, tuple[str, int]]] = []
-        cut_node: dict[int, int] = {}
-
-        for blk in dec.ns_blocks[dec.block_starts[cid] : dec.block_starts[cid + 1]]:
-            node = t.new_node(B_NODE, blk, _noncut_minima(g, dec, blk))
-            for v in blk:
-                if dec.is_cut[v]:
-                    undirected.append((node, ("c", v)))
-        svnode: dict[int, int] = {}
-        for v in comp:
-            if dec.degree[v] == 1 and not dec.is_cut[v]:
-                mins = (v, None) if g.sides[v] == 0 else (None, v)
-                svnode[v] = t.new_node(S_NODE, v, mins)
-        for v in comp:
-            if dec.is_cut[v]:
-                cut_node[v] = t.new_node(C_NODE, v)
+        is_cut, degree, sides = dec.is_cut, dec.degree, g.sides
+        blocks = dec.ns_blocks[dec.block_starts[cid] : dec.block_starts[cid + 1]]
         bridges = dec.cut_edges[dec.bridge_starts[cid] : dec.bridge_starts[cid + 1]]
-        for a, b in bridges:
-            node = t.new_node(K_NODE, (a, b))
-            for e in (a, b):
-                if dec.is_cut[e]:
-                    undirected.append((node, ("c", e)))
-                else:
-                    undirected.append((node, ("s", svnode[e])))
-        if counters:
-            counters.tree_nodes += len(t.kind)
+        pend = [v for v in comp if degree[v] == 1 and not is_cut[v]]
+        cuts = [v for v in comp if is_cut[v]]
+        c_first = len(blocks) + len(pend)
+        k_first = c_first + len(cuts)
+        n = k_first + len(bridges)
+        # the node of every pendant and cut vertex
+        vnode = dict(zip(pend, range(len(blocks), c_first)))
+        vnode.update(zip(cuts, range(c_first, k_first)))
+        deg = [0] * n
+        nbx = [0] * n  # xor of the neighbours' ids
 
-        adj: list[list[int]] = [[] for _ in t.kind]
-        for x, ref in undirected:
-            y = cut_node[ref[1]] if ref[0] == "c" else ref[1]
-            adj[x].append(y)
-            adj[y].append(x)
+        pendant_blocks = 0
+        blk_a = [-1] * len(blocks)
+        blk_b = [-1] * len(blocks)
+        for x, blk in enumerate(blocks):
+            ma = mb = -1
+            for v in blk:
+                if is_cut[v]:
+                    y = vnode[v]
+                    deg[x] += 1
+                    deg[y] += 1
+                    nbx[x] ^= y
+                    nbx[y] ^= x
+                elif sides[v] == 0:
+                    if ma == -1:
+                        ma = v
+                elif mb == -1:
+                    mb = v
+            blk_a[x], blk_b[x] = ma, mb
+            if deg[x] == 1:
+                pendant_blocks += 1
+        for x, edge in enumerate(bridges, k_first):
+            for v in edge:
+                y = vnode[v]
+                deg[x] += 1
+                deg[y] += 1
+                nbx[x] ^= y
+                nbx[y] ^= x
+
+        t = BlockTree(n + len(pend) + pendant_blocks)
+        t.sides = sides
+        t.size = n
+        t.kind[:n] = (
+            [B_NODE] * len(blocks)
+            + [S_NODE] * len(pend)
+            + [C_NODE] * len(cuts)
+            + [K_NODE] * len(bridges)
+        )
+        t.payload[:n] = blocks + pend + cuts + bridges
+        t.alive[:n] = [True] * n
+        t.min_a[: len(blocks)] = blk_a
+        t.min_b[: len(blocks)] = blk_b
+        for x, v in enumerate(pend, len(blocks)):
+            if sides[v] == 0:
+                t.min_a[x] = v
+            else:
+                t.min_b[x] = v
+        if counters:
+            counters.tree_nodes += n
 
         # Root at the cut vertex splitting the component the most, ties to
         # the lowest vertex; bridge-only two vertex components root at the
         # bridge node, single block components at the block.
-        if cut_node:
-            root = cut_node[max(cut_node, key=lambda v: (dec.branches[v], -v))]
+        if cuts:
+            root, most = -1, -1
+            for x, v in enumerate(cuts, c_first):
+                if dec.branches[v] > most:
+                    root, most = x, dec.branches[v]
         else:
-            root = len(t.kind) - 1 if bridges else 0
-        # a tree hangs from its root in one way: every neighbour of a node
-        # but its parent is its child
-        stack = [root]
+            root = n - 1 if bridges else 0
+        stack = [x for x in range(n) if deg[x] == 1 and x != root]
         placed = 1
+        parent, first, nsib, psib = t.parent, t.first_child, t.next_sib, t.prev_sib
+        nkids = t.nkids
         while stack:
             x = stack.pop()
-            for y in adj[x]:
-                if y != t.parent[x]:
-                    t.parent[y] = x
-                    t.children[x].add(y)
-                    stack.append(y)
-                    placed += 1
+            if deg[x] != 1:
+                continue
+            p = nbx[x]
+            parent[x] = p
+            # _link(p, x), inline in this loop over every node
+            h = first[p]
+            nsib[x] = h
+            if h != -1:
+                psib[h] = x
+            first[p] = x
+            nkids[p] += 1
+            placed += 1
+            nbx[p] ^= x
+            deg[p] -= 1
+            if deg[p] == 1 and p != root:
+                stack.append(p)
         t.root = root
-        if placed != len(t.kind):
+        if placed != n:
             raise AssertionError("structure tree is not connected")
         return t
 
@@ -416,11 +535,11 @@ class BlockTree:
             x = self.up(x)
         check(path[-1] == self.root, "reroot target is not below the root")
         path.reverse()
-        parent, children = self.parent, self.children
+        parent = self.parent
         for a, b in zip(path, path[1:]):
-            children[a].discard(b)
+            self._unlink(a, b)
             parent[a] = b
-            children[b].add(a)
+            self._link(b, a)
         parent[target] = -1
         self.root = target
         return path
@@ -434,8 +553,8 @@ class BlockTree:
         what changed, so index structures can update incrementally.
         """
         check(len(path) >= 3, "collapse path needs three nodes or more")
-        kind, parent, alive = self.kind, self.parent, self.alive
-        children = self.children
+        kind, parent, alive, nkids = self.kind, self.parent, self.alive, self.nkids
+        first, nxt = self.first_child, self.next_sib
         check(
             kind[path[0]] in (B_NODE, S_NODE) and kind[path[-1]] in (B_NODE, S_NODE),
             "collapse path must end in block or pendant nodes",
@@ -443,89 +562,83 @@ class BlockTree:
         pathset = set(path)
         absorbed: list[int] = []
         survivors: list[int] = []
-        old_degrees: dict[int, int] = {}
-        tops: list[int] = []
-        # y adopts the child set of the absorbed node with the most
+        branching = 0
+        top, tops = -1, 0
+        # y adopts the child list of the absorbed node with the most
         # children, the first on the path among equals
         adopted, most = -1, -1
+        ma = mb = -1  # y's smallest noncut vertex per side
+        sides, payload, min_a, min_b = self.sides, self.payload, self.min_a, self.min_b
         for x in path:
             p = parent[x]
-            kids_n = len(children[x])
-            d = kids_n + (1 if p != -1 else 0)
-            old_degrees[x] = d
-            if kind[x] == C_NODE and d >= 3:
-                survivors.append(x)
-            else:
-                absorbed.append(x)
-                if kids_n > most:
-                    adopted, most = x, kids_n
             if p != -1 and not alive[p]:
-                p = self.up(x)
+                p = self.up(x)  # now parent[x] is live for every path node
             if p == -1 or p not in pathset:
-                tops.append(x)
-        check(len(tops) == 1, "collapse path must be a contiguous tree path")
-        top = tops[0]
-
-        mins: list[Optional[int]] = [None, None]
-        for x in absorbed:
+                top = x
+                tops += 1
+            kids_n = nkids[x]
             if kind[x] == C_NODE:
-                # absorbed cut vertices stop being cut, so they become
-                # noncut members of the merged block
-                v = self.payload[x]
-                pair = (v, None) if self.sides[v] == 0 else (None, v)
+                if kids_n + (p != -1) >= 3:
+                    survivors.append(x)
+                    continue
+                # an absorbed cut vertex stops being cut, so it becomes a
+                # noncut member of the merged block
+                v = payload[x]
+                va, vb = (v, -1) if sides[v] == 0 else (-1, v)
             else:
-                pair = self.min_nc[x]
-            for s in (0, 1):
-                v = pair[s]
-                if v is not None and (mins[s] is None or v < mins[s]):
-                    mins[s] = v
-        y = self.new_node(B_NODE, None, (mins[0], mins[1]))
+                if kids_n + (p != -1) >= 3:
+                    branching += 1
+                va, vb = min_a[x], min_b[x]
+            absorbed.append(x)
+            if kids_n > most:
+                adopted, most = x, kids_n
+            if va != -1 and (ma == -1 or va < ma):
+                ma = va
+            if vb != -1 and (mb == -1 or vb < mb):
+                mb = vb
+        check(tops == 1, "collapse path must be a contiguous tree path")
+        y = self.new_node(B_NODE, None, ma, mb)
 
-        # the adopted children keep their parent pointers, which reach y
-        # through the retired node; only the others move
-        kids = children[adopted]
-        kids -= pathset
-        children[y] = kids
+        # every path node but top leaves the list of its path parent, and
+        # an absorbed top leaves its parent's, where y takes its place
+        for x in path:
+            if x != top:
+                self._unlink(parent[x], x)
+        top_survives = top in survivors
+        p = -1 if top_survives else parent[top]
+        if p != -1:
+            self._unlink(p, top)
+
+        # y takes the adopted list by its head; the adopted children keep
+        # their parent pointers, which reach y through the retired node
+        first[y], nkids[y] = first[adopted], nkids[adopted]
         moved: list[int] = []
         for x in absorbed:
             if x != adopted:
-                for ch in children[x]:
-                    if ch not in pathset:
-                        moved.append(ch)
-        for ch in moved:
-            parent[ch] = y
-            kids.add(ch)
+                ch = first[x]
+                while ch != -1:
+                    nx = nxt[ch]
+                    moved.append(ch)
+                    parent[ch] = y
+                    self._link(y, ch)
+                    ch = nx
+            alive[x] = False
+            first[x] = -1
+            nkids[x] = 0
+            parent[x] = y
         if counters:
             counters.tree_nodes += 1
             counters.collapse_steps += len(absorbed) + len(moved)
         for c in survivors:
-            children[c] -= pathset
             if c != top:
                 parent[c] = y
-                kids.add(c)
-        if top in survivors:
-            children[top].add(y)
-            parent[y] = top
-        else:
-            p = self.up(top)
-            parent[y] = p
-            if p != -1:
-                children[p].discard(top)
-                children[p].add(y)
-        for x in absorbed:
-            alive[x] = False
-            children[x] = set()
-            parent[x] = y
+                self._link(y, c)
+        parent[y] = top if top_survives else p
+        if parent[y] != -1:
+            self._link(parent[y], y)
         if not alive[self.root]:
             self.root = y
 
         return CollapseInfo(
-            y=y,
-            path=path,
-            absorbed=absorbed,
-            survivors=survivors,
-            top=top,
-            old_degrees=old_degrees,
-            adopted=adopted,
-            moved=moved,
+            y, path, absorbed, survivors, top, branching, adopted, moved
         )

@@ -8,6 +8,7 @@ stored index based with the A endpoint first.
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .errors import BipartitenessViolation, IllegalEdge, ParseError, UnknownVertex
@@ -42,35 +43,52 @@ class BipartiteGraph:
             self.label_index[lab] = i
 
         # the edges in the order given, beside the set that finds repeats:
-        # sorted edges plus a short patch sort in linear time as two runs
+        # sorted edges plus a short patch sort in linear time as two runs;
+        # an edge given as a canonical tuple is kept as it is
+        n = len(self.labels)
+        sides = self.sides
         canon = set()
         given: list[tuple[int, int]] = []
-        for u, v in edges:
-            if not (0 <= u < len(self.labels)) or not (0 <= v < len(self.labels)):
+        deg = [0] * n
+        for e in edges:
+            u, v = e
+            if not (0 <= u < n) or not (0 <= v < n):
                 raise IllegalEdge(f"edge ({u}, {v}) references missing vertex")
-            if self.sides[u] == self.sides[v]:
+            if sides[u] == sides[v]:
                 raise BipartitenessViolation(
                     f"edge joins same side vertices {self.labels[u]!r} and {self.labels[v]!r}"
                 )
-            if self.sides[u] == 1:
+            if sides[u] == 1:
                 u, v = v, u
-            e = (u, v)
+                e = (u, v)
+            elif type(e) is not tuple:
+                e = (u, v)
             if e in canon:
                 raise ParseError(
                     f"duplicate edge {self.labels[u]!r} {self.labels[v]!r}"
                 )
             canon.add(e)
             given.append(e)
+            deg[u] += 1
+            deg[v] += 1
         given.sort()
         self.edges: tuple[tuple[int, int], ...] = tuple(given)
         self.edge_set: frozenset[tuple[int, int]] = frozenset(canon)
 
+        # every row is a slice of one neighbour list laid out row by row;
         # edges ascend with the A end first, so each row fills in order
-        lists: list[list[int]] = [[] for _ in self.labels]
-        for u, v in self.edges:
-            lists[u].append(v)
-            lists[v].append(u)
-        self.adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, lists))
+        ends = list(accumulate(deg))
+        pos = [e - d for e, d in zip(ends, deg)]
+        flat = [0] * (ends[-1] if n else 0)
+        for u, v in given:
+            flat[pos[u]] = v
+            pos[u] += 1
+            flat[pos[v]] = u
+            pos[v] += 1
+        nbrs = tuple(flat)
+        self.adj: tuple[tuple[int, ...], ...] = tuple(
+            nbrs[e - d : e] for e, d in zip(ends, deg)
+        )
 
     @property
     def n(self) -> int:

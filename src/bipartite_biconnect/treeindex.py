@@ -9,6 +9,14 @@ by tree degree in linked lists chained from low to high degree, which
 makes the most splitting cut vertex and the count of candidates at any
 particular degree constant time queries as well.
 
+Every per-node field is a flat list sized, like the tree's own, for
+every node the tree can ever hold.  The list heads sit in one flat list
+of sixteen slots per node, one per code, beside a bit mask per node of
+the codes whose list is not empty; a merged node takes over the slots
+of the node it adopts, so it gets no slots of its own.  The pair count
+m and m + r are kept current as the leaf counts change, so the queries
+that read them are O(1).
+
 A fresh build fills every list in descending node id order, so right
 after it each head is the lowest eligible id.  That stops holding once
 _recode_cascade, reroot_walk or a collapse pushes a single node to the
@@ -34,6 +42,14 @@ CODES_WITH_MANY = {
 }
 # codes whose subtree holds the given type; the single leaf code first
 CODES_WITH = {ptype: (bit, *CODES_WITH_MANY[ptype]) for ptype, bit in LEAF_CODE.items()}
+# a node's bucket heads take SLOTS slots of one flat list, the one for
+# code c at the node's base plus c, and bit c of its presence mask says
+# bucket c is not empty; the masks of the buckets whose code has bit 8,
+# 4, 2 or 1 set
+SLOTS = 16
+_WITH_8, _WITH_4, _WITH_2, _WITH_1 = (
+    sum(1 << c for c in range(1, SLOTS) if c & bit) for bit in (8, 4, 2, 1)
+)
 
 
 def _walk(x: int, nxt: list[int], need: int) -> list[int]:
@@ -56,9 +72,13 @@ class AugTreeIndex:
 
     def _reset(self) -> None:
         """Empty every maintained structure and fill it from the tree."""
-        n = len(self.tree.kind)
+        n, made = self.tree.capacity, self.tree.size
         self.code = [0] * n
-        self.bucket: list[dict[int, int]] = [dict() for _ in range(n)]
+        # every node made so far gets its own slots; a merged node made
+        # later takes over the slots of the node it adopted
+        self.base = list(range(0, made * SLOTS, SLOTS)) + [-1] * (n - made)
+        self.heads = [-1] * (made * SLOTS)
+        self.present = [0] * n
         self.sprev = [-1] * n
         self.snext = [-1] * n
         self.leaf_counts = {"A": 0, "B": 0, "AB": 0}
@@ -70,39 +90,39 @@ class AugTreeIndex:
         self.cnt_branching = 0
         self._init_from_tree()
 
-    def _grow(self, node: int) -> None:
-        while len(self.code) <= node:
-            self.code.append(0)
-            self.bucket.append(dict())
-            self.sprev.append(-1)
-            self.snext.append(-1)
-            self.gprev.append(-1)
-            self.gnext.append(-1)
-            self.grp_of.append(-1)
-
     def _init_from_tree(self) -> None:
         t = self.tree
-        order: list[int] = []
-        stack = [t.root]
-        while stack:
-            x = stack.pop()
-            order.append(x)
-            stack.extend(t.children[x])
-        for x in reversed(order):
-            for ch in sorted(t.children[x], reverse=True):
-                self._push(x, ch)
-            self.code[x] = self._fresh_code(x)
-            if self.counters:
-                self.counters.index_updates += 1
+        kind, parent, nkids = t.kind, t.parent, t.nkids
+        first, nxt = t.first_child, t.next_sib
+        # breadth first, so every node comes after its parent
+        order = [t.root]
         for x in order:
-            d = t.degree(x)
+            ch = first[x]
+            while ch != -1:
+                order.append(ch)
+                ch = nxt[ch]
+        push, code = self._push, self.code
+        for x in reversed(order):
+            if first[x] != -1:
+                kids = t.kids(x)
+                kids.sort(reverse=True)
+                for ch in kids:
+                    push(x, ch)
+            code[x] = self._fresh_code(x)
+        if self.counters:
+            self.counters.index_updates += len(order)
+        leaf_counts = self.leaf_counts
+        for x in order:
+            d = nkids[x] + (parent[x] != -1)
             if d >= 3:
                 self.cnt_branching += 1
-            if t.kind[x] in (B_NODE, S_NODE) and d <= 1:
-                self.leaf_counts[t.leaf_type(x)] += 1
-        for x in sorted(order, reverse=True):
-            if t.kind[x] == C_NODE:
-                self._group_add(x, t.degree(x))
+            if d <= 1 and kind[x] in (B_NODE, S_NODE):
+                leaf_counts[t.leaf_type(x)] += 1
+        self._settle_counts()
+        alive = t.alive
+        for x in range(t.size - 1, -1, -1):
+            if alive[x] and kind[x] == C_NODE:
+                self._group_add(x, nkids[x] + (parent[x] != -1))
 
     # ------------------------------------------------------------------
     # low level list plumbing
@@ -110,35 +130,49 @@ class AugTreeIndex:
     def _fresh_code(self, x: int) -> int:
         """x's code from its children, whose buckets must be current."""
         t = self.tree
-        kids = len(t.children[x])
-        if kids == 0 and t.kind[x] in (B_NODE, S_NODE):
-            return LEAF_CODE[t.leaf_type(x)]
+        kids = t.nkids[x]
+        if kids == 0:
+            # a leaf's code is its pendant type's, as leaf_type reads it
+            if t.kind[x] == B_NODE:
+                return 1
+            if t.kind[x] == S_NODE:
+                return 4 if t.min_a[x] != -1 else 2
         code = 8 if kids >= 2 else 0
-        for c in self.bucket[x]:
-            code |= c
+        mask = self.present[x]
+        if mask & _WITH_8:
+            code |= 8
+        if mask & _WITH_4:
+            code |= 4
+        if mask & _WITH_2:
+            code |= 2
+        if mask & _WITH_1:
+            code |= 1
         return code
 
     def _push(self, p: int, x: int) -> None:
         """Put x at the head of p's bucket for x's current code."""
         c = self.code[x]
-        head = self.bucket[p].get(c, -1)
+        slot = self.base[p] + c
+        head = self.heads[slot]
         self.sprev[x] = -1
         self.snext[x] = head
         if head != -1:
             self.sprev[head] = x
-        self.bucket[p][c] = x
+        else:
+            self.present[p] |= 1 << c
+        self.heads[slot] = x
 
     def _pop(self, p: int, x: int) -> None:
         c = self.code[x]
-        if self.sprev[x] != -1:
-            self.snext[self.sprev[x]] = self.snext[x]
+        a, b = self.sprev[x], self.snext[x]
+        if a != -1:
+            self.snext[a] = b
         else:
-            if self.snext[x] == -1:
-                del self.bucket[p][c]
-            else:
-                self.bucket[p][c] = self.snext[x]
-        if self.snext[x] != -1:
-            self.sprev[self.snext[x]] = self.sprev[x]
+            self.heads[self.base[p] + c] = b
+            if b == -1:
+                self.present[p] &= ~(1 << c)
+        if b != -1:
+            self.sprev[b] = a
         self.sprev[x] = self.snext[x] = -1
 
     def _group_add(self, x: int, d: int) -> None:
@@ -207,29 +241,33 @@ class AugTreeIndex:
     # ------------------------------------------------------------------
     # classification state
 
+    def _settle_counts(self) -> None:
+        """Bring the leaf total, m and m + r in step with leaf_counts."""
+        lc = self.leaf_counts
+        n_a, n_b, n_ab = lc["A"], lc["B"], lc["AB"]
+        self._total = n_a + n_b + n_ab
+        self._m = pair_count(n_a, n_b, n_ab)
+        self._mr = self._total - self._m
+
     def leaf_total(self) -> int:
-        return (
-            self.leaf_counts["A"] + self.leaf_counts["B"] + self.leaf_counts["AB"]
-        )
+        return self._total
 
     def counts(self) -> tuple[int, int, int]:
         return (self.leaf_counts["A"], self.leaf_counts["B"], self.leaf_counts["AB"])
 
     def m_plus_r(self) -> int:
-        n_a, n_b, n_ab = self.counts()
-        return n_a + n_b + n_ab - pair_count(n_a, n_b, n_ab)
+        return self._mr
 
     def m_value(self) -> int:
-        return pair_count(*self.counts())
+        return self._m
 
     def eta_now(self) -> int:
-        return max(self.max_cdeg - 1, self.m_plus_r(), 0)
+        return max(self.max_cdeg - 1, self._mr, 0)
 
     def massive_node(self) -> int:
         """The cut vertex node splitting too hard, or -1."""
-        if self.max_cdeg - 1 > self.m_plus_r():
-            return self.grp_head[self.max_cdeg]
-        return -1
+        d = self.max_cdeg
+        return self.grp_head[d] if d - 1 > self._mr else -1
 
     def critical_count(self) -> int:
         """Size of the critical group, counted up to three: s_case only
@@ -237,16 +275,16 @@ class AugTreeIndex:
         return len(_walk(self.critical_head(), self.gnext, 3))
 
     def critical_head(self) -> int:
-        return self.grp_head.get(self.m_plus_r() + 1, -1)
+        return self.grp_head.get(self._mr + 1, -1)
 
     def critical_nodes(self) -> list[int]:
         return _walk(self.critical_head(), self.gnext, len(self.gnext))
 
     def s_case(self) -> str:
         """The solver case for the component as it stands now."""
-        if self.leaf_total() <= 3:
+        if self._total <= 3:
             return "S1"
-        if self.m_value() == 0:
+        if self._m == 0:
             return "S2"
         if self.massive_node() != -1:
             return "S5"
@@ -270,8 +308,9 @@ class AugTreeIndex:
         skipping excluded nodes.  Scans bucket heads in fixed code order."""
         out: list[int] = []
         codes = CODES_WITH_MANY[ptype] if many_only else CODES_WITH[ptype]
+        base = self.base[p]
         for c in codes:
-            x = self.bucket[p].get(c, -1)
+            x = self.heads[base + c]
             while x != -1 and len(out) < need:
                 if x not in exclude:
                     out.append(x)
@@ -281,7 +320,7 @@ class AugTreeIndex:
         return out
 
     def chain_children(self, p: int, code: int, need: int = 1) -> list[int]:
-        return _walk(self.bucket[p].get(code, -1), self.snext, need)
+        return _walk(self.heads[self.base[p] + code], self.snext, need)
 
     def descend(self, x: int, ptype: str) -> list[int]:
         """Walk from x down to a pendant of the given type.
@@ -289,13 +328,15 @@ class AugTreeIndex:
         Returns the node path [x, ..., leaf].  x's subtree must hold one.
         """
         t = self.tree
+        nkids, heads, codes = t.nkids, self.heads, CODES_WITH[ptype]
         path = [x]
         bit = LEAF_CODE[ptype]
-        while t.children[x]:
+        while nkids[x]:
             assert self.code[x] & bit, f"subtree of {x} lost type {ptype}"
             nxt = -1
-            for c in CODES_WITH[ptype]:
-                nxt = self.bucket[x].get(c, -1)
+            base = self.base[x]
+            for c in codes:
+                nxt = heads[base + c]
                 if nxt != -1:
                     break
             assert nxt != -1, f"no child of {x} holds type {ptype}"
@@ -317,7 +358,7 @@ class AugTreeIndex:
         t = self.tree
         root = t.root
         crit = self.critical_head()
-        if crit != -1 and self.max_cdeg == self.m_plus_r() + 1:
+        if crit != -1 and self.max_cdeg == self._mr + 1:
             if crit == root:
                 return ("keep", root)
             return ("rebuild", crit)
@@ -325,7 +366,7 @@ class AugTreeIndex:
         assert d >= 2, "root degenerated"
         if d >= 3:
             return ("keep", root)
-        kids = sorted(t.children[root])
+        kids = sorted(t.kids(root))
         assert len(kids) == 2
         if all(self.code[k] & 8 for k in kids):
             return ("keep", root)
@@ -335,7 +376,7 @@ class AugTreeIndex:
         while True:
             if t.degree(x) >= 3:
                 return ("walk", x)
-            kids = sorted(t.children[x])
+            kids = sorted(t.kids(x))
             assert len(kids) == 1
             x = kids[0]
 
@@ -366,18 +407,17 @@ class AugTreeIndex:
         y = info.y
         # the collapse must leave structure around the merged block; a
         # path that swallows the whole tree never occurs mid solve
-        check(t.parent[y] != -1 or bool(t.children[y]), "tree fully melted")
-        self._grow(y)
+        check(t.parent[y] != -1 or t.nkids[y] > 0, "tree fully melted")
 
         # branching and degree group exits for retired nodes
+        self.cnt_branching -= info.branching
         for x in info.absorbed:
-            if info.old_degrees[x] >= 3:
-                self.cnt_branching -= 1
             if t.kind[x] == C_NODE:
                 self._group_remove(x)
         for c in info.survivors:
-            old = info.old_degrees[c]
-            if old >= 3 and old - 1 < 3:
+            # a surviving cut vertex loses exactly one degree
+            old = t.degree(c) + 1
+            if old == 3:
                 self.cnt_branching -= 1
             self._group_remove(c)
             self._group_add(c, old - 1)
@@ -387,11 +427,14 @@ class AugTreeIndex:
         # upper end is the one nearer top
         path = info.path
         adopted = info.adopted
+        alive = t.alive
         k = path.index(info.top)
-        for i in range(len(path) - 1):
-            up, down = (path[i + 1], path[i]) if i < k else (path[i], path[i + 1])
-            if up == adopted or t.alive[up]:
-                self._pop(up, down)
+        for i in range(k):
+            if path[i + 1] == adopted or alive[path[i + 1]]:
+                self._pop(path[i + 1], path[i])
+        for i in range(k, len(path) - 1):
+            if path[i] == adopted or alive[path[i]]:
+                self._pop(path[i], path[i + 1])
         p = t.up(y)
         if p != -1 and p != info.top:
             # top was absorbed: its parent now holds y in its place
@@ -404,17 +447,18 @@ class AugTreeIndex:
                 if self.counters:
                     self.counters.index_updates += 1
 
-        # assemble the merged node: the adopted lists, then the children
+        # assemble the merged node: the adopted buckets, then the children
         # y gained one by one
-        self.bucket[y] = self.bucket[adopted]
-        self.bucket[adopted] = {}
+        self.base[y] = self.base[adopted]
+        self.present[y] = self.present[adopted]
         gained = info.moved + [c for c in info.survivors if c != info.top]
         for ch in sorted(gained, reverse=True):
             self._push(y, ch)
         self.code[y] = self._fresh_code(y)
         if self.counters:
             self.counters.index_updates += 1
-        if t.degree(y) >= 3:
+        deg_y = t.degree(y)
+        if deg_y >= 3:
             self.cnt_branching += 1
 
         if p != -1:
@@ -422,10 +466,11 @@ class AugTreeIndex:
             self._recode_cascade(p)
 
         # the path's two end leaves are gone; y may be a leaf itself
-        self.leaf_counts[t.leaf_type(info.path[0])] -= 1
-        self.leaf_counts[t.leaf_type(info.path[-1])] -= 1
-        if t.degree(y) == 1:
+        self.leaf_counts[t.leaf_type(path[0])] -= 1
+        self.leaf_counts[t.leaf_type(path[-1])] -= 1
+        if deg_y == 1:
             self.leaf_counts["AB"] += 1
+        self._settle_counts()
 
     # ------------------------------------------------------------------
     # pair searches
@@ -444,7 +489,7 @@ class AugTreeIndex:
         counts = self.counts()
         combos = (c for c in CROSS_ORDER if is_decrementing(counts, *c))
         if deg == 2:
-            k1, k2 = sorted(t.children[root])
+            k1, k2 = sorted(t.kids(root))
             for t1, t2 in combos:
                 b1, b2 = LEAF_CODE[t1], LEAF_CODE[t2]
                 if self.code[k1] & b1 and self.code[k2] & b2:
@@ -509,18 +554,27 @@ class AugTreeIndex:
         """Crosscheck every maintained structure against a fresh build."""
         t = self.tree
         fresh = AugTreeIndex(t)
-        live = set(t.live_nodes())
+        live = t.live_nodes()
+        listed = 0
         for x in live:
             p = t.up(x)
             if x == t.root:
                 check(p == -1, "root has a parent")
             else:
-                check(p in live and x in t.children[p], f"parent link broken at {x}")
+                check(p != -1 and t.alive[p], f"parent link broken at {x}")
+            kids = _walk(t.first_child[x], t.next_sib, t.nkids[x] + 1)
+            check(len(kids) == t.nkids[x], f"child count wrong at {x}")
+            for a, b in zip([-1] + kids, kids):
+                check(t.prev_sib[b] == a and t.up(b) == x, f"child list broken at {x}")
+            listed += len(kids)
             check(self.code[x] == fresh.code[x], f"code mismatch at {x}")
-            mine = _list_sets(self.bucket[x], self.snext)
-            theirs = _list_sets(fresh.bucket[x], fresh.snext)
-            check(mine == theirs, f"bucket mismatch at {x}")
+            check(self._buckets(x) == fresh._buckets(x), f"bucket mismatch at {x}")
+        check(listed == len(live) - 1, "a live node is in no child list")
         check(self.leaf_counts == fresh.leaf_counts, "leaf counts mismatch")
+        check(
+            (self._total, self._m, self._mr) == (fresh._total, fresh._m, fresh._mr),
+            "pair counts mismatch",
+        )
         check(self.cnt_branching == fresh.cnt_branching, "branching count mismatch")
         check(self.max_cdeg == fresh.max_cdeg, "max split degree mismatch")
         check(
@@ -528,6 +582,16 @@ class AugTreeIndex:
             == _list_sets(fresh.grp_head, fresh.gnext),
             "degree group mismatch",
         )
+
+    def _buckets(self, x: int) -> dict[int, set[int]]:
+        """Members of x's buckets by code; checks the presence mask."""
+        base = self.base[x]
+        heads = {c: self.heads[base + c] for c in range(SLOTS) if self.heads[base + c] != -1}
+        check(
+            self.present[x] == sum(1 << c for c in heads),
+            f"presence mask wrong at {x}",
+        )
+        return _list_sets(heads, self.snext)
 
 
 def _list_sets(heads: dict[int, int], nxt: list[int]) -> dict[int, set[int]]:

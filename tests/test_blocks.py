@@ -270,7 +270,7 @@ def test_collapse_merges_a_leaf_path(p4):
     assert [t.kind[x] for x in t.live_nodes()] == [B_NODE]
     # the absorbed cut vertex b1 is now the block's smallest B vertex
     ix = p4.label_index
-    assert t.min_nc[info.y] == (ix["a1"], ix["b1"])
+    assert (t.min_a[info.y], t.min_b[info.y]) == (ix["a1"], ix["b1"])
 
 
 def test_collapse_minima_skip_a_surviving_hub(spider4):
@@ -284,7 +284,7 @@ def test_collapse_minima_skip_a_surviving_hub(spider4):
     # the hub x has the smallest id but is still a cut vertex, so the A
     # minimum is the pendant a3; b1 beats the absorbed cut vertex b3
     assert ix["x"] < ix["a3"] and ix["b1"] < ix["b3"]
-    assert t.min_nc[info.y] == (ix["a3"], ix["b1"])
+    assert (t.min_a[info.y], t.min_b[info.y]) == (ix["a3"], ix["b1"])
 
 
 def test_collapse_rejects_a_broken_path_under_python_O():
