@@ -71,8 +71,8 @@ class _State:
 
     def __init__(self, g: BipartiteGraph, counters: OpCounters):
         self.g = g
-        self.edge_set: set[tuple[int, int]] = set(g.edge_set)
         self.added: list[tuple[int, int]] = []
+        self.added_set: set[tuple[int, int]] = set()
         self.cases: list[str] = []
         self.counters = counters
 
@@ -80,8 +80,11 @@ class _State:
         if self.g.sides[u] == 1:
             u, v = v, u
         check(self.g.sides[u] == 0 and self.g.sides[v] == 1, "edge within one side")
-        check((u, v) not in self.edge_set, "edge already present")
-        self.edge_set.add((u, v))
+        check(
+            not self.g.has_edge(u, v) and (u, v) not in self.added_set,
+            "edge already present",
+        )
+        self.added_set.add((u, v))
         self.added.append((u, v))
         self.cases.append(case)
         self.counters.edges_added += 1
@@ -409,8 +412,9 @@ def _terminal_uniform(
     All pendants on the second head's side of the first head go to the
     first head, the rest to the second head, which yields a cycle
     through every former bridge.  The split is read off the structure
-    tree: the pendants the tree reaches from the second head's node
-    without entering the first head's node.
+    tree: a pendant is on the second head's side when its walk toward
+    the root enters the first head's node from the same child as the
+    second head's walk, or misses that node as the second head's does.
     """
     leaves = sorted(tree.leaves())
     assert all(tree.kind[x] == S_NODE for x in leaves)
@@ -422,16 +426,24 @@ def _terminal_uniform(
     h1 = heads[0]
     hj = next((h for h in heads if h != h1), None)
     assert hj is not None, "all pendants share one bridge head"
-    seen = {h1, hj}
-    stack = [hj]
-    while stack:
-        for y in tree.neighbors(stack.pop()):
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
+    # each node's side is the child of h1 its walk enters h1 from, or
+    # -1 for a walk that misses h1; every node is walked once
+    side = {h1: h1, -1: -1}
+
+    def side_of(v: int) -> int:
+        trail = []
+        while v not in side:
+            trail.append(v)
+            v = tree.up(v)
+        s = trail[-1] if v == h1 else side[v]
+        for u in trail:
+            side[u] = s
+        return s
+
+    hj_side = side_of(hj)
     x1, xj = tree.payload[h1], tree.payload[hj]
     for x in leaves:
-        st.add_edge(tree.payload[x], x1 if x in seen else xj, case)
+        st.add_edge(tree.payload[x], x1 if side_of(x) == hj_side else xj, case)
 
 
 def _terminal_two_critical(st: _State, tree: BlockTree, index: AugTreeIndex) -> None:

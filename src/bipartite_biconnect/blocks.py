@@ -17,21 +17,33 @@ cut vertex and bridge nodes.  Its collapse() applies the effect of one
 binding edge: the whole tree path between the two paired nodes fuses
 into a single new block node, degree two cut vertices on the path stop
 being cut vertices, and higher degree ones survive with their degree
-reduced by one.  The new node takes over the child list of the absorbed
-node with the most children by its head, so a collapse costs the path
-plus the other children it moves, not the size of the merged block.
-The adopted children keep pointing at the retired node; up() resolves
-such stale parent pointers.
+reduced by one.  The new node takes over the children of the absorbed
+node with the most children at once, so a collapse costs the path plus
+the other children it moves, not the size of the merged block.  The
+adopted children keep pointing at the retired node; up() resolves such
+stale parent pointers.
 
-Every per-node field of a BlockTree is a flat list sized once, when the
-tree is built, for every node it can ever hold, and children are
-intrusive sibling lists threaded through three of those lists.  So
-building, collapsing and re-rooting a tree allocate no container per
-node, and the cyclic garbage collector has nothing per node to scan.
+Every node carries a four bit code describing its subtree: bit 8 says
+the subtree holds more than one pendant, bits 4, 2, 1 say it holds a
+pendant of type A, B, AB.  A node's children sit in buckets, one
+intrusive list per child code, and these are the tree's only child
+lists: "a child whose subtree holds a type B pendant" is a head lookup,
+and collapse() and reroot() keep every code and bucket current.  The
+bucket heads sit in one flat array of sixteen slots per node, beside a
+bit mask per node of the codes whose bucket is not empty; a merged node
+takes over the slots of the node it adopts.  Every per-node field is a
+flat list sized once, at build, so building, collapsing and re-rooting
+allocate no container per node.
+
+A build fills every bucket in descending node id order, so each head
+starts as the lowest id in its bucket; later pushes put single nodes
+at the heads.  Every push is a function of the tree, and so of the
+input alone: repeated runs make identical choices.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -198,6 +210,17 @@ S_NODE = "s"  # singular pendant vertex
 C_NODE = "c"  # cut vertex
 K_NODE = "k"  # bridge edge
 
+# a pendant's code by its type
+LEAF_CODE = {"A": 4, "B": 2, "AB": 1}
+# a node's bucket heads take SLOTS slots of one flat list, the one for
+# code c at the node's base plus c, and bit c of its presence mask says
+# bucket c is not empty; the masks of the buckets whose code has bit 8,
+# 4, 2 or 1 set
+SLOTS = 16
+_WITH_8, _WITH_4, _WITH_2, _WITH_1 = (
+    sum(1 << c for c in range(1, SLOTS) if c & bit) for bit in (8, 4, 2, 1)
+)
+
 _DOT_SHAPE = {B_NODE: "box", S_NODE: "box", C_NODE: "circle", K_NODE: "diamond"}
 
 
@@ -236,26 +259,25 @@ def tree_to_dot(g: BipartiteGraph) -> str:
 
 @dataclass(slots=True)
 class CollapseInfo:
-    """One collapse: the merged node y, the fused path with its top
-    node, and what the tree no longer shows afterwards: the retired
-    nodes, of which branching had degree three or more, and the
-    surviving cut vertices, each now one degree lower.  y took over
-    the children of the absorbed node adopted; moved lists the off-path
-    children of the other absorbed nodes, now y's too."""
+    """One collapse: the merged node y, the fused path, and what the
+    tree no longer shows afterwards: the retired nodes, of which
+    branching had degree three or more, and the surviving cut vertices,
+    each now one degree lower.  y took over the children of the
+    absorbed node adopted; moved lists the off-path children of the
+    other absorbed nodes, now y's too."""
 
     y: int
     path: list[int]
     absorbed: list[int]
     survivors: list[int]
-    top: int
     branching: int
     adopted: int
     moved: list[int]
 
 
 class _Children:
-    """tree.children[x]: a read-only view of x's children, in list
-    order.  For tests and tracing; the solver walks the lists itself."""
+    """tree.children[x]: a read-only view of x's children, in bucket
+    order.  For tests and tracing; the solver walks the buckets itself."""
 
     __slots__ = ("_tree",)
 
@@ -285,11 +307,9 @@ class BlockTree:
     Every per-node field is a flat list sized once, at build, for all
     the nodes the tree can ever hold: each collapse adds one node and
     ends two leaves while making at most one, so the initial nodes plus
-    the initial leaves are enough.  Children form an intrusive doubly
-    linked list per node (first_child, next_sib, prev_sib) with a count
-    in nkids, so a node moves between lists in O(1) and a merged node
-    takes over a whole list by its head.  A node sits in the list of
-    its live parent; parent itself may point at a retired node.
+    the initial leaves are enough.  A node sits in the buckets of its
+    live parent, doubly linked through sprev and snext; parent itself
+    may point at a retired node.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -307,10 +327,18 @@ class BlockTree:
         # a live node's parent, or a retired node that up() resolves to
         # it; a retired node's parent is the node that absorbed it
         self.parent = [-1] * capacity
-        self.first_child = [-1] * capacity
-        self.next_sib = [-1] * capacity
-        self.prev_sib = [-1] * capacity
-        self.nkids = [0] * capacity
+        # the subtree codes, the child counts, and the buckets: node x's
+        # bucket for code c has its head at heads[base[x] + c], and bit c
+        # of present[x] says it is not empty; refill() makes the first five.
+        # heads is an int array, half a list's memory: a dropped tree
+        # waits for the cyclic collector, as children points back at it
+        self.code: list[int] = []
+        self.nkids: list[int] = []
+        self.base: list[int] = []
+        self.heads = array("i")
+        self.present: list[int] = []
+        self.sprev = [-1] * capacity
+        self.snext = [-1] * capacity
         self.children = _Children(self)
         self.root = -1
         self.sides: tuple[int, ...] = ()
@@ -326,36 +354,128 @@ class BlockTree:
         self.alive[node] = True
         return node
 
+    # ------------------------------------------------------------------
+    # buckets and codes
+
     def _link(self, p: int, x: int) -> None:
-        """Put x at the head of p's child list."""
-        h = self.first_child[p]
-        self.next_sib[x] = h
-        self.prev_sib[x] = -1
-        if h != -1:
-            self.prev_sib[h] = x
-        self.first_child[p] = x
+        """Put x at the head of p's bucket for x's current code."""
+        c = self.code[x]
+        slot = self.base[p] + c
+        head = self.heads[slot]
+        self.sprev[x] = -1
+        self.snext[x] = head
+        if head != -1:
+            self.sprev[head] = x
+        else:
+            self.present[p] |= 1 << c
+        self.heads[slot] = x
         self.nkids[p] += 1
 
     def _unlink(self, p: int, x: int) -> None:
-        """Take x out of p's child list."""
-        a, b = self.prev_sib[x], self.next_sib[x]
+        """Take x out of p's bucket for x's current code."""
+        a, b = self.sprev[x], self.snext[x]
         if a != -1:
-            self.next_sib[a] = b
+            self.snext[a] = b
         else:
-            self.first_child[p] = b
+            c = self.code[x]
+            self.heads[self.base[p] + c] = b
+            if b == -1:
+                self.present[p] &= ~(1 << c)
         if b != -1:
-            self.prev_sib[b] = a
+            self.sprev[b] = a
+        self.sprev[x] = self.snext[x] = -1
         self.nkids[p] -= 1
 
+    def _leaf_code(self, x: int) -> int:
+        """The code of x without children: its pendant type's, and 0 on
+        a cut or bridge node."""
+        return LEAF_CODE[self.leaf_type(x)] if self.kind[x] in (B_NODE, S_NODE) else 0
+
+    def _fresh_code(self, x: int) -> int:
+        """x's code from its buckets, which must be current."""
+        kids = self.nkids[x]
+        if kids == 0:
+            return self._leaf_code(x)
+        code = 8 if kids >= 2 else 0
+        mask = self.present[x]
+        if mask & _WITH_8:
+            code |= 8
+        if mask & _WITH_4:
+            code |= 4
+        if mask & _WITH_2:
+            code |= 2
+        if mask & _WITH_1:
+            code |= 1
+        return code
+
+    def _recode_cascade(self, x: int, counters: OpCounters | None) -> None:
+        """Recompute x's code and ripple the change toward the root."""
+        parent, alive, code = self.parent, self.alive, self.code
+        while x != -1:
+            new = self._fresh_code(x)
+            if counters:
+                counters.index_updates += 1
+            if new == code[x]:
+                return
+            p = parent[x]
+            if p != -1 and not alive[p]:
+                p = self.up(x)
+            if p != -1:
+                self._unlink(p, x)
+                code[x] = new
+                self._link(p, x)
+            else:
+                code[x] = new
+            x = p
+
+    def refill(self, order: list[int], counters: OpCounters | None = None) -> None:
+        """Every code, child count and bucket from scratch, in O(size).
+
+        order lists every live node after all its children, so the root
+        comes last.  Each node made so far gets its own slots, and the
+        children go into their buckets in descending id order, so each
+        head is the lowest id its bucket holds.
+        """
+        cap, made, alive, parent = self.capacity, self.size, self.alive, self.parent
+        code = self.code = [0] * cap
+        kids = [0] * cap
+        # a node's code is the or of its children's codes, plus 8 if it
+        # has two or more; a node without children has its leaf code
+        for x in order:
+            k = kids[x]
+            c = (code[x] | (8 if k >= 2 else 0)) if k else self._leaf_code(x)
+            code[x] = c
+            p = parent[x]
+            if p != -1:
+                if not alive[p]:
+                    p = self.up(x)
+                code[p] |= c
+                kids[p] += 1
+        if counters:
+            counters.index_updates += len(order)
+        self.base = list(range(0, made * SLOTS, SLOTS)) + [-1] * (cap - made)
+        self.heads = array("i", [-1]) * (made * SLOTS)
+        self.present = [0] * cap
+        self.nkids = [0] * cap
+        for x in range(made - 1, -1, -1):
+            if alive[x] and x != self.root:
+                self._link(parent[x], x)
+
     def kids(self, x: int) -> list[int]:
-        """x's children, in list order."""
+        """x's children, bucket by bucket in ascending code order."""
         out = []
-        nxt = self.next_sib
-        c = self.first_child[x]
-        while c != -1:
-            out.append(c)
-            c = nxt[c]
+        base, mask, heads, nxt = self.base[x], self.present[x], self.heads, self.snext
+        while mask:
+            low = mask & -mask
+            c = heads[base + low.bit_length() - 1]
+            while c != -1:
+                out.append(c)
+                c = nxt[c]
+            mask ^= low
         return out
+
+    # ------------------------------------------------------------------
+    # reading the tree
 
     def up(self, x: int) -> int:
         """x's live parent, or -1 at the root.
@@ -406,6 +526,9 @@ class BlockTree:
             if self.degree(x) == 1 and self.kind[x] in (B_NODE, S_NODE)
         ]
 
+    # ------------------------------------------------------------------
+    # building and changing the tree
+
     @staticmethod
     def build(
         g: BipartiteGraph,
@@ -419,7 +542,9 @@ class BlockTree:
         vertices, bridges, each in sorted order.  The walk records each
         node's degree and the xor of its neighbours' ids, and the tree
         then hangs from its root by peeling leaves: a leaf's one
-        neighbour left is the xor, and it is the leaf's parent.
+        neighbour left is the xor, and it is the leaf's parent.  The
+        peeling order lists every node after its children, as refill()
+        needs.
         """
         if len(comp) < 2:
             raise ValueError("structure tree needs a component with >= 2 vertices")
@@ -498,36 +623,32 @@ class BlockTree:
         else:
             root = n - 1 if bridges else 0
         stack = [x for x in range(n) if deg[x] == 1 and x != root]
-        placed = 1
-        parent, first, nsib, psib = t.parent, t.first_child, t.next_sib, t.prev_sib
-        nkids = t.nkids
+        order = []
+        parent = t.parent
         while stack:
             x = stack.pop()
             if deg[x] != 1:
                 continue
             p = nbx[x]
             parent[x] = p
-            # _link(p, x), inline in this loop over every node
-            h = first[p]
-            nsib[x] = h
-            if h != -1:
-                psib[h] = x
-            first[p] = x
-            nkids[p] += 1
-            placed += 1
+            order.append(x)
             nbx[p] ^= x
             deg[p] -= 1
             if deg[p] == 1 and p != root:
                 stack.append(p)
-        t.root = root
-        if placed != n:
+        order.append(root)
+        if len(order) != n:
             raise AssertionError("structure tree is not connected")
+        t.root = root
+        t.refill(order, counters)
         return t
 
     def reroot(self, target: int) -> list[int]:
         """Hang the tree from target by reversing the tree path to it from
-        the root, in O(path); returns that path, root first.  Parent
-        pointers off the path stay as they are, stale ones included."""
+        the root, in O(path); returns that path, root first.  Each node
+        on it moves into the buckets of the next with a fresh code.
+        Parent pointers off the path stay as they are, stale ones
+        included."""
         path = []
         x = target
         while x != -1:
@@ -535,12 +656,14 @@ class BlockTree:
             x = self.up(x)
         check(path[-1] == self.root, "reroot target is not below the root")
         path.reverse()
-        parent = self.parent
+        parent, code = self.parent, self.code
         for a, b in zip(path, path[1:]):
             self._unlink(a, b)
             parent[a] = b
+            code[a] = self._fresh_code(a)
             self._link(b, a)
         parent[target] = -1
+        code[target] = self._fresh_code(target)
         self.root = target
         return path
 
@@ -549,12 +672,12 @@ class BlockTree:
     ) -> CollapseInfo:
         """Fuse the tree path between two paired block nodes.
 
-        Both path ends must be block or pendant vertex nodes.  Returns
-        what changed, so index structures can update incrementally.
+        Both path ends must be block or pendant vertex nodes.  Codes
+        and buckets are current again on return; the result says what
+        changed, so the index can update its counts.
         """
         check(len(path) >= 3, "collapse path needs three nodes or more")
         kind, parent, alive, nkids = self.kind, self.parent, self.alive, self.nkids
-        first, nxt = self.first_child, self.next_sib
         check(
             kind[path[0]] in (B_NODE, S_NODE) and kind[path[-1]] in (B_NODE, S_NODE),
             "collapse path must end in block or pendant nodes",
@@ -564,7 +687,7 @@ class BlockTree:
         survivors: list[int] = []
         branching = 0
         top, tops = -1, 0
-        # y adopts the child list of the absorbed node with the most
+        # y adopts the buckets of the absorbed node with the most
         # children, the first on the path among equals
         adopted, most = -1, -1
         ma = mb = -1  # y's smallest noncut vertex per side
@@ -598,47 +721,97 @@ class BlockTree:
                 mb = vb
         check(tops == 1, "collapse path must be a contiguous tree path")
         y = self.new_node(B_NODE, None, ma, mb)
+        code = self.code
 
-        # every path node but top leaves the list of its path parent, and
-        # an absorbed top leaves its parent's, where y takes its place
+        # every path node but top leaves the buckets of its path parent,
+        # and an absorbed top leaves its parent's, where y takes its place
         for x in path:
             if x != top:
                 self._unlink(parent[x], x)
         top_survives = top in survivors
-        p = -1 if top_survives else parent[top]
-        if p != -1:
+        p = top if top_survives else parent[top]
+        if not top_survives and p != -1:
             self._unlink(p, top)
+        # survivors below top lost a path child, so their codes are stale
+        below = [c for c in survivors if c != top]
+        for c in below:
+            code[c] = self._fresh_code(c)
 
-        # y takes the adopted list by its head; the adopted children keep
-        # their parent pointers, which reach y through the retired node
-        first[y], nkids[y] = first[adopted], nkids[adopted]
+        # y takes the adopted buckets by their base; the adopted children
+        # keep their parent pointers, which reach y through the retired
+        # node, and every other child y gains moves in descending id order
+        self.base[y], self.present[y] = self.base[adopted], self.present[adopted]
+        nkids[y] = nkids[adopted]
         moved: list[int] = []
         for x in absorbed:
             if x != adopted:
-                ch = first[x]
-                while ch != -1:
-                    nx = nxt[ch]
-                    moved.append(ch)
-                    parent[ch] = y
-                    self._link(y, ch)
-                    ch = nx
+                moved += self.kids(x)
             alive[x] = False
-            first[x] = -1
-            nkids[x] = 0
             parent[x] = y
+        for ch in sorted(moved + below, reverse=True):
+            parent[ch] = y
+            self._link(y, ch)
+        code[y] = self._fresh_code(y)
+        parent[y] = p
         if counters:
             counters.tree_nodes += 1
             counters.collapse_steps += len(absorbed) + len(moved)
-        for c in survivors:
-            if c != top:
-                parent[c] = y
-                self._link(y, c)
-        parent[y] = top if top_survives else p
-        if parent[y] != -1:
-            self._link(parent[y], y)
+            counters.index_updates += len(below) + 1
+        if p != -1:
+            self._link(p, y)
+            self._recode_cascade(p, counters)
         if not alive[self.root]:
             self.root = y
 
-        return CollapseInfo(
-            y, path, absorbed, survivors, top, branching, adopted, moved
-        )
+        return CollapseInfo(y, path, absorbed, survivors, branching, adopted, moved)
+
+    # ------------------------------------------------------------------
+    # verification aid
+
+    def audit(self) -> None:
+        """Crosscheck every parent link, child count, code, bucket and
+        presence mask against a from-scratch pass over up() that reads
+        no bucket."""
+        live = self.live_nodes()
+        below: dict[int, list[int]] = {x: [] for x in live}
+        for x in live:
+            p = self.up(x)
+            if x == self.root:
+                check(p == -1, "root has a parent")
+            else:
+                check(p != -1 and self.alive[p], f"parent link broken at {x}")
+                below[p].append(x)
+        order = [self.root]
+        for x in order:
+            order += below[x]
+        check(len(order) == len(live), "a live node hangs below no root")
+        code: dict[int, int] = {}
+        for x in reversed(order):
+            kids = below[x]
+            code[x] = self._leaf_code(x) if not kids else 8 if len(kids) >= 2 else 0
+            for ch in kids:
+                code[x] |= code[ch]
+        for x in live:
+            want: dict[int, set[int]] = {}
+            for ch in below[x]:
+                want.setdefault(code[ch], set()).add(ch)
+            heads = self.heads[self.base[x] : self.base[x] + SLOTS]
+            got = [walk_list(h, self.snext, len(live)) for h in heads]
+            check(self.code[x] == code[x], f"code mismatch at {x}")
+            check(self.nkids[x] == len(below[x]), f"child count wrong at {x}")
+            mask = sum(1 << c for c in want)
+            check(self.present[x] == mask, f"presence mask wrong at {x}")
+            check(
+                {c: set(m) for c, m in enumerate(got) if m} == want
+                and sum(map(len, got)) == len(below[x]),
+                f"bucket mismatch at {x}",
+            )
+
+
+def walk_list(x: int, nxt: list[int], need: int) -> list[int]:
+    """Up to need members of the linked list that runs from x via nxt."""
+    out: list[int] = []
+    while x != -1 and len(out) < need:
+        out.append(x)
+        x = nxt[x]
+    return out

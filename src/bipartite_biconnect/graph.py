@@ -77,17 +77,16 @@ class BipartiteGraph:
 
         # every row is a slice of one neighbour list laid out row by row;
         # edges ascend with the A end first, so each row fills in order
-        ends = list(accumulate(deg))
-        pos = [e - d for e, d in zip(ends, deg)]
-        flat = [0] * (ends[-1] if n else 0)
+        starts = list(accumulate(deg, initial=0))
+        pos = starts[:]
+        flat = [0] * starts[-1]
         for u, v in given:
             flat[pos[u]] = v
             pos[u] += 1
             flat[pos[v]] = u
             pos[v] += 1
-        nbrs = tuple(flat)
         self.adj: tuple[tuple[int, ...], ...] = tuple(
-            nbrs[e - d : e] for e, d in zip(ends, deg)
+            map(tuple(flat).__getitem__, map(slice, starts, starts[1:]))
         )
 
     @property

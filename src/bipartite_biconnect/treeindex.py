@@ -1,38 +1,23 @@
-"""Incremental leaf type index over the structure tree.
+"""Incremental case index over the structure tree.
 
-Every node carries a four bit code describing its subtree: bit 8 says
-the subtree holds more than one pendant, bits 4, 2, 1 say it holds a
-pendant of type A, B, AB.  Children are kept in per code intrusive
-lists, so "give me a child whose subtree holds a type B pendant" is a
-constant time head lookup.  Cut vertex nodes are additionally grouped
-by tree degree in linked lists chained from low to high degree, which
-makes the most splitting cut vertex and the count of candidates at any
-particular degree constant time queries as well.
-
-Every per-node field is a flat list sized, like the tree's own, for
-every node the tree can ever hold.  The list heads sit in one flat list
-of sixteen slots per node, one per code, beside a bit mask per node of
-the codes whose list is not empty; a merged node takes over the slots
-of the node it adopts, so it gets no slots of its own.  The pair count
-m and m + r are kept current as the leaf counts change, so the queries
-that read them are O(1).
-
-A fresh build fills every list in descending node id order, so right
-after it each head is the lowest eligible id.  That stops holding once
-_recode_cascade, reroot_walk or a collapse pushes a single node to the
-head of a list, and a merged node inherits its adopted node's lists
-as they stand.  What does hold is that every push is a function of the
-tree, and so of the input alone: repeated runs make identical choices.
+The tree keeps every node's subtree code and its children in per code
+buckets (see blocks), and the pair searches here read those buckets.
+The index adds what the case analysis reads: cut vertex nodes grouped
+by tree degree in linked lists, which makes the most splitting cut
+vertex and the candidates at any particular degree constant time
+queries; the number of branching nodes; and the leaf counts, with the
+pair count m and m + r kept current as they change.  Its per-node
+fields are flat lists sized like the tree's own.
 """
 
 from __future__ import annotations
 
-from .blocks import B_NODE, C_NODE, S_NODE, BlockTree, CollapseInfo
+from .blocks import B_NODE, C_NODE, LEAF_CODE, S_NODE, BlockTree, CollapseInfo
+from .blocks import walk_list
 from .errors import NoCrossPair, check
 from .matching import CROSS_ORDER, LEGAL_COMBOS, is_decrementing, joinable, pair_count
 from .stats import OpCounters
 
-LEAF_CODE = {"A": 4, "B": 2, "AB": 1}
 # a chain child's code is the one leaf code its subtree holds
 TYPE_OF_CHAIN_CODE = {c: ptype for ptype, c in LEAF_CODE.items()}
 # codes of subtrees with more than one pendant that hold the given type
@@ -42,23 +27,6 @@ CODES_WITH_MANY = {
 }
 # codes whose subtree holds the given type; the single leaf code first
 CODES_WITH = {ptype: (bit, *CODES_WITH_MANY[ptype]) for ptype, bit in LEAF_CODE.items()}
-# a node's bucket heads take SLOTS slots of one flat list, the one for
-# code c at the node's base plus c, and bit c of its presence mask says
-# bucket c is not empty; the masks of the buckets whose code has bit 8,
-# 4, 2 or 1 set
-SLOTS = 16
-_WITH_8, _WITH_4, _WITH_2, _WITH_1 = (
-    sum(1 << c for c in range(1, SLOTS) if c & bit) for bit in (8, 4, 2, 1)
-)
-
-
-def _walk(x: int, nxt: list[int], need: int) -> list[int]:
-    """Up to need members of the linked list that runs from x via nxt."""
-    out: list[int] = []
-    while x != -1 and len(out) < need:
-        out.append(x)
-        x = nxt[x]
-    return out
 
 
 class AugTreeIndex:
@@ -72,108 +40,30 @@ class AugTreeIndex:
 
     def _reset(self) -> None:
         """Empty every maintained structure and fill it from the tree."""
-        n, made = self.tree.capacity, self.tree.size
-        self.code = [0] * n
-        # every node made so far gets its own slots; a merged node made
-        # later takes over the slots of the node it adopted
-        self.base = list(range(0, made * SLOTS, SLOTS)) + [-1] * (n - made)
-        self.heads = [-1] * (made * SLOTS)
-        self.present = [0] * n
-        self.sprev = [-1] * n
-        self.snext = [-1] * n
-        self.leaf_counts = {"A": 0, "B": 0, "AB": 0}
+        t = self.tree
+        n = t.capacity
+        self.leaf_counts = leaf_counts = {"A": 0, "B": 0, "AB": 0}
         self.grp_head: dict[int, int] = {}
         self.gprev = [-1] * n
         self.gnext = [-1] * n
         self.grp_of = [-1] * n
         self._max_top = 0
         self.cnt_branching = 0
-        self._init_from_tree()
-
-    def _init_from_tree(self) -> None:
-        t = self.tree
-        kind, parent, nkids = t.kind, t.parent, t.nkids
-        first, nxt = t.first_child, t.next_sib
-        # breadth first, so every node comes after its parent
-        order = [t.root]
-        for x in order:
-            ch = first[x]
-            while ch != -1:
-                order.append(ch)
-                ch = nxt[ch]
-        push, code = self._push, self.code
-        for x in reversed(order):
-            if first[x] != -1:
-                kids = t.kids(x)
-                kids.sort(reverse=True)
-                for ch in kids:
-                    push(x, ch)
-            code[x] = self._fresh_code(x)
-        if self.counters:
-            self.counters.index_updates += len(order)
-        leaf_counts = self.leaf_counts
-        for x in order:
+        kind, parent, nkids, alive = t.kind, t.parent, t.nkids, t.alive
+        for x in range(t.size - 1, -1, -1):
+            if not alive[x]:
+                continue
             d = nkids[x] + (parent[x] != -1)
             if d >= 3:
                 self.cnt_branching += 1
-            if d <= 1 and kind[x] in (B_NODE, S_NODE):
+            if kind[x] == C_NODE:
+                self._group_add(x, d)
+            elif d <= 1 and kind[x] in (B_NODE, S_NODE):
                 leaf_counts[t.leaf_type(x)] += 1
         self._settle_counts()
-        alive = t.alive
-        for x in range(t.size - 1, -1, -1):
-            if alive[x] and kind[x] == C_NODE:
-                self._group_add(x, nkids[x] + (parent[x] != -1))
 
     # ------------------------------------------------------------------
-    # low level list plumbing
-
-    def _fresh_code(self, x: int) -> int:
-        """x's code from its children, whose buckets must be current."""
-        t = self.tree
-        kids = t.nkids[x]
-        if kids == 0:
-            # a leaf's code is its pendant type's, as leaf_type reads it
-            if t.kind[x] == B_NODE:
-                return 1
-            if t.kind[x] == S_NODE:
-                return 4 if t.min_a[x] != -1 else 2
-        code = 8 if kids >= 2 else 0
-        mask = self.present[x]
-        if mask & _WITH_8:
-            code |= 8
-        if mask & _WITH_4:
-            code |= 4
-        if mask & _WITH_2:
-            code |= 2
-        if mask & _WITH_1:
-            code |= 1
-        return code
-
-    def _push(self, p: int, x: int) -> None:
-        """Put x at the head of p's bucket for x's current code."""
-        c = self.code[x]
-        slot = self.base[p] + c
-        head = self.heads[slot]
-        self.sprev[x] = -1
-        self.snext[x] = head
-        if head != -1:
-            self.sprev[head] = x
-        else:
-            self.present[p] |= 1 << c
-        self.heads[slot] = x
-
-    def _pop(self, p: int, x: int) -> None:
-        c = self.code[x]
-        a, b = self.sprev[x], self.snext[x]
-        if a != -1:
-            self.snext[a] = b
-        else:
-            self.heads[self.base[p] + c] = b
-            if b == -1:
-                self.present[p] &= ~(1 << c)
-        if b != -1:
-            self.sprev[b] = a
-        self.sprev[x] = self.snext[x] = -1
+    # degree groups
 
     def _group_add(self, x: int, d: int) -> None:
         head = self.grp_head.get(d, -1)
@@ -217,27 +107,6 @@ class AugTreeIndex:
         self._max_top = d
         return d
 
-    def _recode_cascade(self, x: int) -> None:
-        """Recompute x's code and ripple the change toward the root."""
-        t = self.tree
-        parent, alive = t.parent, t.alive
-        while x != -1:
-            new = self._fresh_code(x)
-            if self.counters:
-                self.counters.index_updates += 1
-            if new == self.code[x]:
-                return
-            p = parent[x]
-            if p != -1 and not alive[p]:
-                p = t.up(x)
-            if p != -1:
-                self._pop(p, x)
-                self.code[x] = new
-                self._push(p, x)
-            else:
-                self.code[x] = new
-            x = p
-
     # ------------------------------------------------------------------
     # classification state
 
@@ -272,13 +141,13 @@ class AugTreeIndex:
     def critical_count(self) -> int:
         """Size of the critical group, counted up to three: s_case only
         asks whether it is two, and with few leaves the group can be long."""
-        return len(_walk(self.critical_head(), self.gnext, 3))
+        return len(walk_list(self.critical_head(), self.gnext, 3))
 
     def critical_head(self) -> int:
         return self.grp_head.get(self._mr + 1, -1)
 
     def critical_nodes(self) -> list[int]:
-        return _walk(self.critical_head(), self.gnext, len(self.gnext))
+        return walk_list(self.critical_head(), self.gnext, len(self.gnext))
 
     def s_case(self) -> str:
         """The solver case for the component as it stands now."""
@@ -308,19 +177,21 @@ class AugTreeIndex:
         skipping excluded nodes.  Scans bucket heads in fixed code order."""
         out: list[int] = []
         codes = CODES_WITH_MANY[ptype] if many_only else CODES_WITH[ptype]
-        base = self.base[p]
+        t = self.tree
+        base, heads, snext = t.base[p], t.heads, t.snext
         for c in codes:
-            x = self.heads[base + c]
+            x = heads[base + c]
             while x != -1 and len(out) < need:
                 if x not in exclude:
                     out.append(x)
-                x = self.snext[x]
+                x = snext[x]
             if len(out) >= need:
                 return out
         return out
 
     def chain_children(self, p: int, code: int, need: int = 1) -> list[int]:
-        return _walk(self.heads[self.base[p] + code], self.snext, need)
+        t = self.tree
+        return walk_list(t.heads[t.base[p] + code], t.snext, need)
 
     def descend(self, x: int, ptype: str) -> list[int]:
         """Walk from x down to a pendant of the given type.
@@ -328,13 +199,13 @@ class AugTreeIndex:
         Returns the node path [x, ..., leaf].  x's subtree must hold one.
         """
         t = self.tree
-        nkids, heads, codes = t.nkids, self.heads, CODES_WITH[ptype]
+        nkids, heads, codes = t.nkids, t.heads, CODES_WITH[ptype]
         path = [x]
         bit = LEAF_CODE[ptype]
         while nkids[x]:
-            assert self.code[x] & bit, f"subtree of {x} lost type {ptype}"
+            assert t.code[x] & bit, f"subtree of {x} lost type {ptype}"
             nxt = -1
-            base = self.base[x]
+            base = t.base[x]
             for c in codes:
                 nxt = heads[base + c]
                 if nxt != -1:
@@ -368,11 +239,11 @@ class AugTreeIndex:
             return ("keep", root)
         kids = sorted(t.kids(root))
         assert len(kids) == 2
-        if all(self.code[k] & 8 for k in kids):
+        if all(t.code[k] & 8 for k in kids):
             return ("keep", root)
         # exactly one child subtree holds more than one pendant; walk
         # down it to the first branching node
-        x = next(k for k in kids if self.code[k] & 8)
+        x = next(k for k in kids if t.code[k] & 8)
         while True:
             if t.degree(x) >= 3:
                 return ("walk", x)
@@ -383,26 +254,26 @@ class AugTreeIndex:
     def reroot_walk(self, target: int) -> None:
         """Move the root down along the tree path to target, O(path)."""
         path = self.tree.reroot(target)
-        for a, b in zip(path, path[1:]):
-            self._pop(a, b)
-            self.code[a] = self._fresh_code(a)
-            if self.counters:
-                self.counters.index_updates += 1
-            self._push(b, a)
-        self.code[target] = self._fresh_code(target)
         if self.counters:
-            self.counters.index_updates += 1
+            self.counters.index_updates += len(path)
 
     def rebuild(self, new_root: int) -> None:
         """Re-root the tree at new_root and rebuild the index from scratch."""
-        self.tree.reroot(new_root)
+        t = self.tree
+        t.reroot(new_root)
+        order = [new_root]
+        for x in order:
+            order += t.kids(x)
+        order.reverse()
+        t.refill(order, self.counters)
         self._reset()
 
     # ------------------------------------------------------------------
     # collapse bookkeeping
 
     def update_after_collapse(self, info: CollapseInfo) -> None:
-        """Bring the index in step with the tree right after collapse."""
+        """Bring the counts and degree groups in step with the tree right
+        after collapse, which has already updated codes and buckets."""
         t = self.tree
         y = info.y
         # the collapse must leave structure around the merged block; a
@@ -421,51 +292,12 @@ class AugTreeIndex:
                 self.cnt_branching -= 1
             self._group_remove(c)
             self._group_add(c, old - 1)
-
-        # survivors and the adopted node lose their path children; the
-        # path climbs to top and descends again, so each path edge's
-        # upper end is the one nearer top
-        path = info.path
-        adopted = info.adopted
-        alive = t.alive
-        k = path.index(info.top)
-        for i in range(k):
-            if path[i + 1] == adopted or alive[path[i + 1]]:
-                self._pop(path[i + 1], path[i])
-        for i in range(k, len(path) - 1):
-            if path[i] == adopted or alive[path[i]]:
-                self._pop(path[i], path[i + 1])
-        p = t.up(y)
-        if p != -1 and p != info.top:
-            # top was absorbed: its parent now holds y in its place
-            self._pop(p, info.top)
-
-        # survivors other than the top get fresh codes before linking
-        for c in info.survivors:
-            if c != info.top:
-                self.code[c] = self._fresh_code(c)
-                if self.counters:
-                    self.counters.index_updates += 1
-
-        # assemble the merged node: the adopted buckets, then the children
-        # y gained one by one
-        self.base[y] = self.base[adopted]
-        self.present[y] = self.present[adopted]
-        gained = info.moved + [c for c in info.survivors if c != info.top]
-        for ch in sorted(gained, reverse=True):
-            self._push(y, ch)
-        self.code[y] = self._fresh_code(y)
-        if self.counters:
-            self.counters.index_updates += 1
         deg_y = t.degree(y)
         if deg_y >= 3:
             self.cnt_branching += 1
 
-        if p != -1:
-            self._push(p, y)
-            self._recode_cascade(p)
-
         # the path's two end leaves are gone; y may be a leaf itself
+        path = info.path
         self.leaf_counts[t.leaf_type(path[0])] -= 1
         self.leaf_counts[t.leaf_type(path[-1])] -= 1
         if deg_y == 1:
@@ -490,11 +322,12 @@ class AugTreeIndex:
         combos = (c for c in CROSS_ORDER if is_decrementing(counts, *c))
         if deg == 2:
             k1, k2 = sorted(t.kids(root))
+            code = t.code
             for t1, t2 in combos:
                 b1, b2 = LEAF_CODE[t1], LEAF_CODE[t2]
-                if self.code[k1] & b1 and self.code[k2] & b2:
+                if code[k1] & b1 and code[k2] & b2:
                     return self.descend(k1, t1), self.descend(k2, t2)
-                if self.code[k2] & b1 and self.code[k1] & b2:
+                if code[k2] & b1 and code[k1] & b2:
                     return self.descend(k2, t1), self.descend(k1, t2)
             raise NoCrossPair("no pairable pendants across the two root branches")
         for t1, t2 in combos:
@@ -551,25 +384,11 @@ class AugTreeIndex:
     # verification aid
 
     def audit(self) -> None:
-        """Crosscheck every maintained structure against a fresh build."""
+        """Crosscheck the tree, then every count and degree group against
+        a fresh index."""
         t = self.tree
+        t.audit()
         fresh = AugTreeIndex(t)
-        live = t.live_nodes()
-        listed = 0
-        for x in live:
-            p = t.up(x)
-            if x == t.root:
-                check(p == -1, "root has a parent")
-            else:
-                check(p != -1 and t.alive[p], f"parent link broken at {x}")
-            kids = _walk(t.first_child[x], t.next_sib, t.nkids[x] + 1)
-            check(len(kids) == t.nkids[x], f"child count wrong at {x}")
-            for a, b in zip([-1] + kids, kids):
-                check(t.prev_sib[b] == a and t.up(b) == x, f"child list broken at {x}")
-            listed += len(kids)
-            check(self.code[x] == fresh.code[x], f"code mismatch at {x}")
-            check(self._buckets(x) == fresh._buckets(x), f"bucket mismatch at {x}")
-        check(listed == len(live) - 1, "a live node is in no child list")
         check(self.leaf_counts == fresh.leaf_counts, "leaf counts mismatch")
         check(
             (self._total, self._m, self._mr) == (fresh._total, fresh._m, fresh._mr),
@@ -583,17 +402,7 @@ class AugTreeIndex:
             "degree group mismatch",
         )
 
-    def _buckets(self, x: int) -> dict[int, set[int]]:
-        """Members of x's buckets by code; checks the presence mask."""
-        base = self.base[x]
-        heads = {c: self.heads[base + c] for c in range(SLOTS) if self.heads[base + c] != -1}
-        check(
-            self.present[x] == sum(1 << c for c in heads),
-            f"presence mask wrong at {x}",
-        )
-        return _list_sets(heads, self.snext)
-
 
 def _list_sets(heads: dict[int, int], nxt: list[int]) -> dict[int, set[int]]:
     """Members of each linked list, by the key of its head."""
-    return {k: set(_walk(h, nxt, len(nxt))) for k, h in heads.items()}
+    return {k: set(walk_list(h, nxt, len(nxt))) for k, h in heads.items()}

@@ -33,7 +33,7 @@ from bipartite_biconnect.graph import (
 from bipartite_biconnect.stats import OpCounters
 from bipartite_biconnect.verify import brute_force_optimal
 
-from .helpers import all_graphs, random_graph, sparse_random_graph
+from .helpers import all_graphs, mixed_graph, random_graph, sparse_random_graph
 
 
 def fixed(g, self_check=True):
@@ -291,6 +291,36 @@ def test_self_check_holds_past_brute_force_sizes(name):
     assert res.added_edges == augment(g).added_edges
     if name == "random_rebuild":
         assert counters.index_rebuilds == 1
+
+
+def test_index_rebuilds_at_most_once_per_solve():
+    # the full re-root of the case index fires at most once per
+    # component; every solve here has one component left to solve
+    rng = random.Random(31)
+    graphs = [
+        mixed_graph(rng, rng.randint(4, 40), rng.choice((0.6, 0.9, 1.0)), rng.randint(0, 8))
+        for _ in range(2000)
+    ]
+    graphs += [
+        random_graph(rng, rng.randint(2, 8), rng.randint(2, 8), rng.choice((0.2, 0.3, 0.4)))
+        for _ in range(500)
+    ]
+    graphs += [
+        generate_instance(kind, size, seed=seed)
+        for kind in ("spider", "caterpillar", "broom", "random", "path")
+        for size in (30, 300, 3000)
+        for seed in range(3 if kind == "random" else 1)
+    ]
+    rebuilt = 0
+    for g in graphs:
+        counters = OpCounters()
+        try:
+            augment(g, counters)
+        except NoBiconnector:
+            continue
+        assert counters.index_rebuilds <= 1
+        rebuilt += counters.index_rebuilds
+    assert rebuilt > 0
 
 
 def test_self_check_audits_under_python_O():

@@ -19,6 +19,7 @@ from bipartite_biconnect.blocks import (
     BlockTree,
     tree_to_dot,
 )
+from bipartite_biconnect.graph import caterpillar_graph, spider_graph
 
 from .helpers import (
     all_graphs,
@@ -285,6 +286,91 @@ def test_collapse_minima_skip_a_surviving_hub(spider4):
     # minimum is the pendant a3; b1 beats the absorbed cut vertex b3
     assert ix["x"] < ix["a3"] and ix["b1"] < ix["b3"]
     assert (t.min_a[info.y], t.min_b[info.y]) == (ix["a3"], ix["b1"])
+
+
+def live_parent(t: BlockTree, x: int) -> int:
+    """x's live parent, read through retired nodes without up(), whose
+    path compression would take the stale pointers away."""
+    p = t.parent[x]
+    while p != -1 and not t.alive[p]:
+        p = t.parent[p]
+    return p
+
+
+def assert_buckets_from_scratch(t: BlockTree) -> None:
+    """Every live node's code, bucket members, presence mask and child
+    count equal what its parent links and node kinds alone give."""
+    live = t.live_nodes()
+    below: dict[int, list[int]] = {x: [] for x in live}
+    for x in live:
+        if x != t.root:
+            below[live_parent(t, x)].append(x)
+    order = [t.root]
+    for x in order:
+        order.extend(below[x])
+    assert sorted(order) == live
+    code: dict[int, int] = {}
+    for x in reversed(order):
+        if below[x]:
+            code[x] = 8 if len(below[x]) >= 2 else 0
+            for ch in below[x]:
+                code[x] |= code[ch]
+        elif t.kind[x] in (B_NODE, S_NODE):
+            code[x] = {"A": 4, "B": 2, "AB": 1}[t.leaf_type(x)]
+        else:
+            code[x] = 0
+    for x in live:
+        want: dict[int, set[int]] = {}
+        for ch in below[x]:
+            want.setdefault(code[ch], set()).add(ch)
+        got: dict[int, set[int]] = {}
+        for c in range(16):
+            members = []
+            ch = t.heads[t.base[x] + c]
+            while ch != -1 and len(members) <= len(live):
+                members.append(ch)
+                ch = t.snext[ch]
+            if members:
+                assert len(set(members)) == len(members)
+                got[c] = set(members)
+        assert t.code[x] == code[x], x
+        assert got == want, x
+        assert t.present[x] == sum(1 << c for c in want), x
+        assert t.nkids[x] == len(below[x]), x
+
+
+def test_tree_keeps_codes_and_buckets_through_collapses_and_reroots():
+    # the tree alone, with no index: random leaf pairs collapse while a
+    # third leaf keeps the tree alive, and the root moves to random nodes
+    rng = random.Random(15)
+    graphs = list(small_corpus())
+    graphs += [spider_graph([1, 1, 2, 2]), spider_graph([1, 2, 3, 1, 2])]
+    graphs += [caterpillar_graph(12), caterpillar_graph(20)]
+    graphs += [mixed_graph(rng, rng.randint(10, 24), 1.0, rng.randint(1, 4)) for _ in range(60)]
+    collapses = moved = stale = 0
+    for g in graphs:
+        dec = decompose(g)
+        for comp in dec.comps:
+            if len(comp) < 2:
+                continue
+            t = BlockTree.build(g, dec, comp)
+            assert_buckets_from_scratch(t)
+            for _ in range(4):
+                leaves = sorted(t.leaves())
+                if len(leaves) >= 3:
+                    n1, n2 = rng.sample(leaves, 2)
+                    info = t.collapse(path_between(t, n1, n2))
+                    collapses += 1
+                    moved += len(info.moved)
+                    assert_buckets_from_scratch(t)
+                stale += any(
+                    t.parent[x] != -1 and not t.alive[t.parent[x]]
+                    for x in t.live_nodes()
+                )
+                t.reroot(rng.choice(t.live_nodes()))
+                assert_buckets_from_scratch(t)
+    # the corpus moves children one by one and re-roots past retired nodes
+    assert collapses > 100 and moved > 0 and stale > 0
 
 
 def test_collapse_rejects_a_broken_path_under_python_O():

@@ -194,7 +194,7 @@ def test_chain_queries_on_spider():
     assert tree.kind[tree.root] == C_NODE
     assert tree.payload[tree.root] == g.label_index["x"]
     # two length-one legs are chain children, the longer legs branch off
-    chains = [ch for ch in tree.children[tree.root] if not index.code[ch] & 8]
+    chains = [ch for ch in tree.children[tree.root] if not tree.code[ch] & 8]
     assert len(chains) >= 2
     assert index.massive_node() == tree.root
 
@@ -233,7 +233,7 @@ def test_descend_returns_a_path_to_the_right_type():
         for child in root_children:
             for ptype in ("A", "B", "AB"):
                 code_bit = {"A": 4, "B": 2, "AB": 1}[ptype]
-                if not index.code[child] & code_bit:
+                if not tree.code[child] & code_bit:
                     continue
                 path = index.descend(child, ptype)
                 assert path[0] == child
