@@ -2,13 +2,15 @@
 
 Vertices carry string labels and get dense integer indices in first
 appearance order.  Side 0 is called A, side 1 is called B.  Edges are
-stored index based with the A endpoint first.
+stored index based with the A endpoint first, sorted, and in no set.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import accumulate
+from bisect import bisect_left
+from itertools import accumulate, compress, islice
+from operator import eq
 from typing import Iterable, Sequence
 
 from .errors import BipartitenessViolation, IllegalEdge, ParseError, UnknownVertex
@@ -22,9 +24,12 @@ class BipartiteGraph:
         sides: 0 for A side vertices, 1 for B side.
         edges: canonical (a, b) index pairs sorted ascending.
         adj: per vertex sorted tuples of neighbour indices.
+
+    `edges` and `adj` are the only edge store: `has_edge` bisects the
+    shorter row, and a repeated edge is found next to its twin once sorted.
     """
 
-    __slots__ = ("labels", "sides", "edges", "adj", "edge_set", "label_index")
+    __slots__ = ("labels", "sides", "edges", "adj", "label_index")
 
     def __init__(
         self,
@@ -42,12 +47,11 @@ class BipartiteGraph:
                 raise ParseError(f"duplicate vertex label {lab!r}")
             self.label_index[lab] = i
 
-        # the edges in the order given, beside the set that finds repeats:
-        # sorted edges plus a short patch sort in linear time as two runs;
-        # an edge given as a canonical tuple is kept as it is
+        # the edges in the order given: sorted edges plus a short patch
+        # sort in linear time as two runs; an edge given as a canonical
+        # tuple is kept as it is
         n = len(self.labels)
         sides = self.sides
-        canon = set()
         given: list[tuple[int, int]] = []
         deg = [0] * n
         for e in edges:
@@ -63,17 +67,14 @@ class BipartiteGraph:
                 e = (u, v)
             elif type(e) is not tuple:
                 e = (u, v)
-            if e in canon:
-                raise ParseError(
-                    f"duplicate edge {self.labels[u]!r} {self.labels[v]!r}"
-                )
-            canon.add(e)
             given.append(e)
             deg[u] += 1
             deg[v] += 1
         given.sort()
+        # a repeat sits next to its twin; the smallest repeated pair is named
+        for u, v in compress(given, map(eq, given, islice(given, 1, None))):
+            raise ParseError(f"duplicate edge {self.labels[u]!r} {self.labels[v]!r}")
         self.edges: tuple[tuple[int, int], ...] = tuple(given)
-        self.edge_set: frozenset[tuple[int, int]] = frozenset(canon)
 
         # every row is a slice of one neighbour list laid out row by row;
         # edges ascend with the A end first, so each row fills in order
@@ -107,9 +108,11 @@ class BipartiteGraph:
         return tuple(i for i, s in enumerate(self.sides) if s == 1)
 
     def has_edge(self, u: int, v: int) -> bool:
-        if self.sides[u] == 1:
-            u, v = v, u
-        return (u, v) in self.edge_set
+        row = self.adj[u]
+        if len(self.adj[v]) < len(row):
+            row, v = self.adj[v], u
+        i = bisect_left(row, v)
+        return i < len(row) and row[i] == v
 
     def edge_labels(self) -> tuple[tuple[str, str], ...]:
         return tuple((self.labels[u], self.labels[v]) for u, v in self.edges)
@@ -159,13 +162,12 @@ def parse_graph(text: str) -> BipartiteGraph:
     Directives: ``A <id>...`` and ``B <id>...`` declare vertices,
     ``E <a-id> <b-id>`` declares one edge.  ``#`` starts a comment line.
     Duplicate edges, undeclared endpoints, redeclared labels and same
-    side edges are hard errors.
+    side edges are hard errors; a repeat is reported after any other fault.
     """
     labels: list[str] = []
     sides: list[int] = []
     index: dict[str, int] = {}
     edges: list[tuple[int, int]] = []
-    edge_seen: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -205,13 +207,21 @@ def parse_graph(text: str) -> BipartiteGraph:
                 )
             if sides[u] == 1:
                 u, v = v, u
-            if (u, v) in edge_seen:
-                raise ParseError(f"line {lineno}: duplicate edge {x!r} {y!r}")
-            edge_seen.add((u, v))
             edges.append((u, v))
         else:
             raise ParseError(f"line {lineno}: unknown directive {kind!r}")
-    return BipartiteGraph(labels, sides, edges)
+    try:
+        return BipartiteGraph(labels, sides, edges)
+    except ParseError:
+        # the one fault left is a repeated edge: name the first line to repeat
+        seen = set()
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            kind, *pair = raw.split() or [""]
+            if kind == "E":
+                if frozenset(pair) in seen:
+                    raise ParseError(f"line {lineno}: duplicate edge {pair[0]!r} {pair[1]!r}") from None
+                seen.add(frozenset(pair))
+        raise
 
 
 def serialize_graph(g: BipartiteGraph) -> str:

@@ -229,7 +229,7 @@ def verify_result(
     )
     edge_errors: list[str] = []
     idx_pairs: list[tuple[int, int]] = []
-    seen = set(g.edge_set)
+    added: set[tuple[int, int]] = set()
     for x, y in pairs:
         if x not in g.label_index or y not in g.label_index:
             missing = x if x not in g.label_index else y
@@ -241,10 +241,10 @@ def verify_result(
             continue
         if g.sides[u] == 1:
             u, v = v, u
-        if (u, v) in seen:
+        if g.has_edge(u, v) or (u, v) in added:
             edge_errors.append(f"{x} {y}: duplicate edge")
             continue
-        seen.add((u, v))
+        added.add((u, v))
         idx_pairs.append((u, v))
     if edge_errors:
         return VerifyReport(
@@ -272,7 +272,7 @@ def legal_nonedges(g: BipartiteGraph) -> list[tuple[int, int]]:
     out = []
     for u in g.a_vertices():
         for v in g.b_vertices():
-            if (u, v) not in g.edge_set:
+            if not g.has_edge(u, v):
                 out.append((u, v))
     return out
 

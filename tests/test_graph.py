@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -122,9 +123,59 @@ def test_parse_rejects_same_side_edge():
         parse_graph("A a1 a2\nB b1\nE a1 a2\n")
 
 
-def test_parse_rejects_repeated_edge():
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param(
+            "A a1\nB b1\nE a1 b1\nE a1 b1\n",
+            "line 4: duplicate edge 'a1' 'b1'",
+            id="adjacent",
+        ),
+        # a2 b2 repeats first although a1 b1 sorts first
+        pytest.param(
+            "A a1 a2\nB b1 b2\nE a2 b2\nE a1 b1\nE a1 b2\n# E a2 b2\n\n"
+            "E a2 b1\nE a2 b2\nE a1 b1\n",
+            "line 9: duplicate edge 'a2' 'b2'",
+            id="far-apart",
+        ),
+        pytest.param(
+            "A a1\nB b1 b2\nE a1 b1\nE a1 b2\nE b1 a1\n",
+            "line 5: duplicate edge 'b1' 'a1'",
+            id="b-first",
+        ),
+        # a triple repeat names the first line that repeats
+        pytest.param(
+            "A a1\nB b1\nE a1 b1\nE a1 b1\nE b1 a1\n",
+            "line 4: duplicate edge 'a1' 'b1'",
+            id="triple",
+        ),
+    ],
+)
+def test_parse_rejects_repeated_edge(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_graph(text)
+    assert str(err.value) == message
+
+
+def test_build_graph_rejects_repeated_pair():
     with pytest.raises(ParseError, match="duplicate edge"):
-        parse_graph("A a1\nB b1\nE a1 b1\nE a1 b1\n")
+        build_graph(["a1", "a2"], ["b1"], [("a1", "b1"), ("a2", "b1"), ("a1", "b1")])
+
+
+@pytest.mark.parametrize("kind", ["spider", "caterpillar"])
+def test_parse_peak_memory_per_edge(kind):
+    # the edge tuple and the rows are the only edge store; a set of all
+    # edges beside them pushes the peak past 700 B per edge
+    text = serialize_graph(generate_instance(kind, 20_000))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        g = parse_graph(text)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak / g.m < 600
 
 
 def test_parse_rejects_bad_directive():
@@ -185,6 +236,9 @@ def test_connected_components_matches_reference():
         }
         g = BipartiteGraph(labels, [0] * na + [1] * nb, edges)
         assert components(g) == oracle_components(g)
+        for u in range(g.n):
+            for v in range(g.n):
+                assert g.has_edge(u, v) == ((u, v) in edges or (v, u) in edges)
 
 
 def test_components_ordered_by_smallest_member():
