@@ -5,9 +5,11 @@ to fix (one side has fewer than two vertices), one of two special
 shapes built around a lone edge, or the general shapes.  Several
 components needing work are joined to the first one by bridge edges
 that each lower the remaining demand by one, in O(1) amortized per
-bridge.  If one component is left, one more decomposition hands it to
-the tree based solver; if the pendant pairs run out first, the bridge
-loop's own records finish the job with a round robin stitch in O(n).
+bridge.  If one component is left, the bridged components are joined
+into the first decomposition, which hands it to the tree based solver;
+if the pendant pairs run out first, the bridge loop's own records
+finish the job with a round robin stitch in O(n).  Either way each
+input is decomposed once.
 
 The connected solver walks the structure tree: terminal cases emit all
 their edges at once, iterative cases add one edge, collapse the tree
@@ -88,9 +90,6 @@ class _State:
         self.added.append((u, v))
         self.cases.append(case)
         self.counters.edges_added += 1
-
-    def current_graph(self) -> BipartiteGraph:
-        return add_edges(self.g, self.added)
 
 
 def _binding_edge(
@@ -210,7 +209,7 @@ def _case_m1(
     a_in = [x for x in comp if g.sides[x] == 0]
     b_in = [x for x in comp if g.sides[x] == 1]
     if len(a_in) >= 2 and len(b_in) >= 2:
-        _solve_connected(st, g, dec, cid, self_check)
+        _solve_connected(st, dec, cid, self_check)
         return
     # the component is a star: one hub on the thin side, all other
     # members are its leaves; borrow opposite side vertices from outside
@@ -269,8 +268,11 @@ def _case_m3(
     hold every pendant, all single vertices of one side, and a round
     robin stitch finishes in O(n): each pendant gets an edge to the
     smallest opposite side vertex of the next group, w1 with all it
-    joined being one group.  If one component is left, one
-    decomposition of the bridged graph hands it to the tree solver.
+    joined being one group.  If one component is left, the join hands
+    it to the tree solver: a bridge between two pendants makes each end
+    a cut vertex with one more piece and one more edge and changes no
+    block, so the first decomposition, with the joined components
+    merged, is the decomposition of the bridged graph.
     """
     order: list[list[int]] = [[], [], []]  # recs indices per type
     members: dict[int, list[int]] = {}  # recs indices per component
@@ -319,10 +321,7 @@ def _case_m3(
     if left == 1:
         # bridges joined everything, so the component has two vertices
         # on each side and is no star
-        g2 = st.current_graph()
-        dec2 = decompose(g2, st.counters)
-        cid = dec2.comp_id[dec.comps[w1][0]]
-        _solve_connected(st, g2, dec2, cid, self_check)
+        _solve_connected(st, dec, dec.join(joined, st.added), self_check)
         return
     slot = 0 if total[0] else 1
     check(total[1 - slot] == total[2] == 0, "stitch saw pendants of two types")
@@ -344,14 +343,11 @@ def _case_m3(
 
 
 def _solve_connected(
-    st: _State,
-    gcur: BipartiteGraph,
-    dec: Decomposition,
-    cid: int,
-    self_check: bool = False,
+    st: _State, dec: Decomposition, cid: int, self_check: bool = False
 ) -> None:
     comp = dec.comps[cid]
-    tree = BlockTree.build(gcur, dec, comp, st.counters)
+    # the build reads only the sides of the graph, which bridges keep
+    tree = BlockTree.build(st.g, dec, comp, st.counters)
     index = AugTreeIndex(tree, st.counters)
     eta0 = index.eta_now()
     start = len(st.added)
@@ -373,7 +369,7 @@ def _audit_against_rebuild(st: _State, anchor: int, index: AugTreeIndex) -> None
     """Compare the incrementally maintained state with a from-scratch
     decomposition of the graph as it stands now."""
     index.audit()
-    g2 = st.current_graph()
+    g2 = add_edges(st.g, st.added)
     dec2 = decompose(g2)
     cid2 = dec2.comp_id[anchor]
     types = [p.ptype for p in pendant_records(g2, dec2) if p.comp == cid2]
@@ -420,9 +416,9 @@ def _terminal_uniform(
     assert all(tree.kind[x] == S_NODE for x in leaves)
     heads: list[int] = []
     for x in leaves:
-        (knode,) = tree.neighbors(x)
+        knode = tree.next_along(x, -1)
         assert tree.kind[knode] == K_NODE
-        heads.append(next(y for y in tree.neighbors(knode) if y != x))
+        heads.append(tree.next_along(knode, x))
     h1 = heads[0]
     hj = next((h for h in heads if h != h1), None)
     assert hj is not None, "all pendants share one bridge head"
@@ -453,10 +449,9 @@ def _terminal_two_critical(st: _State, tree: BlockTree, index: AugTreeIndex) -> 
     u1, u2 = crits
     sides: dict[int, list[int]] = {u1: [], u2: []}
     for leaf in sorted(tree.leaves()):
-        prev, cur = leaf, tree.neighbors(leaf)[0]
+        prev, cur = leaf, tree.next_along(leaf, -1)
         while tree.degree(cur) == 2:
-            nxt = next(nb for nb in tree.neighbors(cur) if nb != prev)
-            prev, cur = cur, nxt
+            prev, cur = cur, tree.next_along(cur, prev)
         if cur not in sides:
             raise ClingPartitionViolation(
                 f"pendant {leaf} walks to node {cur}, not a critical vertex"

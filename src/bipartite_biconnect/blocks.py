@@ -10,7 +10,9 @@ Blocks and bridges are grouped by component, and each component's
 group is sorted (blocks by vertex tuple, bridges by pair), as are the
 members of each block and component.  A structure tree is thus a
 function of the sorted block set, not of the order the DFS met them in,
-and it reads only its own component's group.
+and it reads only its own component's group.  Decomposition.join()
+merges components as bridges between their noncut vertices would, so a
+bridged graph needs no second decomposition.
 
 BlockTree models one component as a tree over block, pendant vertex,
 cut vertex and bridge nodes.  Its collapse() applies the effect of one
@@ -45,6 +47,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator
 
 from .errors import check
@@ -79,6 +82,70 @@ class Decomposition:
     block_starts: list[int]
     bridge_starts: list[int]
     degree: list[int]
+
+    def join(self, comps: list[int], bridges: list[tuple[int, int]]) -> int:
+        """Merge comps into one component, as the bridges between them
+        would, and return its id, the lowest of comps; the others are
+        left empty.
+
+        Each bridge joins one more of comps, and its ends must be noncut
+        vertices (branches 1): each becomes a cut vertex with one more
+        piece and one more edge.  No block changes, so the merged
+        component's members, block and bridge slices, branches, is_cut
+        and degree are what decompose() of the bridged graph gives it.
+        """
+        cid = min(comps)
+        check(len(bridges) == len(comps) - 1, "join needs a bridge per component")
+        comp_id, members = self.comp_id, self.comps
+        merged: list[int] = []
+        for c in comps:
+            merged += members[c]
+            if c != cid:
+                for v in members[c]:
+                    comp_id[v] = cid
+                members[c] = []
+        merged.sort()
+        members[cid] = merged
+        branches, is_cut, degree = self.branches, self.is_cut, self.degree
+        for edge in bridges:
+            for x in edge:
+                check(
+                    comp_id[x] == cid and branches[x] == 1,
+                    f"bridge end {x} is no noncut vertex of the joined components",
+                )
+                branches[x] = 2
+                is_cut[x] = True
+                degree[x] += 1
+        self.ns_blocks, self.block_starts = _regroup(
+            self.ns_blocks, self.block_starts, comps, []
+        )
+        self.cut_edges, self.bridge_starts = _regroup(
+            self.cut_edges, self.bridge_starts, comps, bridges
+        )
+        return cid
+
+
+def _regroup(
+    items: list, starts: list[int], comps: list[int], extra: list
+) -> tuple[list, list[int]]:
+    """items and their group starts with the groups of comps and extra
+    gathered, sorted, into the group of the lowest of comps."""
+    cid, *rest = sorted(comps)
+    group = list(extra)
+    for c in comps:
+        group += items[starts[c] : starts[c + 1]]
+    group.sort()
+    out = items[: starts[cid]] + group
+    lo = starts[cid + 1]
+    for c in rest:
+        out += items[lo : starts[c]]
+        lo = starts[c + 1]
+    out += items[lo:]
+    sizes = [b - a for a, b in zip(starts, starts[1:])]
+    for c in rest:
+        sizes[c] = 0
+    sizes[cid] = len(group)
+    return out, list(accumulate(sizes, initial=0))
 
 
 def decompose(g: BipartiteGraph, counters: OpCounters | None = None) -> Decomposition:
@@ -500,12 +567,14 @@ class BlockTree:
         # a stale parent pointer is never -1, so no need to resolve it
         return self.nkids[x] + (1 if self.parent[x] != -1 else 0)
 
-    def neighbors(self, x: int) -> list[int]:
-        out = sorted(self.kids(x))
+    def next_along(self, x: int, prev: int) -> int:
+        """x's neighbour other than prev, for x of degree two, or x's one
+        neighbour for x of degree one and prev -1: its live parent, else
+        its child besides prev."""
         p = self.up(x)
-        if p != -1:
-            out.append(p)
-        return out
+        if p != -1 and p != prev:
+            return p
+        return next(c for c in self.kids(x) if c != prev)
 
     def leaf_type(self, x: int) -> str:
         k = self.kind[x]

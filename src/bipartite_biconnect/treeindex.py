@@ -237,19 +237,15 @@ class AugTreeIndex:
         assert d >= 2, "root degenerated"
         if d >= 3:
             return ("keep", root)
-        kids = sorted(t.kids(root))
-        assert len(kids) == 2
-        if all(t.code[k] & 8 for k in kids):
+        many = [k for k in t.kids(root) if t.code[k] & 8]
+        if len(many) == 2:
             return ("keep", root)
         # exactly one child subtree holds more than one pendant; walk
         # down it to the first branching node
-        x = next(k for k in kids if t.code[k] & 8)
-        while True:
-            if t.degree(x) >= 3:
-                return ("walk", x)
-            kids = sorted(t.kids(x))
-            assert len(kids) == 1
-            x = kids[0]
+        (x,) = many
+        while t.degree(x) < 3:
+            (x,) = t.kids(x)
+        return ("walk", x)
 
     def reroot_walk(self, target: int) -> None:
         """Move the root down along the tree path to target, O(path)."""
@@ -321,7 +317,9 @@ class AugTreeIndex:
         counts = self.counts()
         combos = (c for c in CROSS_ORDER if is_decrementing(counts, *c))
         if deg == 2:
-            k1, k2 = sorted(t.kids(root))
+            k1, k2 = t.kids(root)
+            if k2 < k1:
+                k1, k2 = k2, k1
             code = t.code
             for t1, t2 in combos:
                 b1, b2 = LEAF_CODE[t1], LEAF_CODE[t2]

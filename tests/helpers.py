@@ -66,6 +66,31 @@ def mixed_graph(rng: random.Random, n: int, join: float, extra: int) -> Bipartit
     return BipartiteGraph(labels, sides, edges)
 
 
+def flower_graph(rng: random.Random, petals: int, tails: int) -> BipartiteGraph:
+    """Four-cycles through one hub, vertex 0, plus tails hung off random
+    vertices.  The hub is the smallest vertex of every petal, so the
+    petals that stay pendant blocks tie on their key."""
+    hub = rng.randrange(2)
+    sides = [hub]
+    edges = []
+    for _ in range(petals):
+        x = len(sides)
+        sides += [1 - hub, hub, 1 - hub]
+        edges += [(0, x), (x, x + 1), (x + 1, x + 2), (x + 2, 0)]
+    for _ in range(tails):
+        u = rng.randrange(len(sides))
+        edges.append((u, len(sides)))
+        sides.append(1 - sides[u])
+    return BipartiteGraph([f"v{i}" for i in range(len(sides))], sides, edges)
+
+
+def path_graph(n: int, first_side: int) -> BipartiteGraph:
+    """A path of n vertices starting on first_side; n = 2 is a lone edge."""
+    sides = [(first_side + i) % 2 for i in range(n)]
+    edges = [(i, i + 1) for i in range(n - 1)]
+    return BipartiteGraph([f"v{i}" for i in range(n)], sides, edges)
+
+
 def sparse_random_graph(n: int) -> BipartiteGraph:
     """G(n/2, n/2) with average degree 2, seeded by n.
 

@@ -188,18 +188,21 @@ def test_bridge_merge_of_three_paths():
     assert res.trace.count("M3") >= 2
 
 
-@pytest.mark.parametrize(
-    "name,passes", [("m3_m2_tail", 1), ("m2_two_stars", 1), ("m3_two_paths", 2)]
-)
-def test_disconnected_inputs_are_decomposed_once_more_at_most(name, passes):
-    """The round robin stitch works from the bridge loop's own records;
-    only a single component left by the bridges is decomposed again,
-    for the tree solver."""
-    path = Path(__file__).parent / "golden" / "inputs" / f"{name}.txt"
-    g = parse_graph(path.read_text())
+GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in GOLDEN_INPUTS.glob("*.txt")))
+def test_every_golden_input_is_decomposed_once(name):
+    """One decomposition serves the whole solve: the round robin stitch
+    works from the bridge loop's own records, and the join hands the
+    component the bridges leave to the tree solver."""
+    g = parse_graph((GOLDEN_INPUTS / f"{name}.txt").read_text())
     counters = OpCounters()
-    augment(g, counters)
-    assert counters.dfs_visits == passes * g.n
+    try:
+        augment(g, counters)
+    except NoBiconnector:
+        pass
+    assert counters.dfs_visits == g.n
 
 
 def test_chain_spider_mixed_types():
@@ -470,9 +473,12 @@ def test_solve_runs_few_collections():
     # allocations, so its count measures the containers a solve keeps
     # alive.  Structure trees and their index hold flat int lists, with
     # no container per node; with a set, a dict and a tuple per node,
-    # these solves ran 465 (spider) and 306 (random) such passes.
+    # these solves ran 465 (spider) and 306 (random) such passes.  The
+    # random solve decomposes its graph once and joins the bridged
+    # components into that decomposition; a second graph and a second
+    # decomposition of it doubled its passes.
     assert gc.isenabled()
     spider = generate_instance("spider", 20_000)
     assert _gen0_collections_during_augment(spider) <= 465 // 3
     sparse = sparse_random_graph(20_000)
-    assert _gen0_collections_during_augment(sparse) <= 306 // 2
+    assert _gen0_collections_during_augment(sparse) <= 306 // 5

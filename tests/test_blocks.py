@@ -10,19 +10,28 @@ from pathlib import Path
 
 import pytest
 
-from bipartite_biconnect import BipartiteGraph, decompose, pendant_records
+from bipartite_biconnect import (
+    BipartiteGraph,
+    NoBiconnector,
+    add_edges,
+    augment,
+    decompose,
+    pendant_records,
+)
 from bipartite_biconnect.blocks import (
     B_NODE,
     C_NODE,
     K_NODE,
     S_NODE,
     BlockTree,
+    Decomposition,
     tree_to_dot,
 )
 from bipartite_biconnect.graph import caterpillar_graph, spider_graph
 
 from .helpers import (
     all_graphs,
+    flower_graph,
     mixed_graph,
     oracle_bridges,
     oracle_components,
@@ -31,6 +40,7 @@ from .helpers import (
     oracle_pendants,
     oracle_split_count,
     path_between,
+    path_graph,
     pendant_kind,
     random_graph,
 )
@@ -65,10 +75,18 @@ def test_nonsingular_blocks_match_reference():
         assert mine == oracle_nonsingular_blocks(g)
 
 
-def shuffled_union(graphs: list[BipartiteGraph], rng: random.Random) -> BipartiteGraph:
-    """Disjoint union of graphs, with the vertex ids of all of them mixed."""
+def shuffled_union(
+    graphs: list[BipartiteGraph], rng: random.Random, keep_order: bool = False
+) -> BipartiteGraph:
+    """Disjoint union of graphs, with the vertex ids of all of them mixed;
+    with keep_order each graph's own vertices keep their order."""
     verts = [(i, v) for i, h in enumerate(graphs) for v in range(h.n)]
     rng.shuffle(verts)
+    if keep_order:
+        taken = [0] * len(graphs)
+        for x, (i, _) in enumerate(verts):
+            verts[x] = (i, taken[i])
+            taken[i] += 1
     where = {iv: x for x, iv in enumerate(verts)}
     return BipartiteGraph(
         [f"g{i}{graphs[i].labels[v]}" for i, v in verts],
@@ -107,6 +125,102 @@ def test_component_slices_partition_blocks_and_bridges():
         assert sorted(bridges) == oracle_bridges(g)
     # in some graphs the grouping by component is not the global order
     assert regrouped > 0
+
+
+def join_inputs(rng: random.Random):
+    """(kind, graph) pairs of several components that need work: forests
+    with a few cycles, flowers, or lone edges and paths, mixed with
+    finished blocks and lone vertices."""
+    c4 = BipartiteGraph(
+        ["a1", "b1", "a2", "b2"], [0, 1, 0, 1], [(0, 1), (2, 1), (2, 3), (0, 3)]
+    )
+    lone = BipartiteGraph(["a1"], [0], [])
+    for i in range(2_700):
+        kind = ("mixed", "flowers", "paths")[i % 3]
+        if kind == "mixed":
+            pieces = [
+                mixed_graph(
+                    rng, rng.randint(5, 14), rng.choice((0.6, 0.8, 1.0)), rng.randint(0, 3)
+                )
+                for _ in range(rng.randint(1, 3))
+            ]
+        elif kind == "flowers":
+            pieces = [
+                flower_graph(rng, rng.randint(1, 3), rng.randint(0, 3))
+                for _ in range(rng.randint(2, 4))
+            ]
+        else:
+            pieces = [
+                path_graph(rng.randint(2, 7), rng.randrange(2))
+                for _ in range(rng.randint(2, 5))
+            ]
+        pieces += rng.choice([[], [c4], [lone], [c4, lone], [path_graph(2, 0)]])
+        # a flower's hub stays the lowest vertex of its petals
+        yield kind, shuffled_union(pieces, rng, keep_order=kind == "flowers")
+
+
+def components_by_first_member(dec) -> dict[int, tuple[list, list, list]]:
+    """Each component's members, block slice and bridge slice, keyed by
+    its smallest vertex, so two numberings of the components compare;
+    an empty component owns no slice."""
+    bs, es = dec.block_starts, dec.bridge_starts
+    assert len(bs) == len(es) == len(dec.comps) + 1
+    assert bs[-1] == len(dec.ns_blocks) and es[-1] == len(dec.cut_edges)
+    out = {}
+    for cid, members in enumerate(dec.comps):
+        blocks = dec.ns_blocks[bs[cid] : bs[cid + 1]]
+        bridges = dec.cut_edges[es[cid] : es[cid + 1]]
+        if not members:
+            assert not blocks and not bridges
+            continue
+        assert all(dec.comp_id[v] == cid for v in members)
+        out[members[0]] = (members, blocks, bridges)
+    return out
+
+
+def test_join_matches_decomposing_the_bridged_graph(monkeypatch):
+    # the bridge loop's join hands the tree solver what a decomposition
+    # of the bridged graph would: the merged component, its block and
+    # bridge slices and every vertex's branches, is_cut and degree
+    joins = []
+    real_join = Decomposition.join
+
+    def join(dec, comps, bridges):
+        joins.append((dec, comps[:], bridges[:]))
+        return real_join(dec, comps, bridges)
+
+    monkeypatch.setattr(Decomposition, "join", join)
+    rng = random.Random(79)
+    joined = {"mixed": 0, "flowers": 0, "paths": 0}
+    key_ties = 0
+    for kind, g in join_inputs(rng):
+        joins.clear()
+        try:
+            augment(g)
+        except NoBiconnector:
+            continue
+        if not joins:
+            continue
+        (dec, comps, bridges), = joins
+        cid = min(comps)
+        ref = decompose(add_edges(g, bridges))
+        rid = ref.comp_id[dec.comps[cid][0]]
+        assert dec.comps[cid] == ref.comps[rid]
+        assert all(dec.branches[v] == ref.branches[v] for v in ref.comps[rid])
+        assert all(dec.is_cut[v] == ref.is_cut[v] for v in ref.comps[rid])
+        assert all(dec.degree[v] == ref.degree[v] for v in ref.comps[rid])
+        assert components_by_first_member(dec) == components_by_first_member(ref)
+        assert (dec.branches, dec.is_cut, dec.degree) == (
+            ref.branches,
+            ref.is_cut,
+            ref.degree,
+        )
+        joined[kind] += 1
+        ab_keys = [p.key for p in pendant_records(g, decompose(g)) if p.ptype == "AB"]
+        key_ties += len(set(ab_keys)) < len(ab_keys)
+    assert sum(joined.values()) >= 2_000, joined
+    assert min(joined.values()) >= 400, joined
+    assert key_ties >= 100
 
 
 def test_split_counts_match_reference():
