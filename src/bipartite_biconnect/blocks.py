@@ -568,9 +568,8 @@ class BlockTree:
         return self.nkids[x] + (1 if self.parent[x] != -1 else 0)
 
     def next_along(self, x: int, prev: int) -> int:
-        """x's neighbour other than prev, for x of degree two, or x's one
-        neighbour for x of degree one and prev -1: its live parent, else
-        its child besides prev."""
+        """x's neighbour other than prev, for x of degree at most two and
+        prev -1 for none: its live parent, else its child other than prev."""
         p = self.up(x)
         if p != -1 and p != prev:
             return p

@@ -186,7 +186,7 @@ def test_join_matches_decomposing_the_bridged_graph(monkeypatch):
     real_join = Decomposition.join
 
     def join(dec, comps, bridges):
-        joins.append((dec, comps[:], bridges[:]))
+        joins.append((dec, bridges[:]))
         return real_join(dec, comps, bridges)
 
     monkeypatch.setattr(Decomposition, "join", join)
@@ -201,14 +201,8 @@ def test_join_matches_decomposing_the_bridged_graph(monkeypatch):
             continue
         if not joins:
             continue
-        (dec, comps, bridges), = joins
-        cid = min(comps)
+        ((dec, bridges),) = joins
         ref = decompose(add_edges(g, bridges))
-        rid = ref.comp_id[dec.comps[cid][0]]
-        assert dec.comps[cid] == ref.comps[rid]
-        assert all(dec.branches[v] == ref.branches[v] for v in ref.comps[rid])
-        assert all(dec.is_cut[v] == ref.is_cut[v] for v in ref.comps[rid])
-        assert all(dec.degree[v] == ref.degree[v] for v in ref.comps[rid])
         assert components_by_first_member(dec) == components_by_first_member(ref)
         assert (dec.branches, dec.is_cut, dec.degree) == (
             ref.branches,
