@@ -167,12 +167,8 @@ def _case_m4(st: _State, dec: Decomposition, cen: ComponentCensus) -> None:
     )
     u, v = edge_comp
     r, c = (u, v) if g.sides[u] == 0 else (v, u)
-    spare_a = min(
-        x for x in range(g.n) if g.sides[x] == 0 and dec.degree[x] == 0
-    )
-    spare_b = min(
-        x for x in range(g.n) if g.sides[x] == 1 and dec.degree[x] == 0
-    )
+    spare_a = min(x for x in range(g.n) if g.sides[x] == 0 and not g.adj[x])
+    spare_b = min(x for x in range(g.n) if g.sides[x] == 1 and not g.adj[x])
     st.add_edge(r, spare_b, "M4")
     st.add_edge(spare_a, c, "M4")
     st.add_edge(spare_a, spare_b, "M4")
@@ -218,11 +214,7 @@ def _case_m1(
     else:
         assert len(a_in) == 1
         leaves, out_side = b_in, 0
-    isolated = [
-        x
-        for x in range(g.n)
-        if g.sides[x] == out_side and dec.degree[x] == 0
-    ]
+    isolated = [x for x in range(g.n) if g.sides[x] == out_side and not g.adj[x]]
     if isolated:
         w = min(isolated)
         for leaf in leaves:
@@ -536,11 +528,8 @@ def _hub_step(st: _State, tree: BlockTree, index: AugTreeIndex) -> None:
 
 def _branch_step(st: _State, tree: BlockTree, index: AugTreeIndex) -> None:
     """One reduction across the root: pick, join, collapse."""
-    action, node = index.choose_root()
-    if action == "rebuild":
-        index.rebuild(node)
-        st.counters.index_rebuilds += 1
-    elif action == "walk":
+    node = index.choose_root()
+    if node != tree.root:
         index.reroot_walk(node)
     _join_and_collapse(st, tree, index, *index.find_pair(), "S4_2")
 

@@ -72,8 +72,9 @@ class PendantRec:
 class Decomposition:
     comp_id: list[int]
     comps: list[list[int]]
-    branches: list[int]  # pieces deleting a vertex leaves in its component
-    is_cut: list[bool]
+    # pieces deleting a vertex leaves in its component: 2 or more on a
+    # cut vertex
+    branches: list[int]
     # grouped by component and sorted within each group; component c's
     # blocks are ns_blocks[block_starts[c]:block_starts[c + 1]], its
     # bridges cut_edges[bridge_starts[c]:bridge_starts[c + 1]]
@@ -81,7 +82,6 @@ class Decomposition:
     cut_edges: list[tuple[int, int]]
     block_starts: list[int]
     bridge_starts: list[int]
-    degree: list[int]
 
     def join(self, comps: list[int], bridges: list[tuple[int, int]]) -> int:
         """Merge comps into one component, as the bridges between them
@@ -91,8 +91,8 @@ class Decomposition:
         Each bridge joins one more of comps, and its ends must be noncut
         vertices (branches 1): each becomes a cut vertex with one more
         piece and one more edge.  No block changes, so the merged
-        component's members, block and bridge slices, branches, is_cut
-        and degree are what decompose() of the bridged graph gives it.
+        component's members, block and bridge slices and branches are
+        what decompose() of the bridged graph gives it.
         """
         cid = min(comps)
         check(len(bridges) == len(comps) - 1, "join needs a bridge per component")
@@ -106,7 +106,7 @@ class Decomposition:
                 members[c] = []
         merged.sort()
         members[cid] = merged
-        branches, is_cut, degree = self.branches, self.is_cut, self.degree
+        branches = self.branches
         for edge in bridges:
             for x in edge:
                 check(
@@ -114,8 +114,6 @@ class Decomposition:
                     f"bridge end {x} is no noncut vertex of the joined components",
                 )
                 branches[x] = 2
-                is_cut[x] = True
-                degree[x] += 1
         self.ns_blocks, self.block_starts = _regroup(
             self.ns_blocks, self.block_starts, comps, []
         )
@@ -240,29 +238,28 @@ def decompose(g: BipartiteGraph, counters: OpCounters | None = None) -> Decompos
         comp_id=comp_id,
         comps=comps,
         branches=branches,
-        is_cut=[b >= 2 for b in branches],
         ns_blocks=ns_blocks,
         cut_edges=cut_edges,
         block_starts=block_starts,
         bridge_starts=bridge_starts,
-        degree=list(map(len, adj)),
     )
 
 
 def pendant_records(g: BipartiteGraph, dec: Decomposition) -> list[PendantRec]:
     """All pendant blocks, ordered by smallest member vertex."""
     recs: list[PendantRec] = []
+    branches = dec.branches
     for blk in dec.ns_blocks:
-        cuts = [v for v in blk if dec.is_cut[v]]
+        cuts = [v for v in blk if branches[v] >= 2]
         if len(cuts) != 1:
             continue
         mins = [-1, -1]
         for v in blk:
-            if not dec.is_cut[v] and mins[g.sides[v]] == -1:
+            if branches[v] < 2 and mins[g.sides[v]] == -1:
                 mins[g.sides[v]] = v
         recs.append(PendantRec("AB", dec.comp_id[blk[0]], blk[0], mins[0], mins[1]))
     for v in range(g.n):
-        if dec.degree[v] == 1 and not dec.is_cut[v]:
+        if len(g.adj[v]) == 1 and branches[v] < 2:
             if g.sides[v] == 0:
                 recs.append(PendantRec("A", dec.comp_id[v], v, v, -1))
             else:
@@ -318,7 +315,7 @@ def tree_to_dot(g: BipartiteGraph) -> str:
                 f'  c{cid}_n{x} [shape={_DOT_SHAPE[kind]}, label="{lab}"];'
             )
         for x in t.live_nodes():
-            for ch in sorted(t.children[x]):
+            for ch in sorted(t.kids(x)):
                 lines.append(f"  c{cid}_n{x} -- c{cid}_n{ch};")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -344,7 +341,7 @@ class CollapseInfo:
 
 class _Children:
     """tree.children[x]: a read-only view of x's children, in bucket
-    order.  For tests and tracing; the solver walks the buckets itself."""
+    order.  Only perfbench's tracer reads it; everything else calls kids()."""
 
     __slots__ = ("_tree",)
 
@@ -396,14 +393,14 @@ class BlockTree:
         self.parent = [-1] * capacity
         # the subtree codes, the child counts, and the buckets: node x's
         # bucket for code c has its head at heads[base[x] + c], and bit c
-        # of present[x] says it is not empty; refill() makes the first five.
+        # of present[x] says it is not empty; build() sizes heads.
         # heads is an int array, half a list's memory: a dropped tree
         # waits for the cyclic collector, as children points back at it
-        self.code: list[int] = []
-        self.nkids: list[int] = []
-        self.base: list[int] = []
+        self.code = [0] * capacity
+        self.nkids = [0] * capacity
+        self.base = [-1] * capacity
         self.heads = array("i")
-        self.present: list[int] = []
+        self.present = [0] * capacity
         self.sprev = [-1] * capacity
         self.snext = [-1] * capacity
         self.children = _Children(self)
@@ -495,39 +492,6 @@ class BlockTree:
                 code[x] = new
             x = p
 
-    def refill(self, order: list[int], counters: OpCounters | None = None) -> None:
-        """Every code, child count and bucket from scratch, in O(size).
-
-        order lists every live node after all its children, so the root
-        comes last.  Each node made so far gets its own slots, and the
-        children go into their buckets in descending id order, so each
-        head is the lowest id its bucket holds.
-        """
-        cap, made, alive, parent = self.capacity, self.size, self.alive, self.parent
-        code = self.code = [0] * cap
-        kids = [0] * cap
-        # a node's code is the or of its children's codes, plus 8 if it
-        # has two or more; a node without children has its leaf code
-        for x in order:
-            k = kids[x]
-            c = (code[x] | (8 if k >= 2 else 0)) if k else self._leaf_code(x)
-            code[x] = c
-            p = parent[x]
-            if p != -1:
-                if not alive[p]:
-                    p = self.up(x)
-                code[p] |= c
-                kids[p] += 1
-        if counters:
-            counters.index_updates += len(order)
-        self.base = list(range(0, made * SLOTS, SLOTS)) + [-1] * (cap - made)
-        self.heads = array("i", [-1]) * (made * SLOTS)
-        self.present = [0] * cap
-        self.nkids = [0] * cap
-        for x in range(made - 1, -1, -1):
-            if alive[x] and x != self.root:
-                self._link(parent[x], x)
-
     def kids(self, x: int) -> list[int]:
         """x's children, bucket by bucket in ascending code order."""
         out = []
@@ -611,17 +575,21 @@ class BlockTree:
         node's degree and the xor of its neighbours' ids, and the tree
         then hangs from its root by peeling leaves: a leaf's one
         neighbour left is the xor, and it is the leaf's parent.  The
-        peeling order lists every node after its children, as refill()
-        needs.
+        peeling order lists every node after its children, so one pass
+        over it settles every code; then the children go into their
+        buckets in descending id order, so each head is the lowest id
+        its bucket holds.
         """
         if len(comp) < 2:
             raise ValueError("structure tree needs a component with >= 2 vertices")
         cid = dec.comp_id[comp[0]]
-        is_cut, degree, sides = dec.is_cut, dec.degree, g.sides
+        branches, adj, sides = dec.branches, g.adj, g.sides
         blocks = dec.ns_blocks[dec.block_starts[cid] : dec.block_starts[cid + 1]]
         bridges = dec.cut_edges[dec.bridge_starts[cid] : dec.bridge_starts[cid + 1]]
-        pend = [v for v in comp if degree[v] == 1 and not is_cut[v]]
-        cuts = [v for v in comp if is_cut[v]]
+        # a bridge end the join made a cut vertex is no pendant, whatever
+        # its degree in g
+        pend = [v for v in comp if len(adj[v]) == 1 and branches[v] < 2]
+        cuts = [v for v in comp if branches[v] >= 2]
         c_first = len(blocks) + len(pend)
         k_first = c_first + len(cuts)
         n = k_first + len(bridges)
@@ -637,7 +605,7 @@ class BlockTree:
         for x, blk in enumerate(blocks):
             ma = mb = -1
             for v in blk:
-                if is_cut[v]:
+                if branches[v] >= 2:
                     y = vnode[v]
                     deg[x] += 1
                     deg[y] += 1
@@ -679,6 +647,7 @@ class BlockTree:
                 t.min_b[x] = v
         if counters:
             counters.tree_nodes += n
+            counters.index_updates += n
 
         # Root at the cut vertex splitting the component the most, ties to
         # the lowest vertex; bridge-only two vertex components root at the
@@ -686,8 +655,8 @@ class BlockTree:
         if cuts:
             root, most = -1, -1
             for x, v in enumerate(cuts, c_first):
-                if dec.branches[v] > most:
-                    root, most = x, dec.branches[v]
+                if branches[v] > most:
+                    root, most = x, branches[v]
         else:
             root = n - 1 if bridges else 0
         stack = [x for x in range(n) if deg[x] == 1 and x != root]
@@ -708,7 +677,23 @@ class BlockTree:
         if len(order) != n:
             raise AssertionError("structure tree is not connected")
         t.root = root
-        t.refill(order, counters)
+        # a node's code is the or of its children's codes, plus 8 if it
+        # has two or more; a node without children has its leaf code
+        code = t.code
+        kids = [0] * n
+        for x in order:
+            k = kids[x]
+            c = (code[x] | (8 if k >= 2 else 0)) if k else t._leaf_code(x)
+            code[x] = c
+            p = parent[x]
+            if p != -1:
+                code[p] |= c
+                kids[p] += 1
+        t.base[:n] = range(0, n * SLOTS, SLOTS)
+        t.heads = array("i", [-1]) * (n * SLOTS)
+        for x in range(n - 1, -1, -1):
+            if x != root:
+                t._link(parent[x], x)
         return t
 
     def reroot(self, target: int) -> list[int]:

@@ -37,7 +37,7 @@ def census(dec: Decomposition) -> ComponentCensus:
         elif len(comp) == 2:
             classes.append(EDGE)
             c2 += 1
-        elif not any(dec.is_cut[v] for v in comp):
+        elif all(dec.branches[v] < 2 for v in comp):
             classes.append(BLOCK)
             c3 += 1
         else:

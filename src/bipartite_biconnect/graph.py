@@ -7,6 +7,7 @@ stored index based with the A endpoint first, sorted, and in no set.
 
 from __future__ import annotations
 
+import math
 import random
 from bisect import bisect_left
 from itertools import accumulate, compress, islice
@@ -386,17 +387,32 @@ def caterpillar_graph(spine: int) -> BipartiteGraph:
 
 
 def random_bipartite(na: int, nb: int, p: float, seed: int) -> BipartiteGraph:
-    """Independent edge coin flips with a fixed scan order, so one seed
-    always yields one graph."""
+    """Each cell of the na x nb grid is an edge with probability p, so one
+    seed always yields one graph.
+
+    Geometric skipping draws each gap between chosen cells at once
+    (Batagelj and Brandes 2005), in O(na + nb + edges).  p >= 1 takes
+    every cell; p <= 0, or a p so small that 1 - p rounds to 1, none.
+    """
     rng = random.Random(seed)
-    a = [f"a{i}" for i in range(1, na + 1)]
-    b = [f"b{j}" for j in range(1, nb + 1)]
-    edges = []
-    for i in range(na):
-        for j in range(nb):
-            if rng.random() < p:
-                edges.append((a[i], b[j]))
-    return build_graph(a, b, edges)
+    cells = na * nb
+    q = 1.0 - p
+    if q <= 0.0:
+        chosen: Iterable[int] = range(cells)
+    elif q >= 1.0:
+        chosen = ()
+    else:
+        log_q = math.log(q)
+        chosen = []
+        cell = -1
+        while True:
+            cell += 1 + int(math.log(1.0 - rng.random()) / log_q)
+            if cell >= cells:
+                break
+            chosen.append(cell)
+    labels = [f"a{i}" for i in range(1, na + 1)] + [f"b{j}" for j in range(1, nb + 1)]
+    edges = [(c // nb, na + c % nb) for c in chosen]
+    return BipartiteGraph(labels, [0] * na + [1] * nb, edges)
 
 
 def generate_instance(

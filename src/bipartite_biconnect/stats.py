@@ -13,9 +13,8 @@ class OpCounters:
     tree_nodes counts structure-tree nodes created, collapse_steps counts
     nodes retired by path collapses plus the children each collapse
     moves one by one onto the merged node, index_updates counts
-    subtree-code recomputations, edges_added counts augmentation edges
-    emitted, and index_rebuilds counts O(n) re-rootings of the
-    structure tree index.
+    subtree-code recomputations and the nodes each re-root walks, and
+    edges_added counts augmentation edges emitted.
     """
 
     dfs_visits: int = 0
@@ -23,7 +22,6 @@ class OpCounters:
     collapse_steps: int = 0
     index_updates: int = 0
     edges_added: int = 0
-    index_rebuilds: int = 0
 
     def as_dict(self) -> dict[str, int]:
         return asdict(self)

@@ -8,6 +8,11 @@ vertex and the candidates at any particular degree constant time
 queries; the number of branching nodes; and the leaf counts, with the
 pair count m and m + r kept current as they change.  Its per-node
 fields are flat lists sized like the tree's own.
+
+The index is built once per tree.  None of its state depends on where
+the tree is rooted, and the tree keeps its codes and buckets current
+through a re-root, so a branch step re-roots by walking the tree path
+to the new root, never by rebuilding.
 """
 
 from __future__ import annotations
@@ -31,16 +36,10 @@ CODES_WITH = {ptype: (bit, *CODES_WITH_MANY[ptype]) for ptype, bit in LEAF_CODE.
 
 class AugTreeIndex:
     def __init__(self, tree: BlockTree, counters: OpCounters | None = None):
-        self.tree = tree
+        """Fill every count and degree group from the tree's live nodes;
+        audit() builds a fresh index mid solve, among retired nodes."""
+        self.tree = t = tree
         self.counters = counters
-        self._reset()
-
-    # ------------------------------------------------------------------
-    # construction
-
-    def _reset(self) -> None:
-        """Empty every maintained structure and fill it from the tree."""
-        t = self.tree
         n = t.capacity
         self.leaf_counts = leaf_counts = {"A": 0, "B": 0, "AB": 0}
         self.grp_head: dict[int, int] = {}
@@ -219,33 +218,33 @@ class AugTreeIndex:
     # ------------------------------------------------------------------
     # rerooting
 
-    def choose_root(self) -> tuple[str, int]:
-        """Lemma style root policy for branch steps.
+    def choose_root(self) -> int:
+        """Lemma style root policy for branch steps: the node to hang the
+        tree from, the root itself when it stays.
 
-        Returns ("keep", root), ("rebuild", c_node) or ("walk", r_star)
-        where r_star is reached from the root through single non chain
-        descents.
+        That is the critical cut vertex when there is one, else the
+        root when two of its branches hold more than one pendant each or
+        it branches itself, else r_star, reached from the root through
+        single non chain descents.
         """
         t = self.tree
         root = t.root
         crit = self.critical_head()
         if crit != -1 and self.max_cdeg == self._mr + 1:
-            if crit == root:
-                return ("keep", root)
-            return ("rebuild", crit)
+            return crit
         d = t.degree(root)
         assert d >= 2, "root degenerated"
         if d >= 3:
-            return ("keep", root)
+            return root
         many = [k for k in t.kids(root) if t.code[k] & 8]
         if len(many) == 2:
-            return ("keep", root)
+            return root
         # exactly one child subtree holds more than one pendant; walk
         # down it to the first branching node
         (x,) = many
         while t.degree(x) < 3:
             (x,) = t.kids(x)
-        return ("walk", x)
+        return x
 
     def reroot_walk(self, target: int) -> None:
         """Move the root down along the tree path to target, O(path)."""
@@ -253,16 +252,8 @@ class AugTreeIndex:
         if self.counters:
             self.counters.index_updates += len(path)
 
-    def rebuild(self, new_root: int) -> None:
-        """Re-root the tree at new_root and rebuild the index from scratch."""
-        t = self.tree
-        t.reroot(new_root)
-        order = [new_root]
-        for x in order:
-            order += t.kids(x)
-        order.reverse()
-        t.refill(order, self.counters)
-        self._reset()
+    # perfbench/spans.py wraps this name; the walk is the only re-root
+    rebuild = reroot_walk
 
     # ------------------------------------------------------------------
     # collapse bookkeeping

@@ -6,11 +6,11 @@ with the package under test."""
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from collections import deque
 
 from bipartite_biconnect import BipartiteGraph, build_graph
+from bipartite_biconnect.graph import generate_instance
 
 
 # ----------------------------------------------------------------------
@@ -92,25 +92,9 @@ def path_graph(n: int, first_side: int) -> BipartiteGraph:
 
 
 def sparse_random_graph(n: int) -> BipartiteGraph:
-    """G(n/2, n/2) with average degree 2, seeded by n.
-
-    Geometric skipping draws each gap between chosen cells of the
-    na x nb grid at once (Batagelj and Brandes 2005), so building costs
-    O(n); graph.random_bipartite flips a coin per cell, 1.6e9 at 80k.
-    """
-    rng = random.Random(n)
-    na = n // 2
-    nb = n - na
-    log_q = math.log(1.0 - 2.0 / nb)
-    edges = set()
-    cell = -1
-    while True:
-        cell += 1 + int(math.log(1.0 - rng.random()) / log_q)
-        if cell >= na * nb:
-            break
-        edges.add((cell // nb, na + cell % nb))
-    labels = [f"a{i + 1}" for i in range(na)] + [f"b{j + 1}" for j in range(nb)]
-    return BipartiteGraph(labels, [0] * na + [1] * nb, edges)
+    """G(n/2, n/2) with average degree 2, seeded by n: the generator's
+    random family, which draws it in O(n) by geometric skipping."""
+    return generate_instance("random", n, seed=n)
 
 
 # ----------------------------------------------------------------------
@@ -335,7 +319,7 @@ def massive_and_critical(dec, recs, cid: int) -> tuple[list[int], list[int], int
             n[("A", "B", "AB").index(p.ptype)] += 1
     m = oracle_max_matching(*n)
     r = sum(n) - 2 * m
-    cuts = [v for v in dec.comps[cid] if dec.is_cut[v]]
+    cuts = [v for v in dec.comps[cid] if dec.branches[v] >= 2]
     massive = [v for v in cuts if dec.branches[v] - 1 > m + r]
     critical = [v for v in cuts if dec.branches[v] - 1 == m + r]
     return massive, critical, m, r

@@ -63,7 +63,7 @@ def test_components_match_reference():
 def test_cut_vertices_match_reference():
     for g in small_corpus():
         dec = decompose(g)
-        assert {v for v in range(g.n) if dec.is_cut[v]} == oracle_cut_vertices(g)
+        assert {v for v in range(g.n) if dec.branches[v] >= 2} == oracle_cut_vertices(g)
 
 
 def test_nonsingular_blocks_match_reference():
@@ -181,7 +181,7 @@ def components_by_first_member(dec) -> dict[int, tuple[list, list, list]]:
 def test_join_matches_decomposing_the_bridged_graph(monkeypatch):
     # the bridge loop's join hands the tree solver what a decomposition
     # of the bridged graph would: the merged component, its block and
-    # bridge slices and every vertex's branches, is_cut and degree
+    # bridge slices and every vertex's branches
     joins = []
     real_join = Decomposition.join
 
@@ -204,11 +204,7 @@ def test_join_matches_decomposing_the_bridged_graph(monkeypatch):
         ((dec, bridges),) = joins
         ref = decompose(add_edges(g, bridges))
         assert components_by_first_member(dec) == components_by_first_member(ref)
-        assert (dec.branches, dec.is_cut, dec.degree) == (
-            ref.branches,
-            ref.is_cut,
-            ref.degree,
-        )
+        assert dec.branches == ref.branches
         joined[kind] += 1
         ab_keys = [p.key for p in pendant_records(g, decompose(g)) if p.ptype == "AB"]
         key_ties += len(set(ab_keys)) < len(ab_keys)
@@ -287,7 +283,7 @@ def test_cut_vertex_tree_degree_equals_split_count():
                 continue
             t = BlockTree.build(g, dec, comp)
             cut_node = {t.payload[x]: x for x in t.live_nodes() if t.kind[x] == C_NODE}
-            assert sorted(cut_node) == [v for v in comp if dec.is_cut[v]]
+            assert sorted(cut_node) == [v for v in comp if dec.branches[v] >= 2]
             for v, x in cut_node.items():
                 assert t.degree(x) == dec.branches[v]
 

@@ -282,6 +282,14 @@ def test_random_generator_is_seeded():
     )
 
 
+def test_random_generator_bounds_p():
+    # the skips divide by log(1 - p), so the ends take no logarithm
+    for p in (1.0, 1.5):
+        assert random_bipartite(3, 4, p, seed=1).m == 12
+    for p in (0.0, -0.5, 1e-30):
+        assert random_bipartite(3, 4, p, seed=1).m == 0
+
+
 @pytest.mark.parametrize("kind", ["spider", "broom", "caterpillar", "random"])
 def test_generate_instance_size_tracks_request(kind):
     g = generate_instance(kind, 60, 0, None)

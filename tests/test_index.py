@@ -38,7 +38,7 @@ def needy_trees():
         for comp in dec.comps:
             if len(comp) < 2:
                 continue
-            if not any(dec.is_cut[v] for v in comp):
+            if all(dec.branches[v] < 2 for v in comp):
                 continue
             yield g, dec, BlockTree.build(g, dec, comp)
 
@@ -142,23 +142,6 @@ def test_reroot_walk_keeps_the_index_consistent():
     assert stale > 0
 
 
-def test_rebuild_reaches_any_root():
-    rng = random.Random(9)
-    stale = 0
-    for collapses in (0, 2):
-        for _, _, tree in needy_trees():
-            index = AugTreeIndex(tree)
-            collapse_leaf_pairs(tree, index, rng, collapses)
-            stale += has_stale_parent(tree)
-            edges = live_edges(tree)
-            target = rng.choice(tree.live_nodes())
-            index.rebuild(target)
-            assert tree.root == target
-            assert live_edges(tree) == edges
-            index.audit()
-    assert stale > 0
-
-
 def test_collapse_update_matches_fresh_build():
     # collapse any leaf pair as long as a third leaf keeps the tree
     # alive, which is the only regime the solver collapses in
@@ -194,7 +177,7 @@ def test_chain_queries_on_spider():
     assert tree.kind[tree.root] == C_NODE
     assert tree.payload[tree.root] == g.label_index["x"]
     # two length-one legs are chain children, the longer legs branch off
-    chains = [ch for ch in tree.children[tree.root] if not tree.code[ch] & 8]
+    chains = [ch for ch in tree.kids(tree.root) if not tree.code[ch] & 8]
     assert len(chains) >= 2
     assert index.massive_node() == tree.root
 
@@ -204,9 +187,7 @@ def test_choose_root_keeps_a_busy_root():
     dec = decompose(g)
     tree = BlockTree.build(g, dec, dec.comps[0])
     index = AugTreeIndex(tree)
-    action, node = index.choose_root()
-    assert action == "keep"
-    assert node == tree.root
+    assert index.choose_root() == tree.root
 
 
 def test_find_pair_descents_start_at_root():
@@ -214,11 +195,9 @@ def test_find_pair_descents_start_at_root():
     dec = decompose(g)
     tree = BlockTree.build(g, dec, dec.comps[0])
     index = AugTreeIndex(tree)
-    action, node = index.choose_root()
-    if action == "walk":
+    node = index.choose_root()
+    if node != tree.root:
         index.reroot_walk(node)
-    elif action == "rebuild":
-        index.rebuild(node)
     d1, d2 = index.find_pair()
     assert tree.up(d1[0]) == tree.root
     assert tree.up(d2[0]) == tree.root
@@ -229,7 +208,7 @@ def test_find_pair_descents_start_at_root():
 def test_descend_returns_a_path_to_the_right_type():
     for _, _, tree in needy_trees():
         index = AugTreeIndex(tree)
-        root_children = sorted(tree.children[tree.root])
+        root_children = sorted(tree.kids(tree.root))
         for child in root_children:
             for ptype in ("A", "B", "AB"):
                 code_bit = {"A": 4, "B": 2, "AB": 1}[ptype]
