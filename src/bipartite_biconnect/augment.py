@@ -162,9 +162,7 @@ def augment(
 def _case_m4(st: _State, dec: Decomposition, cen: ComponentCensus) -> None:
     """A lone edge among lone vertices: close a four cycle through it."""
     g = st.g
-    edge_comp = next(
-        comp for comp, cls in zip(dec.comps, cen.comp_classes) if cls == EDGE
-    )
+    edge_comp = dec.comps[cen.comp_classes.index(EDGE)]
     u, v = edge_comp
     r, c = (u, v) if g.sides[u] == 0 else (v, u)
     spare_a = min(x for x in range(g.n) if g.sides[x] == 0 and not g.adj[x])
@@ -178,14 +176,10 @@ def _case_m5(
     st: _State, g: BipartiteGraph, dec: Decomposition, cen: ComponentCensus
 ) -> None:
     """A lone edge next to finished blocks: hang it off the first block."""
-    edge_comp = next(
-        comp for comp, cls in zip(dec.comps, cen.comp_classes) if cls == EDGE
-    )
+    edge_comp = dec.comps[cen.comp_classes.index(EDGE)]
     u, v = edge_comp
     r, c = (u, v) if g.sides[u] == 0 else (v, u)
-    host = next(
-        comp for comp, cls in zip(dec.comps, cen.comp_classes) if cls == BLOCK
-    )
+    host = dec.comps[cen.comp_classes.index(BLOCK)]
     host_a = min(x for x in host if g.sides[x] == 0)
     host_b = min(x for x in host if g.sides[x] == 1)
     st.add_edge(r, host_b, "M5")
@@ -220,9 +214,7 @@ def _case_m1(
         for leaf in leaves:
             st.add_edge(leaf, w, "M1")
         return
-    host = next(
-        comp2 for comp2, cls in zip(dec.comps, cen.comp_classes) if cls == BLOCK
-    )
+    host = dec.comps[cen.comp_classes.index(BLOCK)]
     side_vs = [x for x in host if g.sides[x] == out_side]
     w1, w2 = side_vs[0], side_vs[1]
     st.add_edge(leaves[0], w1, "M1")

@@ -13,7 +13,7 @@ import sys
 import time
 from typing import Optional
 
-from .augment import AugmentationResult, augment
+from .augment import augment
 from .blocks import BlockTree, decompose, pendant_records, tree_to_dot
 from .bounds import NEEDY, census, classify_m
 from .errors import CapExceeded, NoBiconnector, ParseError
@@ -193,8 +193,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     g = parse_graph(_read_text(args.input))
     if args.edges is not None:
         pairs = _parse_edge_lines(_read_text(args.edges))
-        result = AugmentationResult(list(pairs), ["?"] * len(pairs), len(pairs))
-        rep = verify_result(g, result, use_oracle=args.oracle, cap=args.cap)
+        rep = verify_result(g, pairs, use_oracle=args.oracle, cap=args.cap)
     else:
         rep = check_componentwise_biconnected(g)
     for line in rep.lines():

@@ -276,27 +276,6 @@ def add_edges(
     return BipartiteGraph(g.labels, g.sides, g.edges + tuple(checked))
 
 
-def components(g: BipartiteGraph) -> list[list[int]]:
-    """Connected components as sorted vertex lists, ordered by smallest member."""
-    seen = [False] * g.n
-    comps: list[list[int]] = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        seen[s] = True
-        queue = [s]
-        comp = []
-        while queue:
-            u = queue.pop()
-            comp.append(u)
-            for v in g.adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    queue.append(v)
-        comps.append(sorted(comp))
-    return comps
-
-
 def path_graph(k: int) -> BipartiteGraph:
     """Path with k vertices labelled a1, b1, a2, b2, ... along the path."""
     labels = []

@@ -7,9 +7,11 @@ Two vertex components always fail.
 
 The checker finds cut vertices in linear time by Schmidt's chain
 decomposition ("A simple test on 2-vertex- and 2-edge-connectivity",
-IPL 2013), which shares no code with the solver's lowpoint pass.  The
-exhaustive search tests its candidate subsets by plain reachability
-over bit masks, deleting one vertex at a time.
+IPL 2013), which shares no code with the solver's lowpoint pass.  Its
+one DFS per component is the only traversal, and a patch is checked on
+the input's own rows with the added pairs appended.  The exhaustive
+search tests its candidate subsets by plain reachability over bit
+masks, deleting one vertex at a time.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .errors import CapExceeded, NoBiconnector
-from .graph import BipartiteGraph, components
+from .graph import BipartiteGraph
 
 MAX_CAP = 8  # deepest exhaustive search supported
 
@@ -108,8 +110,8 @@ def _lowest_cut_vertex(
     parent: list[int],
     pos: list[int],
     chained: list[int],
-) -> int:
-    """Smallest cut vertex of root's component, or -1 when it has none.
+) -> tuple[int, int]:
+    """Lowest cut vertex of root's component (-1 if none) and its size.
 
     A chain decomposition: one DFS numbers the component in preorder;
     then, for each vertex v in preorder and each back edge from v down
@@ -119,9 +121,9 @@ def _lowest_cut_vertex(
     tree edge no chain covers (a bridge), or when it starts a chain that
     closes a cycle and is not the first chain.
 
-    The component must be connected with three or more vertices, and
-    the four lists hold one slot per vertex of the whole graph.  They
-    are not reset: components are disjoint, so each slot is written by
+    The four lists hold one slot per vertex of the whole graph, and
+    pre is -1 on every vertex no earlier call reached.  They are not
+    reset: components are disjoint, so each slot is written by
     one component only.  chained[x] is 0 until a chain reaches x, 1 when
     x only starts chains, and 2 once the tree edge from x to its parent
     lies on a chain.
@@ -167,41 +169,46 @@ def _lowest_cut_vertex(
                 cut = x
             if len(adj[p]) >= 2 and p < cut:
                 cut = p
-    return cut if cut < len(pre) else -1
+    return (cut if cut < len(pre) else -1), len(order)
+
+
+def _check_rows(adj: Sequence[Sequence[int]], labels: Sequence[str]) -> VerifyReport:
+    """check_componentwise_biconnected on rows in any order.
+
+    Each vertex not reached yet, in ascending order, starts a component;
+    every component is walked, also after a failure, so all are counted.
+    """
+    n = len(adj)
+    pre = [-1] * n
+    parent = [-1] * n
+    pos = [0] * n
+    chained = [0] * n
+    witness = None
+    cid = 0
+    for s in range(n):
+        if pre[s] >= 0:
+            continue
+        cut, size = _lowest_cut_vertex(adj, s, pre, parent, pos, chained)
+        if witness is None:
+            if size == 2:
+                witness = (cid, "a two vertex component is never biconnected")
+            elif cut >= 0:
+                witness = (cid, f"deleting vertex {labels[cut]} disconnects it")
+        cid += 1
+    return VerifyReport(
+        componentwise_biconnected=witness is None,
+        witness=witness,
+        components_checked=cid,
+    )
 
 
 def check_componentwise_biconnected(g: BipartiteGraph) -> VerifyReport:
     """Is every component an isolated vertex or a biconnected set?
 
     Linear time.  The witness names the lowest cut vertex of the first
-    failing component, in components(g) order.
+    failing component, with components numbered by smallest vertex.
     """
-    comps = components(g)
-    n = g.n
-    pre = [-1] * n
-    parent = [-1] * n
-    pos = [0] * n
-    chained = [0] * n
-    for cid, comp in enumerate(comps):
-        if len(comp) == 1:
-            continue
-        if len(comp) == 2:
-            why = "a two vertex component is never biconnected"
-        else:
-            cut = _lowest_cut_vertex(g.adj, comp[0], pre, parent, pos, chained)
-            if cut < 0:
-                continue
-            why = f"deleting vertex {g.labels[cut]} disconnects it"
-        return VerifyReport(
-            componentwise_biconnected=False,
-            witness=(cid, why),
-            components_checked=len(comps),
-        )
-    return VerifyReport(
-        componentwise_biconnected=True,
-        witness=None,
-        components_checked=len(comps),
-    )
+    return _check_rows(g.adj, g.labels)
 
 
 def is_componentwise_biconnected(g: BipartiteGraph) -> bool:
@@ -212,7 +219,7 @@ def verify_result(
     g: BipartiteGraph,
     result,
     use_oracle: bool = False,
-    cap: int = 8,
+    cap: int = MAX_CAP,
 ) -> VerifyReport:
     """Check a proposed augmentation against the original graph.
 
@@ -220,15 +227,17 @@ def verify_result(
     Pair level failures (unknown vertex, same side, duplicate) and
     structural failures end up in the report, never as exceptions.
     With use_oracle, additionally confirm the size is minimum whenever
-    the instance fits the exhaustive search guards.
+    the instance fits the exhaustive search guards; a cap outside
+    [0, MAX_CAP] raises ValueError.
     """
+    if use_oracle:
+        _check_cap(cap)
     pairs = (
         list(result.added_edges)
         if hasattr(result, "added_edges")
         else [tuple(p) for p in result]
     )
     edge_errors: list[str] = []
-    idx_pairs: list[tuple[int, int]] = []
     added: set[tuple[int, int]] = set()
     for x, y in pairs:
         if x not in g.label_index or y not in g.label_index:
@@ -245,7 +254,6 @@ def verify_result(
             edge_errors.append(f"{x} {y}: duplicate edge")
             continue
         added.add((u, v))
-        idx_pairs.append((u, v))
     if edge_errors:
         return VerifyReport(
             componentwise_biconnected=False,
@@ -253,8 +261,13 @@ def verify_result(
             agreement=False,
             edge_errors=edge_errors,
         )
-    patched = BipartiteGraph(g.labels, g.sides, g.edges + tuple(idx_pairs))
-    rep = check_componentwise_biconnected(patched)
+    # the input's rows with each added pair appended at both ends; the
+    # check reads rows in any order
+    rows = [list(row) for row in g.adj]
+    for u, v in added:
+        rows[u].append(v)
+        rows[v].append(u)
+    rep = _check_rows(rows, g.labels)
     if use_oracle:
         try:
             oracle_size, _ = brute_force_optimal(g, cap)
@@ -263,7 +276,7 @@ def verify_result(
         except NoBiconnector:
             rep.agreement = False
         except (CapExceeded, ValueError):
-            pass  # outside the guards; size stays unconfirmed
+            pass  # too many candidates or cap too low; size stays unconfirmed
     return rep
 
 
@@ -291,8 +304,13 @@ def _masks_componentwise_ok(masks: list[int], n: int) -> bool:
     return True
 
 
+def _check_cap(cap: int) -> None:
+    if not 0 <= cap <= MAX_CAP:
+        raise ValueError(f"cap must lie in [0, {MAX_CAP}], got {cap}")
+
+
 def brute_force_optimal(
-    g: BipartiteGraph, cap: int = 8
+    g: BipartiteGraph, cap: int = MAX_CAP
 ) -> tuple[int, tuple[tuple[int, int], ...]]:
     """Smallest augmentation by exhaustive subset search.
 
@@ -300,13 +318,13 @@ def brute_force_optimal(
     order, so the answer is deterministic.  Returns (size, index pairs).
     Raises NoBiconnector when the full candidate set is exhausted
     without success, CapExceeded when only subsets up to cap were ruled
-    out, and ValueError when the instance is too big to search at all.
+    out, and ValueError when cap lies outside [0, MAX_CAP] or the
+    instance is too big to search at all.
     """
+    _check_cap(cap)
     legal = legal_nonedges(g)
     if len(legal) > 30:
         raise ValueError("too many candidate pairs for exhaustive search")
-    if cap > MAX_CAP:
-        raise ValueError(f"cap above {MAX_CAP} is not supported")
     base = _adjacency_masks(g)
     limit = min(cap, len(legal))
     for k in range(limit + 1):

@@ -114,13 +114,18 @@ def test_checker_matches_reference_on_randoms():
         assert_witness_and_masks_agree(g)
 
 
+def mixed_raw(seed):
+    """A seeded forest with extra edges, of 4 to 40 vertices."""
+    rng = random.Random(seed)
+    n = rng.randint(4, 40)
+    return mixed_graph(rng, n, rng.choice([0.6, 0.85, 1.0]), rng.randint(0, n // 2))
+
+
 def mixed_corpus(count):
-    """Seeded forests with extra edges of 4 to 40 vertices, each raw,
-    patched by augment, and patched less its last added edge."""
+    """The mixed_raw graphs, each raw, patched by augment, and patched
+    less its last added edge."""
     for seed in range(count):
-        rng = random.Random(seed)
-        n = rng.randint(4, 40)
-        g = mixed_graph(rng, n, rng.choice([0.6, 0.85, 1.0]), rng.randint(0, n // 2))
+        g = mixed_raw(seed)
         yield g
         pairs = [
             (g.label_index[x], g.label_index[y]) for x, y in augment(g).added_edges
@@ -139,6 +144,27 @@ def test_witness_is_lowest_cut_vertex_on_mixed_graphs():
     # both verdicts occur often: every patched graph passes, and most
     # raw and shortened ones fail
     assert passed >= 2000 and graphs - passed >= 2000
+
+
+def test_verify_result_rows_match_the_patched_graph():
+    # verify_result appends each added pair to the ends' rows, so rows
+    # fall out of order; the report must still match the patched graph's
+    passed = failed = 0
+    for seed in range(2000):
+        g = mixed_raw(seed)
+        patch = augment(g).added_edges
+        for pairs in (patch, patch[:-1]):
+            rep = verify_result(g, pairs)
+            patched = add_edges(
+                g, [(g.label_index[x], g.label_index[y]) for x, y in pairs]
+            )
+            assert rep.witness == expected_witness(patched)
+            assert rep.components_checked == (
+                check_componentwise_biconnected(patched).components_checked
+            )
+            passed += rep.passed
+            failed += not rep.passed
+    assert passed >= 2000 and failed >= 1000
 
 
 @settings(max_examples=300, deadline=None)
@@ -231,8 +257,9 @@ def test_brute_force_rejects_oversized_instance():
 
 
 def test_brute_force_rejects_cap_above_limit(p4):
-    with pytest.raises(ValueError):
-        brute_force_optimal(p4, cap=9)
+    for cap in (9, -1):
+        with pytest.raises(ValueError, match="cap must lie in"):
+            brute_force_optimal(p4, cap=cap)
 
 
 def test_legal_nonedges(p4):
@@ -270,6 +297,15 @@ def test_verify_result_oracle_agreement(p4):
     assert rep.oracle_size == 1
     assert rep.agreement
     assert rep.passed
+
+
+@pytest.mark.parametrize("cap", [9, -1])
+def test_verify_result_rejects_a_cap_outside_the_oracle_range(p4, cap):
+    # a bad cap is an error, not an unconfirmed size
+    with pytest.raises(ValueError, match="cap must lie in"):
+        verify_result(p4, [("a1", "b2")], use_oracle=True, cap=cap)
+    # without the oracle the cap is unused
+    assert verify_result(p4, [("a1", "b2")], cap=cap).passed
 
 
 def test_verify_result_flags_unknown_label(p4):
