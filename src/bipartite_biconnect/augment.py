@@ -45,7 +45,10 @@ from .bounds import (
 from .errors import ClingPartitionViolation, NoBiconnector, check
 from .graph import BipartiteGraph, add_edges
 from .matching import (
-    TYPE_SLOT,
+    AB,
+    TYPES,
+    A,
+    B,
     counts_of,
     joinable,
     maximum_legal_matching,
@@ -79,6 +82,8 @@ class _State:
         self.counters = counters
 
     def add_edge(self, u: int, v: int, case: str) -> None:
+        n = self.g.n
+        check(0 <= u < n and 0 <= v < n, f"edge end out of range: {u} {v}")
         if self.g.sides[u] == 1:
             u, v = v, u
         check(self.g.sides[u] == 0 and self.g.sides[v] == 1, "edge within one side")
@@ -93,7 +98,7 @@ class _State:
 
 
 def _binding_edge(
-    a1: int, b1: int, t1: str, k1: int, a2: int, b2: int, t2: str, k2: int
+    a1: int, b1: int, t1: int, k1: int, a2: int, b2: int, t2: int, k2: int
 ) -> tuple[int, int]:
     """Edge between noncut vertices of two pendant blocks, A side first.
 
@@ -102,16 +107,8 @@ def _binding_edge(
     endpoint comes from the lower keyed block, so repeated runs pick
     identical vertices.
     """
-    if t1 == "A" or (t1 == "AB" and t2 == "B"):
-        first_is_a = True
-    elif t2 == "A" or (t2 == "AB" and t1 == "B"):
-        first_is_a = False
-    else:
-        assert t1 == t2 == "AB"
-        first_is_a = k1 <= k2
-    u, v = (a1, b2) if first_is_a else (a2, b1)
-    assert u != -1 and v != -1, "pendant lacks a noncut vertex"
-    return u, v
+    first_is_a = k1 <= k2 if t1 == t2 == AB else t1 == A or t2 == B
+    return (a1, b2) if first_is_a else (a2, b1)
 
 
 def augment(
@@ -261,7 +258,7 @@ def _case_m3(
     order: list[list[int]] = [[], [], []]  # recs indices per type
     members: dict[int, list[int]] = {}  # recs indices per component
     for i, p in enumerate(recs):  # recs arrive sorted by key
-        order[TYPE_SLOT[p.ptype]].append(i)
+        order[p.ptype].append(i)
         members.setdefault(p.comp, []).append(i)
     # components still to join w1; left counts them and w1
     outside = [cls in (NEEDY, EDGE) for cls in cen.comp_classes]
@@ -271,7 +268,7 @@ def _case_m3(
     joined = [w1]  # w1 and every component it absorbed
     own: list[list[int]] = [[], [], []]  # heaps of w1's unused pendants
     for i in members[w1]:
-        own[TYPE_SLOT[recs[i].ptype]].append(i)  # ascending, so already heaps
+        own[recs[i].ptype].append(i)  # ascending, so already heaps
     cursor = [0, 0, 0]
     total = [len(ids) for ids in order]
     m = pair_count(*total)
@@ -280,19 +277,18 @@ def _case_m3(
         c1 = (len(own[0]), len(own[1]), len(own[2]))
         c2 = tuple(t - o for t, o in zip(total, c1))
         t1, t2 = pick_cross_pair(c1, c2)
-        s1, s2 = TYPE_SLOT[t1], TYPE_SLOT[t2]
-        rep1 = recs[heappop(own[s1])]
-        ids, pos = order[s2], cursor[s2]
+        rep1 = recs[heappop(own[t1])]
+        ids, pos = order[t2], cursor[t2]
         while not outside[recs[ids[pos]].comp]:
             pos += 1
-        cursor[s2] = pos + 1
+        cursor[t2] = pos + 1
         rep2 = recs[ids[pos]]
         u, v = _binding_edge(
             rep1.min_a, rep1.min_b, t1, rep1.key, rep2.min_a, rep2.min_b, t2, rep2.key
         )
         st.add_edge(u, v, "M3")
-        total[s1] -= 1
-        total[s2] -= 1
+        total[t1] -= 1
+        total[t2] -= 1
         m -= 1
         # join rep2's component to w1
         outside[rep2.comp] = False
@@ -300,20 +296,20 @@ def _case_m3(
         left -= 1
         for i in members[rep2.comp]:
             if i != ids[pos]:
-                heappush(own[TYPE_SLOT[recs[i].ptype]], i)
+                heappush(own[recs[i].ptype], i)
 
     if left == 1:
         # bridges joined everything, so the component has two vertices
         # on each side and is no star
         _solve_connected(st, dec, dec.join(joined, st.added), self_check)
         return
-    slot = 0 if total[0] else 1
-    check(total[1 - slot] == total[2] == 0, "stitch saw pendants of two types")
-    groups = [(sorted(own[slot]), joined)]
+    side = A if total[A] else B  # a single vertex pendant's type is its side
+    check(total[1 - side] == total[AB] == 0, "stitch saw pendants of two types")
+    groups = [(sorted(own[side]), joined)]
     groups += [(members[cid], [cid]) for cid, out in enumerate(outside) if out]
     sides = st.g.sides
     anchors = [
-        min(next(x for x in dec.comps[cid] if sides[x] != slot) for cid in comps)
+        min(next(x for x in dec.comps[cid] if sides[x] != side) for cid in comps)
         for _, comps in groups
     ]
     for pos, (pendants, _) in enumerate(groups):
@@ -445,23 +441,15 @@ def _terminal_two_critical(st: _State, tree: BlockTree, index: AugTreeIndex) -> 
         raise ClingPartitionViolation(
             f"pendant split {len(sides[u1])} vs {len(sides[u2])} is not even"
         )
-    buckets1: dict[str, list[int]] = {"A": [], "B": [], "AB": []}
-    buckets2: dict[str, list[int]] = {"A": [], "B": [], "AB": []}
-    for leaf in sides[u1]:
-        buckets1[tree.leaf_type(leaf)].append(leaf)
-    for leaf in sides[u2]:
-        buckets2[tree.leaf_type(leaf)].append(leaf)
-    used1 = {"A": 0, "B": 0, "AB": 0}
-    used2 = {"A": 0, "B": 0, "AB": 0}
+    # per side and type, a stack that pops its leaves in ascending order
+    stacks: list[list[list[int]]] = [[[], [], []], [[], [], []]]
+    for stack, u in zip(stacks, crits):
+        for leaf in reversed(sides[u]):
+            stack[tree.leaf_type(leaf)].append(leaf)
+    own, far = stacks
     for _ in range(len(sides[u1])):
-        c1 = tuple(len(buckets1[t]) - used1[t] for t in ("A", "B", "AB"))
-        c2 = tuple(len(buckets2[t]) - used2[t] for t in ("A", "B", "AB"))
-        t1, t2 = pick_cross_pair(c1, c2)
-        n1 = buckets1[t1][used1[t1]]
-        n2 = buckets2[t2][used2[t2]]
-        used1[t1] += 1
-        used2[t2] += 1
-        _emit_leaf_pair(st, tree, n1, n2, "S3")
+        t1, t2 = pick_cross_pair(tuple(map(len, own)), tuple(map(len, far)))
+        _emit_leaf_pair(st, tree, own[t1].pop(), far[t2].pop(), "S3")
 
 
 def _terminal_one_branch(
@@ -478,13 +466,9 @@ def _terminal_one_branch(
         _emit_leaf_pair(st, tree, n1, n2, case)
         matched.extend((n1, n2))
     matched.sort()
-    first_partner = {
-        t: next(
-            (x for x in matched if joinable(t, tree.leaf_type(x))),
-            -1,
-        )
-        for t in ("A", "B", "AB")
-    }
+    first_partner = [
+        next((x for x in matched if joinable(t, tree.leaf_type(x))), -1) for t in TYPES
+    ]
     for lone in leftovers:
         partner = first_partner[tree.leaf_type(lone)]
         assert partner != -1, "leftover pendant has no matched partner"

@@ -27,10 +27,12 @@ stale parent pointers.
 
 Every node carries a four bit code describing its subtree: bit 8 says
 the subtree holds more than one pendant, bits 4, 2, 1 say it holds a
-pendant of type A, B, AB.  A node's children sit in buckets, one
-intrusive list per child code, and these are the tree's only child
-lists: "a child whose subtree holds a type B pendant" is a head lookup,
-and collapse() and reroot() keep every code and bucket current.  The
+pendant of type A, B, AB.  A pendant type is matching's int A, B or AB,
+and the tuple LEAF_CODE = (4, 2, 1), indexed by type, is the one map
+from type to code.  A node's children sit in buckets, one intrusive
+list per child code, and these are the tree's only child lists: "a
+child whose subtree holds a type B pendant" is a head lookup, and
+collapse() and reroot() keep every code and bucket current.  The
 bucket heads sit in one flat array of sixteen slots per node, beside a
 bit mask per node of the codes whose bucket is not empty; a merged node
 takes over the slots of the node it adopts.  Every per-node field is a
@@ -52,6 +54,7 @@ from typing import Iterator
 
 from .errors import check
 from .graph import BipartiteGraph
+from .matching import AB, A, B
 from .stats import OpCounters
 
 
@@ -60,7 +63,7 @@ class PendantRec:
     """One pendant block as seen right after decomposition: a single
     vertex of type A or B, or a nonsingular block of type AB."""
 
-    ptype: str  # "A", "B", or "AB"
+    ptype: int  # matching's A, B or AB
     comp: int
     key: int  # smallest member vertex, used for deterministic ordering
     # smallest noncut member vertex on side A and on side B, -1 for none
@@ -257,13 +260,13 @@ def pendant_records(g: BipartiteGraph, dec: Decomposition) -> list[PendantRec]:
         for v in blk:
             if branches[v] < 2 and mins[g.sides[v]] == -1:
                 mins[g.sides[v]] = v
-        recs.append(PendantRec("AB", dec.comp_id[blk[0]], blk[0], mins[0], mins[1]))
+        recs.append(PendantRec(AB, dec.comp_id[blk[0]], blk[0], mins[0], mins[1]))
     for v in range(g.n):
         if len(g.adj[v]) == 1 and branches[v] < 2:
             if g.sides[v] == 0:
-                recs.append(PendantRec("A", dec.comp_id[v], v, v, -1))
+                recs.append(PendantRec(A, dec.comp_id[v], v, v, -1))
             else:
-                recs.append(PendantRec("B", dec.comp_id[v], v, -1, v))
+                recs.append(PendantRec(B, dec.comp_id[v], v, -1, v))
     recs.sort(key=lambda r: r.key)
     return recs
 
@@ -274,8 +277,8 @@ S_NODE = "s"  # singular pendant vertex
 C_NODE = "c"  # cut vertex
 K_NODE = "k"  # bridge edge
 
-# a pendant's code by its type
-LEAF_CODE = {"A": 4, "B": 2, "AB": 1}
+# a pendant's code, indexed by its type
+LEAF_CODE = (4, 2, 1)
 # a node's bucket heads take SLOTS slots of one flat list, the one for
 # code c at the node's base plus c, and bit c of its presence mask says
 # bucket c is not empty; the masks of the buckets whose code has bit 8,
@@ -539,12 +542,12 @@ class BlockTree:
             return p
         return next(c for c in self.kids(x) if c != prev)
 
-    def leaf_type(self, x: int) -> str:
+    def leaf_type(self, x: int) -> int:
         k = self.kind[x]
         if k == B_NODE:
-            return "AB"
+            return AB
         if k == S_NODE:
-            return "A" if self.min_a[x] != -1 else "B"
+            return A if self.min_a[x] != -1 else B
         raise ValueError(f"node {x} has no pendant type")
 
     def live_nodes(self) -> list[int]:

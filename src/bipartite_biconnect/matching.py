@@ -1,10 +1,13 @@
 """Pairing rules over pendant blocks.
 
 Pendants come in three types: A and B for single vertex pendants by
-side, AB for nonsingular pendant blocks.  Every combination except A
-with A and B with B can be joined by an edge: LEGAL_COMBOS lists them
-and joinable() asks it.  This module is the one place that knows these
-rules; the other layers ask it.
+side, AB for nonsingular pendant blocks.  A type is one of the ints
+A, B, AB = 0, 1, 2, listed in that order as TYPES, and every per type
+count or list in the package is indexed by it; A and B equal the side
+of the pendant's vertex.  Every combination except A with A and B with
+B can be joined by an edge: LEGAL_COMBOS lists them and joinable() asks
+it.  This module is the one place that knows these rules; the other
+layers ask it.
 
 The pair count m, the largest number of disjoint joinable pairs, has
 one closed form, pair_count(): min(A, B) pairs A with B, then the
@@ -26,15 +29,16 @@ from typing import Sequence
 
 from .errors import NoCrossPair
 
-LEGAL_COMBOS = (("A", "B"), ("A", "AB"), ("B", "AB"), ("AB", "AB"))
+A, B, AB = 0, 1, 2
+TYPES = (A, B, AB)
+LEGAL_COMBOS = ((A, B), (A, AB), (B, AB), (AB, AB))
 # (t1, t2) oriented: t1 from the first set, t2 from the second
 CROSS_ORDER = tuple(
     dict.fromkeys(o for ta, tb in LEGAL_COMBOS for o in ((ta, tb), (tb, ta)))
 )
-TYPE_SLOT = {"A": 0, "B": 1, "AB": 2}
 
 
-def joinable(t1: str, t2: str) -> bool:
+def joinable(t1: int, t2: int) -> bool:
     """True when a t1 pendant and a t2 pendant may be joined by an edge."""
     return (t1, t2) in CROSS_ORDER
 
@@ -60,32 +64,32 @@ def profile(n_a: int, n_b: int, n_ab: int) -> MatchingProfile:
     return MatchingProfile(n_a, n_b, n_ab, m, n_a + n_b + n_ab - 2 * m)
 
 
-def counts_of(types: Sequence[str]) -> tuple[int, int, int]:
+def counts_of(types: Sequence[int]) -> tuple[int, int, int]:
     c = [0, 0, 0]
     for t in types:
-        c[TYPE_SLOT[t]] += 1
+        c[t] += 1
     return c[0], c[1], c[2]
 
 
-def is_decrementing(counts: tuple[int, int, int], t1: str, t2: str) -> bool:
+def is_decrementing(counts: tuple[int, int, int], t1: int, t2: int) -> bool:
     """True when removing one t1 and one t2 pendant lowers the pair count
     by exactly one."""
     c = list(counts)
-    c[TYPE_SLOT[t1]] -= 1
-    c[TYPE_SLOT[t2]] -= 1
+    c[t1] -= 1
+    c[t2] -= 1
     return min(c) >= 0 and pair_count(*c) == pair_count(*counts) - 1
 
 
 def pick_cross_pair(
     counts1: tuple[int, int, int], counts2: tuple[int, int, int]
-) -> tuple[str, str]:
+) -> tuple[int, int]:
     """Choose pendant types (t1 from set one, t2 from set two) whose
     pairing lowers the pair count of the union by exactly one: the first
     such combo in CROSS_ORDER, so the choice is deterministic.
     """
     union = (counts1[0] + counts2[0], counts1[1] + counts2[1], counts1[2] + counts2[2])
     for t1, t2 in CROSS_ORDER:
-        if counts1[TYPE_SLOT[t1]] < 1 or counts2[TYPE_SLOT[t2]] < 1:
+        if counts1[t1] < 1 or counts2[t2] < 1:
             continue
         if is_decrementing(union, t1, t2):
             return t1, t2
@@ -93,19 +97,19 @@ def pick_cross_pair(
 
 
 def maximum_legal_matching(
-    pendants: Sequence[tuple[int, str]]
+    pendants: Sequence[tuple[int, int]]
 ) -> tuple[list[tuple[int, int]], list[int]]:
     """Greedy maximum pairing over (id, type) pendants.
 
     Returns the pairs and the unmatched ids, both deterministic: ids
     are consumed in ascending order within each type.
     """
-    by_type: dict[str, list[int]] = {"A": [], "B": [], "AB": []}
+    by_type: list[list[int]] = [[], [], []]
     for pid, t in pendants:
         by_type[t].append(pid)
-    for ids in by_type.values():
+    for ids in by_type:
         ids.sort()
-    a, b, ab = by_type["A"], by_type["B"], by_type["AB"]
+    a, b, ab = by_type
     pairs: list[tuple[int, int]] = list(zip(a, b))
     k = len(pairs)
     surplus = a[k:] if len(a) > len(b) else b[k:]

@@ -20,18 +20,14 @@ from __future__ import annotations
 from .blocks import B_NODE, C_NODE, LEAF_CODE, S_NODE, BlockTree, CollapseInfo
 from .blocks import walk_list
 from .errors import NoCrossPair, check
-from .matching import CROSS_ORDER, LEGAL_COMBOS, is_decrementing, joinable, pair_count
+from .matching import AB, CROSS_ORDER, LEGAL_COMBOS, TYPES
+from .matching import is_decrementing, joinable, pair_count
 from .stats import OpCounters
 
-# a chain child's code is the one leaf code its subtree holds
-TYPE_OF_CHAIN_CODE = {c: ptype for ptype, c in LEAF_CODE.items()}
-# codes of subtrees with more than one pendant that hold the given type
-CODES_WITH_MANY = {
-    ptype: tuple(c for c in range(8, 16) if c & bit)
-    for ptype, bit in LEAF_CODE.items()
-}
-# codes whose subtree holds the given type; the single leaf code first
-CODES_WITH = {ptype: (bit, *CODES_WITH_MANY[ptype]) for ptype, bit in LEAF_CODE.items()}
+# by type: codes of subtrees with more than one pendant that hold it
+CODES_WITH_MANY = tuple(tuple(c for c in range(8, 16) if c & bit) for bit in LEAF_CODE)
+# by type: codes whose subtree holds it; the single leaf code first
+CODES_WITH = tuple((bit, *many) for bit, many in zip(LEAF_CODE, CODES_WITH_MANY))
 
 
 class AugTreeIndex:
@@ -41,7 +37,7 @@ class AugTreeIndex:
         self.tree = t = tree
         self.counters = counters
         n = t.capacity
-        self.leaf_counts = leaf_counts = {"A": 0, "B": 0, "AB": 0}
+        self.leaf_counts = leaf_counts = [0, 0, 0]  # by type
         self.grp_head: dict[int, int] = {}
         self.gprev = [-1] * n
         self.gnext = [-1] * n
@@ -111,8 +107,7 @@ class AugTreeIndex:
 
     def _settle_counts(self) -> None:
         """Bring the leaf total, m and m + r in step with leaf_counts."""
-        lc = self.leaf_counts
-        n_a, n_b, n_ab = lc["A"], lc["B"], lc["AB"]
+        n_a, n_b, n_ab = self.leaf_counts
         self._total = n_a + n_b + n_ab
         self._m = pair_count(n_a, n_b, n_ab)
         self._mr = self._total - self._m
@@ -121,7 +116,8 @@ class AugTreeIndex:
         return self._total
 
     def counts(self) -> tuple[int, int, int]:
-        return (self.leaf_counts["A"], self.leaf_counts["B"], self.leaf_counts["AB"])
+        n_a, n_b, n_ab = self.leaf_counts
+        return n_a, n_b, n_ab
 
     def m_plus_r(self) -> int:
         return self._mr
@@ -166,7 +162,7 @@ class AugTreeIndex:
     def child_with(
         self,
         p: int,
-        ptype: str,
+        ptype: int,
         many_only: bool = False,
         exclude: tuple[int, ...] = (),
         need: int = 1,
@@ -192,7 +188,7 @@ class AugTreeIndex:
         t = self.tree
         return walk_list(t.heads[t.base[p] + code], t.snext, need)
 
-    def descend(self, x: int, ptype: str) -> list[int]:
+    def descend(self, x: int, ptype: int) -> list[int]:
         """Walk from x down to a pendant of the given type.
 
         Returns the node path [x, ..., leaf].  x's subtree must hold one.
@@ -288,7 +284,7 @@ class AugTreeIndex:
         self.leaf_counts[t.leaf_type(path[0])] -= 1
         self.leaf_counts[t.leaf_type(path[-1])] -= 1
         if deg_y == 1:
-            self.leaf_counts["AB"] += 1
+            self.leaf_counts[AB] += 1
         self._settle_counts()
 
     # ------------------------------------------------------------------
@@ -353,15 +349,13 @@ class AugTreeIndex:
                 x1, x2 = first[0], second[0]
             return self.descend(x1, t1), self.descend(x2, t2)
         # all chains carry one type; find the partner in a branching branch
-        lead = None
-        for c in TYPE_OF_CHAIN_CODE:
-            kids = self.chain_children(root, c, need=1)
-            if kids:
-                lead = (kids[0], TYPE_OF_CHAIN_CODE[c])
+        for t1 in TYPES:
+            chain = self.chain_children(root, LEAF_CODE[t1])
+            if chain:
                 break
-        assert lead is not None, "overloaded hub without chain branches"
-        x1, t1 = lead
-        for t2 in LEAF_CODE:
+        assert chain, "overloaded hub without chain branches"
+        x1 = chain[0]
+        for t2 in TYPES:
             if not joinable(t1, t2):
                 continue
             others = self.child_with(root, t2, many_only=True, exclude=(x1,), need=1)

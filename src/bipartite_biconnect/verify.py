@@ -322,9 +322,12 @@ def brute_force_optimal(
     instance is too big to search at all.
     """
     _check_cap(cap)
-    legal = legal_nonedges(g)
-    if len(legal) > 30:
+    # edges are distinct A to B pairs, so this counts the candidates
+    # exactly, in O(n) however large the graph
+    na = g.sides.count(0)
+    if na * (g.n - na) - g.m > 30:
         raise ValueError("too many candidate pairs for exhaustive search")
+    legal = legal_nonedges(g)
     base = _adjacency_masks(g)
     limit = min(cap, len(legal))
     for k in range(limit + 1):

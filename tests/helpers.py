@@ -11,6 +11,7 @@ from collections import deque
 
 from bipartite_biconnect import BipartiteGraph, build_graph
 from bipartite_biconnect.graph import generate_instance
+from bipartite_biconnect.matching import AB, A, B
 
 
 # ----------------------------------------------------------------------
@@ -266,7 +267,7 @@ def oracle_componentwise_biconnected(g: BipartiteGraph) -> bool:
     )
 
 
-def oracle_pendants(g: BipartiteGraph) -> list[tuple[str, frozenset[int], str]]:
+def oracle_pendants(g: BipartiteGraph) -> list[tuple[str, frozenset[int], int]]:
     """(kind, vertex set, type) for every pendant, sorted by lowest member.
 
     A pendant is a degree one vertex, or a cycle-closed block attached
@@ -276,20 +277,20 @@ def oracle_pendants(g: BipartiteGraph) -> list[tuple[str, frozenset[int], str]]:
     out = []
     for v in range(g.n):
         if g.degree(v) == 1:
-            out.append(("sv", frozenset([v]), "AB"[g.sides[v]]))
+            out.append(("sv", frozenset([v]), (A, B)[g.sides[v]]))
     for blk in oracle_nonsingular_blocks(g):
         comp = next(c for c in oracle_components(g) if next(iter(blk)) in c)
         if oracle_component_biconnected(g, comp):
             continue
         if len(blk & cuts) == 1:
-            out.append(("ns", blk, "AB"))
+            out.append(("ns", blk, AB))
     return sorted(out, key=lambda rec: min(rec[1]))
 
 
-def pendant_kind(ptype: str) -> str:
+def pendant_kind(ptype: int) -> str:
     """The oracle_pendants kind of a pendant of this type: a single
     vertex ("sv") is of type A or B, a nonsingular block ("ns") is AB."""
-    return "ns" if ptype == "AB" else "sv"
+    return "ns" if ptype == AB else "sv"
 
 
 def oracle_max_matching(n_a: int, n_b: int, n_ab: int) -> int:
@@ -316,7 +317,7 @@ def massive_and_critical(dec, recs, cid: int) -> tuple[list[int], list[int], int
     n = [0, 0, 0]
     for p in recs:
         if p.comp == cid:
-            n[("A", "B", "AB").index(p.ptype)] += 1
+            n[(A, B, AB).index(p.ptype)] += 1
     m = oracle_max_matching(*n)
     r = sum(n) - 2 * m
     cuts = [v for v in dec.comps[cid] if dec.branches[v] >= 2]

@@ -447,12 +447,17 @@ def test_missed_target_raises(monkeypatch, spider4):
 
 @pytest.mark.parametrize(
     "ends, what",
-    [(("a1", "b1"), "edge already present"), (("a1", "a2"), "edge within one side")],
+    [
+        (("a1", "b1"), "edge already present"),
+        (("a1", "a2"), "edge within one side"),
+        # -1 is the no vertex mark; as an index it would read the last vertex
+        ((None, "a1"), "edge end out of range"),
+    ],
 )
 def test_illegal_edge_raises(monkeypatch, p4, ends, what):
     # plain raises as well, so every added edge is checked under python -O
     aug = importlib.import_module("bipartite_biconnect.augment")
-    edge = tuple(p4.label_index[lab] for lab in ends)
+    edge = tuple(p4.label_index.get(lab, -1) for lab in ends)
     monkeypatch.setattr(aug, "_binding_edge", lambda *a: edge)
     with pytest.raises(InvariantViolation, match=what):
         augment(p4)

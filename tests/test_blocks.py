@@ -28,6 +28,7 @@ from bipartite_biconnect.blocks import (
     tree_to_dot,
 )
 from bipartite_biconnect.graph import caterpillar_graph, spider_graph
+from bipartite_biconnect.matching import AB, A, B
 
 from .helpers import (
     all_graphs,
@@ -206,7 +207,7 @@ def test_join_matches_decomposing_the_bridged_graph(monkeypatch):
         assert components_by_first_member(dec) == components_by_first_member(ref)
         assert dec.branches == ref.branches
         joined[kind] += 1
-        ab_keys = [p.key for p in pendant_records(g, decompose(g)) if p.ptype == "AB"]
+        ab_keys = [p.key for p in pendant_records(g, decompose(g)) if p.ptype == AB]
         key_ties += len(set(ab_keys)) < len(ab_keys)
     assert sum(joined.values()) >= 2_000, joined
     assert min(joined.values()) >= 400, joined
@@ -420,7 +421,7 @@ def assert_buckets_from_scratch(t: BlockTree) -> None:
             for ch in below[x]:
                 code[x] |= code[ch]
         elif t.kind[x] in (B_NODE, S_NODE):
-            code[x] = {"A": 4, "B": 2, "AB": 1}[t.leaf_type(x)]
+            code[x] = {A: 4, B: 2, AB: 1}[t.leaf_type(x)]
         else:
             code[x] = 0
     for x in live:

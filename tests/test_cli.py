@@ -3,13 +3,14 @@ output formats, and byte-for-byte determinism."""
 
 from __future__ import annotations
 
+import importlib
 import io
 import json
 
 import pytest
 
 from bipartite_biconnect.cli import main
-from bipartite_biconnect.graph import parse_graph, serialize_graph
+from bipartite_biconnect.graph import generate_instance, parse_graph, serialize_graph
 
 P4 = "A a1 a2\nB b1 b2\nE a1 b1\nE a2 b1\nE a2 b2\n"
 C4 = "A a1 a2\nB b1 b2\nE a1 b1\nE a1 b2\nE a2 b1\nE a2 b2\n"
@@ -262,6 +263,19 @@ def test_oracle_refuses_large_inputs(capsys, tmp_path):
     rc, _, err = run(capsys, ["oracle", str(f)])
     assert rc == 3
     assert "error:" in err
+
+
+def test_oracle_refuses_a_large_input_before_listing_candidates(monkeypatch):
+    # the refusal counts the candidates and lists none: a 3,000 vertex
+    # spider has about two million missing pairs
+    verify = importlib.import_module("bipartite_biconnect.verify")
+
+    def listed(g):
+        raise AssertionError("candidates listed before the size guard")
+
+    monkeypatch.setattr(verify, "legal_nonedges", listed)
+    with pytest.raises(ValueError, match="too many candidate pairs"):
+        verify.brute_force_optimal(generate_instance("spider", 3000))
 
 
 # ----------------------------------------------------------------------

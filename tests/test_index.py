@@ -15,7 +15,7 @@ from bipartite_biconnect import BipartiteGraph, decompose, pendant_records
 from bipartite_biconnect.blocks import C_NODE, BlockTree
 from bipartite_biconnect.bounds import eta_extended
 from bipartite_biconnect.graph import caterpillar_graph, spider_graph
-from bipartite_biconnect.matching import counts_of
+from bipartite_biconnect.matching import AB, A, B, counts_of
 from bipartite_biconnect.stats import OpCounters
 from bipartite_biconnect.treeindex import AugTreeIndex
 
@@ -210,8 +210,8 @@ def test_descend_returns_a_path_to_the_right_type():
         index = AugTreeIndex(tree)
         root_children = sorted(tree.kids(tree.root))
         for child in root_children:
-            for ptype in ("A", "B", "AB"):
-                code_bit = {"A": 4, "B": 2, "AB": 1}[ptype]
+            for ptype in (A, B, AB):
+                code_bit = {A: 4, B: 2, AB: 1}[ptype]
                 if not tree.code[child] & code_bit:
                     continue
                 path = index.descend(child, ptype)

@@ -12,7 +12,10 @@ from hypothesis import strategies as st
 from bipartite_biconnect import MatchingProfile, profile
 from bipartite_biconnect.errors import NoCrossPair
 from bipartite_biconnect.matching import (
+    AB,
     LEGAL_COMBOS,
+    A,
+    B,
     counts_of,
     is_decrementing,
     maximum_legal_matching,
@@ -39,18 +42,18 @@ def test_profile_known_values():
 
 
 def test_counts_of():
-    assert counts_of(["A", "B", "AB", "AB", "A"]) == (2, 1, 2)
+    assert counts_of([A, B, AB, AB, A]) == (2, 1, 2)
     assert counts_of([]) == (0, 0, 0)
 
 
 def test_legal_combos_exclude_same_side_pairs():
-    assert ("A", "A") not in LEGAL_COMBOS
-    assert ("B", "B") not in LEGAL_COMBOS
+    assert (A, A) not in LEGAL_COMBOS
+    assert (B, B) not in LEGAL_COMBOS
     assert set(LEGAL_COMBOS) == {
-        ("A", "B"),
-        ("A", "AB"),
-        ("B", "AB"),
-        ("AB", "AB"),
+        (A, B),
+        (A, AB),
+        (B, AB),
+        (AB, AB),
     }
 
 
@@ -58,9 +61,9 @@ def test_maximum_matching_reaches_the_formula():
     rng = random.Random(99)
     for _ in range(400):
         types = (
-            ["A"] * rng.randint(0, 5)
-            + ["B"] * rng.randint(0, 5)
-            + ["AB"] * rng.randint(0, 5)
+            [A] * rng.randint(0, 5)
+            + [B] * rng.randint(0, 5)
+            + [AB] * rng.randint(0, 5)
         )
         pendants = sorted(zip(range(len(types)), types))
         pairs, leftovers = maximum_legal_matching(pendants)
@@ -77,7 +80,7 @@ def test_maximum_matching_reaches_the_formula():
 
 def test_leftovers_are_never_pairable():
     pairs, leftovers = maximum_legal_matching(
-        [(0, "A"), (1, "A"), (2, "A"), (3, "B")]
+        [(0, A), (1, A), (2, A), (3, B)]
     )
     assert len(pairs) == 1
     assert leftovers == [1, 2]  # two A pendants left, nothing to take them
@@ -100,8 +103,8 @@ def test_cross_pair_lowers_the_count_by_one(counts1, counts2):
     # a nonempty split with pairs outstanding always admits a cross
     # pair whose removal lowers the count by exactly one
     t1, t2 = pick_cross_pair(counts1, counts2)
-    i1 = ("A", "B", "AB").index(t1)
-    i2 = ("A", "B", "AB").index(t2)
+    i1 = (A, B, AB).index(t1)
+    i2 = (A, B, AB).index(t2)
     assert counts1[i1] > 0 and counts2[i2] > 0
     after = list(total)
     after[i1] -= 1
@@ -112,15 +115,15 @@ def test_cross_pair_lowers_the_count_by_one(counts1, counts2):
 def test_cross_pair_is_the_first_available_combo_the_oracle_certifies():
     # the pair order, spelled out here rather than read from the module
     order = [
-        ("A", "B"),
-        ("B", "A"),
-        ("A", "AB"),
-        ("AB", "A"),
-        ("B", "AB"),
-        ("AB", "B"),
-        ("AB", "AB"),
+        (A, B),
+        (B, A),
+        (A, AB),
+        (AB, A),
+        (B, AB),
+        (AB, B),
+        (AB, AB),
     ]
-    slot = {"A": 0, "B": 1, "AB": 2}
+    slot = {A: 0, B: 1, AB: 2}
     for counts1 in itertools.product(range(4), repeat=3):
         for counts2 in itertools.product(range(4), repeat=3):
             total = [x + y for x, y in zip(counts1, counts2)]
@@ -150,5 +153,5 @@ def test_cross_pair_raises_when_nothing_works():
 
 def test_is_decrementing_certificate():
     counts = (2, 1, 1)
-    assert is_decrementing(counts, "A", "B")
-    assert not is_decrementing((2, 0, 0), "A", "A")
+    assert is_decrementing(counts, A, B)
+    assert not is_decrementing((2, 0, 0), A, A)
