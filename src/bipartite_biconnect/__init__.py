@@ -17,7 +17,6 @@ from .errors import (
     InvariantViolation,
     NoBiconnector,
     ParseError,
-    UnknownVertex,
 )
 from .graph import (
     BipartiteGraph,

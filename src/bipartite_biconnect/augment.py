@@ -42,7 +42,7 @@ from .bounds import (
     classify_m,
     theorem_target,
 )
-from .errors import ClingPartitionViolation, NoBiconnector, check
+from .errors import InvariantViolation, NoBiconnector, check
 from .graph import BipartiteGraph, add_edges
 from .matching import (
     AB,
@@ -74,16 +74,18 @@ class AugmentationResult:
 class _State:
     """Mutable view of the graph while edges are being added."""
 
-    def __init__(self, g: BipartiteGraph, counters: OpCounters):
+    def __init__(self, g: BipartiteGraph, counters: OpCounters, self_check: bool):
         self.g = g
         self.added: list[tuple[int, int]] = []
         self.added_set: set[tuple[int, int]] = set()
         self.cases: list[str] = []
         self.counters = counters
+        self.self_check = self_check  # audit after every connected step
 
     def add_edge(self, u: int, v: int, case: str) -> None:
         n = self.g.n
-        check(0 <= u < n and 0 <= v < n, f"edge end out of range: {u} {v}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise InvariantViolation(f"edge end out of range: {u} {v}")
         if self.g.sides[u] == 1:
             u, v = v, u
         check(self.g.sides[u] == 0 and self.g.sides[v] == 1, "edge within one side")
@@ -138,16 +140,17 @@ def augment(
         raise NoBiconnector(
             f"a side with {min(na, nb)} vertices cannot anchor any cycle"
         )
-    st = _State(g, counters)
+    st = _State(g, counters, self_check)
     if label == "M4":
         _case_m4(st, dec, cen)
     elif label == "M5":
         _case_m5(st, g, dec, cen)
     elif label == "M1":
-        _case_m1(st, g, dec, cen, self_check)
+        _case_m1(st, g, dec, cen)
     else:
-        _case_m3(st, dec, cen, recs, self_check)
-    check(len(st.added) == target, f"emitted {len(st.added)}, target {target}")
+        _case_m3(st, dec, cen, recs)
+    if len(st.added) != target:
+        raise InvariantViolation(f"emitted {len(st.added)}, target {target}")
     added_labels = [(g.labels[u], g.labels[v]) for u, v in st.added]
     return AugmentationResult(added_labels, st.cases, target)
 
@@ -188,7 +191,6 @@ def _case_m1(
     g: BipartiteGraph,
     dec: Decomposition,
     cen: ComponentCensus,
-    self_check: bool = False,
 ) -> None:
     """One component needs work; everything else is already finished."""
     cid = cen.comp_classes.index(NEEDY)
@@ -196,14 +198,14 @@ def _case_m1(
     a_in = [x for x in comp if g.sides[x] == 0]
     b_in = [x for x in comp if g.sides[x] == 1]
     if len(a_in) >= 2 and len(b_in) >= 2:
-        _solve_connected(st, dec, cid, self_check)
+        _solve_connected(st, dec, cid)
         return
     # the component is a star: one hub on the thin side, all other
     # members are its leaves; borrow opposite side vertices from outside
     if len(b_in) == 1:
         leaves, out_side = a_in, 1
     else:
-        assert len(a_in) == 1
+        check(len(a_in) == 1, "a star needs a hub on one side")
         leaves, out_side = b_in, 0
     isolated = [x for x in range(g.n) if g.sides[x] == out_side and not g.adj[x]]
     if isolated:
@@ -224,7 +226,6 @@ def _case_m3(
     dec: Decomposition,
     cen: ComponentCensus,
     recs: list[PendantRec],
-    self_check: bool = False,
 ) -> None:
     """Several components need work: bridge them, then stitch or solve.
 
@@ -301,7 +302,7 @@ def _case_m3(
     if left == 1:
         # bridges joined everything, so the component has two vertices
         # on each side and is no star
-        _solve_connected(st, dec, dec.join(joined, st.added), self_check)
+        _solve_connected(st, dec, dec.join(joined, st.added))
         return
     side = A if total[A] else B  # a single vertex pendant's type is its side
     check(total[1 - side] == total[AB] == 0, "stitch saw pendants of two types")
@@ -322,9 +323,7 @@ def _case_m3(
 # connected component solver
 
 
-def _solve_connected(
-    st: _State, dec: Decomposition, cid: int, self_check: bool = False
-) -> None:
+def _solve_connected(st: _State, dec: Decomposition, cid: int) -> None:
     comp = dec.comps[cid]
     # the build reads only the sides of the graph, which bridges keep
     tree = BlockTree.build(st.g, dec, comp, st.counters)
@@ -340,7 +339,7 @@ def _solve_connected(
         else:
             _TERMINAL[case](st, tree, index)
             break
-        if self_check:
+        if st.self_check:
             _audit_against_rebuild(st, comp[0], index)
     check(len(st.added) - start == eta0, "connected solve missed its bound")
 
@@ -393,15 +392,15 @@ def _terminal_uniform(
     second head's walk, or misses that node as the second head's does.
     """
     leaves = sorted(tree.leaves())
-    assert all(tree.kind[x] == S_NODE for x in leaves)
+    check(all(tree.kind[x] == S_NODE for x in leaves), "a pendant is not a vertex")
     heads: list[int] = []
     for x in leaves:
         knode = tree.next_along(x, -1)
-        assert tree.kind[knode] == K_NODE
+        check(tree.kind[knode] == K_NODE, "a pendant hangs by no bridge")
         heads.append(tree.next_along(knode, x))
     h1 = heads[0]
     hj = next((h for h in heads if h != h1), None)
-    assert hj is not None, "all pendants share one bridge head"
+    check(hj is not None, "all pendants share one bridge head")
     # each node's side is the child of h1 its walk enters h1 from, or
     # -1 for a walk that misses h1; every node is walked once
     side = {h1: h1, -1: -1}
@@ -425,7 +424,7 @@ def _terminal_uniform(
 def _terminal_two_critical(st: _State, tree: BlockTree, index: AugTreeIndex) -> None:
     """Two cut vertices each split the graph into half the pendants."""
     crits = sorted(index.critical_nodes())
-    assert len(crits) == 2
+    check(len(crits) == 2, "two critical cases need two critical nodes")
     u1, u2 = crits
     sides: dict[int, list[int]] = {u1: [], u2: []}
     for leaf in sorted(tree.leaves()):
@@ -433,12 +432,12 @@ def _terminal_two_critical(st: _State, tree: BlockTree, index: AugTreeIndex) -> 
         while tree.degree(cur) == 2:
             prev, cur = cur, tree.next_along(cur, prev)
         if cur not in sides:
-            raise ClingPartitionViolation(
+            raise InvariantViolation(
                 f"pendant {leaf} walks to node {cur}, not a critical vertex"
             )
         sides[cur].append(leaf)
     if len(sides[u1]) != len(sides[u2]):
-        raise ClingPartitionViolation(
+        raise InvariantViolation(
             f"pendant split {len(sides[u1])} vs {len(sides[u2])} is not even"
         )
     # per side and type, a stack that pops its leaves in ascending order
@@ -471,7 +470,7 @@ def _terminal_one_branch(
     ]
     for lone in leftovers:
         partner = first_partner[tree.leaf_type(lone)]
-        assert partner != -1, "leftover pendant has no matched partner"
+        check(partner != -1, "leftover pendant has no matched partner")
         _emit_leaf_pair(st, tree, lone, partner, case)
 
 
@@ -496,10 +495,12 @@ def _join_and_collapse(
 def _hub_step(st: _State, tree: BlockTree, index: AugTreeIndex) -> None:
     """One reduction at a cut vertex splitting harder than pairs can pay."""
     root = tree.root
-    assert tree.kind[root] == C_NODE
+    if tree.kind[root] != C_NODE:
+        raise InvariantViolation("hub step at a root that is no cut vertex")
     deg_before = tree.degree(root)
     _join_and_collapse(st, tree, index, *index.hub_step_pair(), "S5")
-    assert tree.degree(root) == deg_before - 1, "hub degree must drop by one"
+    if tree.degree(root) != deg_before - 1:
+        raise InvariantViolation("hub degree must drop by one")
 
 
 def _branch_step(st: _State, tree: BlockTree, index: AugTreeIndex) -> None:

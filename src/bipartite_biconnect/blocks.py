@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterator
 
-from .errors import check
+from .errors import InvariantViolation, check
 from .graph import BipartiteGraph
 from .matching import AB, A, B
 from .stats import OpCounters
@@ -112,10 +112,10 @@ class Decomposition:
         branches = self.branches
         for edge in bridges:
             for x in edge:
-                check(
-                    comp_id[x] == cid and branches[x] == 1,
-                    f"bridge end {x} is no noncut vertex of the joined components",
-                )
+                if comp_id[x] != cid or branches[x] != 1:
+                    raise InvariantViolation(
+                        f"bridge end {x} is no noncut vertex of the joined components"
+                    )
                 branches[x] = 2
         self.ns_blocks, self.block_starts = _regroup(
             self.ns_blocks, self.block_starts, comps, []
@@ -677,8 +677,7 @@ class BlockTree:
             if deg[p] == 1 and p != root:
                 stack.append(p)
         order.append(root)
-        if len(order) != n:
-            raise AssertionError("structure tree is not connected")
+        check(len(order) == n, "structure tree is not connected")
         t.root = root
         # a node's code is the or of its children's codes, plus 8 if it
         # has two or more; a node without children has its leaf code
@@ -835,7 +834,8 @@ class BlockTree:
             if x == self.root:
                 check(p == -1, "root has a parent")
             else:
-                check(p != -1 and self.alive[p], f"parent link broken at {x}")
+                if p == -1 or not self.alive[p]:
+                    raise InvariantViolation(f"parent link broken at {x}")
                 below[p].append(x)
         order = [self.root]
         for x in order:
@@ -853,15 +853,15 @@ class BlockTree:
                 want.setdefault(code[ch], set()).add(ch)
             heads = self.heads[self.base[x] : self.base[x] + SLOTS]
             got = [walk_list(h, self.snext, len(live)) for h in heads]
-            check(self.code[x] == code[x], f"code mismatch at {x}")
-            check(self.nkids[x] == len(below[x]), f"child count wrong at {x}")
-            mask = sum(1 << c for c in want)
-            check(self.present[x] == mask, f"presence mask wrong at {x}")
-            check(
-                {c: set(m) for c, m in enumerate(got) if m} == want
-                and sum(map(len, got)) == len(below[x]),
-                f"bucket mismatch at {x}",
-            )
+            if self.code[x] != code[x]:
+                raise InvariantViolation(f"code mismatch at {x}")
+            if self.nkids[x] != len(below[x]):
+                raise InvariantViolation(f"child count wrong at {x}")
+            if self.present[x] != sum(1 << c for c in want):
+                raise InvariantViolation(f"presence mask wrong at {x}")
+            buckets = {c: set(m) for c, m in enumerate(got) if m}
+            if buckets != want or sum(map(len, got)) != len(below[x]):
+                raise InvariantViolation(f"bucket mismatch at {x}")
 
 
 def walk_list(x: int, nxt: list[int], need: int) -> list[int]:

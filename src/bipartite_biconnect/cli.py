@@ -148,11 +148,7 @@ def _cmd_augment(args: argparse.Namespace) -> int:
     g = parse_graph(_read_text(args.input))
     stats = _stats_payload(g) if args.stats else None
     counters = OpCounters()
-    try:
-        result = augment(g, counters)
-    except NoBiconnector as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    result = augment(g, counters)
     if args.verify:
         rep = verify_result(g, result)
         if not rep.passed:
@@ -206,9 +202,6 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     g = parse_graph(_read_text(args.input))
     try:
         size, pairs = brute_force_optimal(g, cap=args.cap)
-    except NoBiconnector as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     except (CapExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILED
@@ -336,6 +329,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except NoBiconnector as exc:  # augment, oracle and bench alike
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
 
 
 if __name__ == "__main__":

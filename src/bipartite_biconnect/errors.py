@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+A fault of the solver itself, a broken invariant, raises
+InvariantViolation and nothing else, by a plain raise that python -O
+keeps, never by assert.  check() takes a constant message; a message
+that carries values, or a check on a per step path, is an inline raise,
+so nothing is formatted or called while the invariant holds.
+"""
 
 
 class GraphError(Exception):
@@ -13,12 +20,8 @@ class BipartitenessViolation(ParseError):
     """An edge joins two vertices on the same side, or a vertex is declared on both."""
 
 
-class UnknownVertex(GraphError):
-    """A vertex label or index was referenced but never declared."""
-
-
 class IllegalEdge(GraphError):
-    """Requested edge already present or not between opposite sides."""
+    """Edge already present, within one side, or with an end outside the graph."""
 
 
 class InvariantViolation(GraphError):
@@ -26,21 +29,13 @@ class InvariantViolation(GraphError):
 
 
 def check(ok: bool, what: str) -> None:
-    """An invariant check that python -O keeps."""
+    """An invariant check with a constant message."""
     if not ok:
         raise InvariantViolation(what)
 
 
-class NoCrossPair(GraphError):
-    """No matching-certified pendant pair exists across the requested split."""
-
-
 class NoBiconnector(GraphError):
     """The graph admits no bipartiteness preserving biconnecting augmentation."""
-
-
-class ClingPartitionViolation(GraphError):
-    """Two-critical layout does not split the pendant blocks into equal halves."""
 
 
 class CapExceeded(GraphError):

@@ -14,7 +14,7 @@ from itertools import accumulate, compress, islice
 from operator import eq
 from typing import Iterable, Sequence
 
-from .errors import BipartitenessViolation, IllegalEdge, ParseError, UnknownVertex
+from .errors import BipartitenessViolation, IllegalEdge, ParseError
 
 
 class BipartiteGraph:
@@ -244,10 +244,11 @@ def serialize_graph(g: BipartiteGraph) -> str:
 
 
 def is_legal_edge(g: BipartiteGraph, u: int, v: int) -> bool:
-    """True iff u and v sit on opposite sides and are not adjacent."""
+    """True iff u and v sit on opposite sides and are not adjacent;
+    IllegalEdge when either index is outside the graph."""
     for x in (u, v):
         if not 0 <= x < g.n:
-            raise UnknownVertex(f"vertex index {x} out of range")
+            raise IllegalEdge(f"vertex index {x} out of range")
     return g.sides[u] != g.sides[v] and not g.has_edge(u, v)
 
 
@@ -406,8 +407,6 @@ def generate_instance(
         raise ValueError("size must be positive")
     if kind == "path":
         return path_graph(size)
-    if kind == "cycle":
-        return cycle_graph(max(4, size + (size % 2)))
     if kind == "spider":
         k = max(2, (size - 1) // 3)
         return spider_graph([1] * k + [2] * k)

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import NoCrossPair
+from .errors import InvariantViolation, check
 
 A, B, AB = 0, 1, 2
 TYPES = (A, B, AB)
@@ -93,7 +93,7 @@ def pick_cross_pair(
             continue
         if is_decrementing(union, t1, t2):
             return t1, t2
-    raise NoCrossPair(f"no joinable cross pair for counts {counts1} and {counts2}")
+    raise InvariantViolation(f"no joinable cross pair for counts {counts1} and {counts2}")
 
 
 def maximum_legal_matching(
@@ -118,6 +118,6 @@ def maximum_legal_matching(
     rest = ab[k2:]
     pairs += zip(rest[0::2], rest[1::2])
     leftovers = sorted(surplus[k2:] + rest[2 * (len(rest) // 2) :])
-    assert len(pairs) == pair_count(len(a), len(b), len(ab))
-    assert len(leftovers) == len(pendants) - 2 * len(pairs)
+    check(len(pairs) == pair_count(len(a), len(b), len(ab)), "pairing is not maximum")
+    check(len(leftovers) == len(pendants) - 2 * len(pairs), "leftovers miscounted")
     return pairs, leftovers

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .blocks import B_NODE, C_NODE, LEAF_CODE, S_NODE, BlockTree, CollapseInfo
 from .blocks import walk_list
-from .errors import NoCrossPair, check
+from .errors import InvariantViolation, check
 from .matching import AB, CROSS_ORDER, LEGAL_COMBOS, TYPES
 from .matching import is_decrementing, joinable, pair_count
 from .stats import OpCounters
@@ -198,17 +198,20 @@ class AugTreeIndex:
         path = [x]
         bit = LEAF_CODE[ptype]
         while nkids[x]:
-            assert t.code[x] & bit, f"subtree of {x} lost type {ptype}"
+            if not t.code[x] & bit:
+                raise InvariantViolation(f"subtree of {x} lost type {ptype}")
             nxt = -1
             base = t.base[x]
             for c in codes:
                 nxt = heads[base + c]
                 if nxt != -1:
                     break
-            assert nxt != -1, f"no child of {x} holds type {ptype}"
+            if nxt == -1:
+                raise InvariantViolation(f"no child of {x} holds type {ptype}")
             x = nxt
             path.append(x)
-        assert t.leaf_type(x) == ptype
+        if t.leaf_type(x) != ptype:
+            raise InvariantViolation(f"descent ended at {x}, not a {ptype} pendant")
         return path
 
     # ------------------------------------------------------------------
@@ -229,7 +232,8 @@ class AugTreeIndex:
         if crit != -1 and self.max_cdeg == self._mr + 1:
             return crit
         d = t.degree(root)
-        assert d >= 2, "root degenerated"
+        if d < 2:
+            raise InvariantViolation("root degenerated")
         if d >= 3:
             return root
         many = [k for k in t.kids(root) if t.code[k] & 8]
@@ -314,13 +318,13 @@ class AugTreeIndex:
                     return self.descend(k1, t1), self.descend(k2, t2)
                 if code[k2] & b1 and code[k1] & b2:
                     return self.descend(k2, t1), self.descend(k1, t2)
-            raise NoCrossPair("no pairable pendants across the two root branches")
+            raise InvariantViolation("no pairable pendants across the two root branches")
         for t1, t2 in combos:
             for x in self.child_with(root, t1, many_only=True, need=2):
                 others = self.child_with(root, t2, exclude=(x,), need=1)
                 if others:
                     return self.descend(x, t1), self.descend(others[0], t2)
-        raise NoCrossPair("no pairable pendants across root branches")
+        raise InvariantViolation("no pairable pendants across root branches")
 
     def hub_step_pair(self) -> tuple[list[int], list[int]]:
         """Pick the pendant pair for one step of the heavy hub case.
@@ -353,7 +357,7 @@ class AugTreeIndex:
             chain = self.chain_children(root, LEAF_CODE[t1])
             if chain:
                 break
-        assert chain, "overloaded hub without chain branches"
+        check(bool(chain), "overloaded hub without chain branches")
         x1 = chain[0]
         for t2 in TYPES:
             if not joinable(t1, t2):
@@ -361,7 +365,7 @@ class AugTreeIndex:
             others = self.child_with(root, t2, many_only=True, exclude=(x1,), need=1)
             if others:
                 return self.descend(x1, t1), self.descend(others[0], t2)
-        raise NoCrossPair("no legal partner for the chain leaves")
+        raise InvariantViolation("no legal partner for the chain leaves")
 
     # ------------------------------------------------------------------
     # verification aid

@@ -3,6 +3,7 @@ against exhaustive search, and the step invariants."""
 
 from __future__ import annotations
 
+import ast
 import gc
 import importlib
 import os
@@ -434,6 +435,20 @@ def test_deterministic_output():
             continue
         assert r1.added_edges == r2.added_edges
         assert r1.trace == r2.trace
+
+
+def test_package_signals_faults_without_assert():
+    # python -O strips assert statements, so a solver invariant written
+    # as one would vanish there; every fault is an InvariantViolation
+    src = Path(__file__).parent.parent / "src" / "bipartite_biconnect"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert) or (
+                isinstance(node, ast.Name) and node.id == "AssertionError"
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_missed_target_raises(monkeypatch, spider4):

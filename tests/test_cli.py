@@ -339,6 +339,16 @@ def test_bench_scientific_sizes(capsys):
     assert "size=10" in out
 
 
+@pytest.mark.parametrize("sizes", ["2", "3", "20,2"])
+def test_bench_infeasible_size_exits_two(capsys, sizes):
+    # a random graph this small has one vertex on a side: no augmentation
+    # exists, which is exit 2 as in augment, not a traceback
+    rc, out, err = run(capsys, ["bench", "--kind", "random", "--sizes", sizes])
+    assert rc == 2
+    assert out.count("BENCH") == sizes.count(",")
+    assert err.splitlines()[-1] == "error: a side with 1 vertices cannot anchor any cycle"
+
+
 @pytest.mark.parametrize("sizes", ["abc", "inf", "nan", "0", "-5", "20,1e999"])
 def test_bench_bad_sizes_exit_one(capsys, sizes):
     rc, out, err = run(capsys, ["bench", "--kind", "broom", "--sizes", sizes])

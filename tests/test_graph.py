@@ -11,7 +11,6 @@ from bipartite_biconnect import (
     BipartiteGraph,
     IllegalEdge,
     ParseError,
-    UnknownVertex,
     add_edges,
     build_graph,
     is_legal_edge,
@@ -178,7 +177,7 @@ def test_is_legal_edge(p4):
     assert not is_legal_edge(p4, a1, b1)  # already present
     assert not is_legal_edge(p4, a1, a2)  # same side
     assert is_legal_edge(p4, b2, a1)  # orientation free
-    with pytest.raises(UnknownVertex):
+    with pytest.raises(IllegalEdge):
         is_legal_edge(p4, 0, 99)
 
 
@@ -202,6 +201,13 @@ def test_add_edges_rejects_same_side(p4):
 def test_add_edges_rejects_repeat_in_list(p4):
     with pytest.raises(IllegalEdge):
         add_edges(p4, [(0, 3), (3, 0)])
+
+
+def test_add_edges_rejects_an_out_of_range_index(p4):
+    # the same error BipartiteGraph raises for an edge to a missing vertex
+    for pair in [(0, 99), (99, 0), (-1, 2)]:
+        with pytest.raises(IllegalEdge, match="out of range"):
+            add_edges(p4, [pair])
 
 
 def test_has_edge_matches_reference():

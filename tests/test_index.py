@@ -11,7 +11,12 @@ import random
 
 import pytest
 
-from bipartite_biconnect import BipartiteGraph, decompose, pendant_records
+from bipartite_biconnect import (
+    BipartiteGraph,
+    InvariantViolation,
+    decompose,
+    pendant_records,
+)
 from bipartite_biconnect.blocks import C_NODE, BlockTree
 from bipartite_biconnect.bounds import eta_extended
 from bipartite_biconnect.graph import caterpillar_graph, spider_graph
@@ -220,3 +225,17 @@ def test_descend_returns_a_path_to_the_right_type():
                 for a, b in zip(path, path[1:]):
                     assert tree.up(b) == a
                 break
+
+
+def test_descend_to_a_missing_type_raises():
+    # every leg of this spider ends in an A or a B pendant, none in AB; a
+    # descent toward AB must fail, also under python -O, rather than
+    # return a path into a node that does not exist
+    g = spider_graph([1, 1, 2, 2])
+    dec = decompose(g)
+    tree = BlockTree.build(g, dec, dec.comps[0])
+    index = AugTreeIndex(tree)
+    for kid in sorted(tree.kids(tree.root)):
+        assert not tree.code[kid] & 1
+        with pytest.raises(InvariantViolation, match=f"subtree of {kid} lost type"):
+            index.descend(kid, AB)

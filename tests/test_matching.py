@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bipartite_biconnect import MatchingProfile, profile
-from bipartite_biconnect.errors import NoCrossPair
+from bipartite_biconnect.errors import InvariantViolation
 from bipartite_biconnect.matching import (
     AB,
     LEGAL_COMBOS,
@@ -139,7 +139,7 @@ def test_cross_pair_is_the_first_available_combo_the_oracle_certifies():
                     expected = (t1, t2)
                     break
             if expected is None:
-                with pytest.raises(NoCrossPair):
+                with pytest.raises(InvariantViolation):
                     pick_cross_pair(counts1, counts2)
             else:
                 assert pick_cross_pair(counts1, counts2) == expected, (counts1, counts2)
@@ -147,7 +147,7 @@ def test_cross_pair_is_the_first_available_combo_the_oracle_certifies():
 
 def test_cross_pair_raises_when_nothing_works():
     # all pendants on one side, split across two groups
-    with pytest.raises(NoCrossPair):
+    with pytest.raises(InvariantViolation):
         pick_cross_pair((2, 0, 0), (3, 0, 0))
 
 
