@@ -88,11 +88,10 @@ class _State:
             raise InvariantViolation(f"edge end out of range: {u} {v}")
         if self.g.sides[u] == 1:
             u, v = v, u
-        check(self.g.sides[u] == 0 and self.g.sides[v] == 1, "edge within one side")
-        check(
-            not self.g.has_edge(u, v) and (u, v) not in self.added_set,
-            "edge already present",
-        )
+        if self.g.sides[u] != 0 or self.g.sides[v] != 1:
+            raise InvariantViolation("edge within one side")
+        if self.g.has_edge(u, v) or (u, v) in self.added_set:
+            raise InvariantViolation("edge already present")
         self.added_set.add((u, v))
         self.added.append((u, v))
         self.cases.append(case)
@@ -328,7 +327,7 @@ def _solve_connected(st: _State, dec: Decomposition, cid: int) -> None:
     # the build reads only the sides of the graph, which bridges keep
     tree = BlockTree.build(st.g, dec, comp, st.counters)
     index = AugTreeIndex(tree, st.counters)
-    eta0 = index.eta_now()
+    eta = eta0 = index.eta_now()
     start = len(st.added)
     while index.leaf_total() > 0:
         case = index.s_case()
@@ -339,6 +338,10 @@ def _solve_connected(st: _State, dec: Decomposition, cid: int) -> None:
         else:
             _TERMINAL[case](st, tree, index)
             break
+        # each iterative step adds one edge and must lower the demand by one
+        eta -= 1
+        if index.eta_now() != eta:
+            raise InvariantViolation("demand must drop by one")
         if st.self_check:
             _audit_against_rebuild(st, comp[0], index)
     check(len(st.added) - start == eta0, "connected solve missed its bound")
@@ -362,11 +365,15 @@ def _audit_against_rebuild(st: _State, anchor: int, index: AugTreeIndex) -> None
     )
 
 
-def _emit_leaf_pair(st: _State, tree: BlockTree, n1: int, n2: int, case: str) -> None:
+def _emit_leaf_pair(
+    st: _State, tree: BlockTree, n1: int, n2: int, case: str
+) -> tuple[int, int]:
+    """Add the binding edge between leaves n1 and n2; returns their types."""
     t1, t2 = tree.leaf_type(n1), tree.leaf_type(n2)
     a, b = tree.min_a, tree.min_b
     u, v = _binding_edge(a[n1], b[n1], t1, n1, a[n2], b[n2], t2, n2)
     st.add_edge(u, v, case)
+    return t1, t2
 
 
 def _terminal_small(st: _State, tree: BlockTree, index: AugTreeIndex) -> None:
@@ -484,12 +491,8 @@ def _join_and_collapse(
 ) -> None:
     """Join the two leaves that end the descent paths from the root,
     then collapse the tree path the new edge closes."""
-    eta_before = index.eta_now()
-    _emit_leaf_pair(st, tree, path1[-1], path2[-1], case)
-    full = list(reversed(path1)) + [tree.root] + path2
-    info = tree.collapse(full, st.counters)
-    index.update_after_collapse(info)
-    check(index.eta_now() == eta_before - 1, "demand must drop by one")
+    t1, t2 = _emit_leaf_pair(st, tree, path1[-1], path2[-1], case)
+    index.update_after_collapse(tree.collapse(path1, path2, st.counters), t1, t2)
 
 
 def _hub_step(st: _State, tree: BlockTree, index: AugTreeIndex) -> None:

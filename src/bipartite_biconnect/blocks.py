@@ -19,11 +19,14 @@ cut vertex and bridge nodes.  Its collapse() applies the effect of one
 binding edge: the whole tree path between the two paired nodes fuses
 into a single new block node, degree two cut vertices on the path stop
 being cut vertices, and higher degree ones survive with their degree
-reduced by one.  The new node takes over the children of the absorbed
-node with the most children at once, so a collapse costs the path plus
-the other children it moves, not the size of the merged block.  The
-adopted children keep pointing at the retired node; up() resolves such
-stale parent pointers.
+reduced by one.  The path is given as it is found, as two descents
+from different children of the root to the two leaves, so the root is
+always its top and each path node's parent on the path is the node
+before it in its descent.  The new node takes over the children of the
+absorbed node with the most children at once, so a collapse costs the
+path plus the other children it moves, not the size of the merged
+block.  The adopted children keep pointing at the retired node; up()
+resolves such stale parent pointers.
 
 Every node carries a four bit code describing its subtree: bit 8 says
 the subtree holds more than one pendant, bits 4, 2, 1 say it holds a
@@ -412,7 +415,8 @@ class BlockTree:
 
     def new_node(self, kind: str, payload, min_a: int, min_b: int) -> int:
         node = self.size
-        check(node < self.capacity, "structure tree outgrew its capacity")
+        if node >= self.capacity:
+            raise InvariantViolation("structure tree outgrew its capacity")
         self.size = node + 1
         self.kind[node] = kind
         self.payload[node] = payload
@@ -474,26 +478,6 @@ class BlockTree:
         if mask & _WITH_1:
             code |= 1
         return code
-
-    def _recode_cascade(self, x: int, counters: OpCounters | None) -> None:
-        """Recompute x's code and ripple the change toward the root."""
-        parent, alive, code = self.parent, self.alive, self.code
-        while x != -1:
-            new = self._fresh_code(x)
-            if counters:
-                counters.index_updates += 1
-            if new == code[x]:
-                return
-            p = parent[x]
-            if p != -1 and not alive[p]:
-                p = self.up(x)
-            if p != -1:
-                self._unlink(p, x)
-                code[x] = new
-                self._link(p, x)
-            else:
-                code[x] = new
-            x = p
 
     def kids(self, x: int) -> list[int]:
         """x's children, bucket by bucket in ascending code order."""
@@ -709,7 +693,8 @@ class BlockTree:
         while x != -1:
             path.append(x)
             x = self.up(x)
-        check(path[-1] == self.root, "reroot target is not below the root")
+        if path[-1] != self.root:
+            raise InvariantViolation("reroot target is not below the root")
         path.reverse()
         parent, code = self.parent, self.code
         for a, b in zip(path, path[1:]):
@@ -723,48 +708,64 @@ class BlockTree:
         return path
 
     def collapse(
-        self, path: list[int], counters: OpCounters | None = None
+        self, path1: list[int], path2: list[int], counters: OpCounters | None = None
     ) -> CollapseInfo:
-        """Fuse the tree path between two paired block nodes.
+        """Fuse the tree path that an edge between two leaves closes.
 
-        Both path ends must be block or pendant vertex nodes.  Codes
-        and buckets are current again on return; the result says what
-        changed, so the index can update its counts.
+        path1 and path2 descend from two different children of the root
+        to the two leaves, which must be block or pendant vertex nodes;
+        each node's live parent is the node before it, the root for the
+        first.  The fused path is reversed path1, the root, then path2,
+        and it is visited in that order.  Codes and buckets are current
+        again on return; the result says what changed, so the index can
+        update its counts.
         """
-        check(len(path) >= 3, "collapse path needs three nodes or more")
         kind, parent, alive, nkids = self.kind, self.parent, self.alive, self.nkids
-        check(
-            kind[path[0]] in (B_NODE, S_NODE) and kind[path[-1]] in (B_NODE, S_NODE),
-            "collapse path must end in block or pendant nodes",
-        )
-        pathset = set(path)
+        if not (path1 and path2) or path1[0] == path2[0]:
+            raise InvariantViolation(
+                "collapse descents must start at two root children"
+            )
+        if kind[path1[-1]] in (C_NODE, K_NODE) or kind[path2[-1]] in (C_NODE, K_NODE):
+            raise InvariantViolation("collapse path must end in block or pendant nodes")
+        root = self.root
+        for desc in (path1, path2):
+            prev = root
+            for x in desc:
+                p = parent[x]
+                # a retired parent resolves through up(); -1 never matches
+                if p != prev and (p == -1 or alive[p] or self.up(x) != prev):
+                    raise InvariantViolation(
+                        "collapse path must be a contiguous tree path"
+                    )
+                prev = x
+        path = path1[::-1]
+        path.append(root)
+        path += path2
         absorbed: list[int] = []
         survivors: list[int] = []
+        below: list[int] = []  # the survivors but the root
         branching = 0
-        top, tops = -1, 0
         # y adopts the buckets of the absorbed node with the most
         # children, the first on the path among equals
         adopted, most = -1, -1
         ma = mb = -1  # y's smallest noncut vertex per side
         sides, payload, min_a, min_b = self.sides, self.payload, self.min_a, self.min_b
         for x in path:
-            p = parent[x]
-            if p != -1 and not alive[p]:
-                p = self.up(x)  # now parent[x] is live for every path node
-            if p == -1 or p not in pathset:
-                top = x
-                tops += 1
             kids_n = nkids[x]
+            # every path node but the root has a parent on the path
+            deg = kids_n + (x != root)
             if kind[x] == C_NODE:
-                if kids_n + (p != -1) >= 3:
+                if deg >= 3:
                     survivors.append(x)
+                    if x != root:
+                        below.append(x)
                     continue
                 # an absorbed cut vertex stops being cut, so it becomes a
                 # noncut member of the merged block
                 v = payload[x]
                 va, vb = (v, -1) if sides[v] == 0 else (-1, v)
             else:
-                if kids_n + (p != -1) >= 3:
+                if deg >= 3:
                     branching += 1
                 va, vb = min_a[x], min_b[x]
             absorbed.append(x)
@@ -774,21 +775,17 @@ class BlockTree:
                 ma = va
             if vb != -1 and (mb == -1 or vb < mb):
                 mb = vb
-        check(tops == 1, "collapse path must be a contiguous tree path")
         y = self.new_node(B_NODE, None, ma, mb)
         code = self.code
 
-        # every path node but top leaves the buckets of its path parent,
-        # and an absorbed top leaves its parent's, where y takes its place
-        for x in path:
-            if x != top:
-                self._unlink(parent[x], x)
-        top_survives = top in survivors
-        p = top if top_survives else parent[top]
-        if not top_survives and p != -1:
-            self._unlink(p, top)
-        # survivors below top lost a path child, so their codes are stale
-        below = [c for c in survivors if c != top]
+        # every descent node leaves the buckets of the node above it
+        for desc in (path1, path2):
+            prev = root
+            for x in desc:
+                self._unlink(prev, x)
+                prev = x
+        # survivors below the root lost a path child, so their codes are
+        # stale
         for c in below:
             code[c] = self._fresh_code(c)
 
@@ -799,23 +796,27 @@ class BlockTree:
         nkids[y] = nkids[adopted]
         moved: list[int] = []
         for x in absorbed:
-            if x != adopted:
+            if x != adopted and nkids[x]:
                 moved += self.kids(x)
             alive[x] = False
             parent[x] = y
-        for ch in sorted(moved + below, reverse=True):
-            parent[ch] = y
-            self._link(y, ch)
+        if moved or below:
+            for ch in sorted(moved + below, reverse=True):
+                parent[ch] = y
+                self._link(y, ch)
         code[y] = self._fresh_code(y)
-        parent[y] = p
         if counters:
             counters.tree_nodes += 1
             counters.collapse_steps += len(absorbed) + len(moved)
-            counters.index_updates += len(below) + 1
-        if p != -1:
-            self._link(p, y)
-            self._recode_cascade(p, counters)
-        if not alive[self.root]:
+            # fresh codes for below, y and a surviving root
+            counters.index_updates += len(below) + 1 + alive[root]
+        if alive[root]:
+            # a surviving root keeps y as a child, with one child fewer
+            parent[y] = root
+            self._link(root, y)
+            code[root] = self._fresh_code(root)
+        else:
+            parent[y] = -1
             self.root = y
 
         return CollapseInfo(y, path, absorbed, survivors, branching, adopted, moved)

@@ -43,9 +43,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            if sys.stdin is None:
+                raise ParseError("cannot read -: no standard input")
+            # strict, whatever error handler the locale gave stdin
+            return sys.stdin.buffer.read().decode("utf-8")
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:

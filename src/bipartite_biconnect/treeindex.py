@@ -258,35 +258,37 @@ class AugTreeIndex:
     # ------------------------------------------------------------------
     # collapse bookkeeping
 
-    def update_after_collapse(self, info: CollapseInfo) -> None:
+    def update_after_collapse(self, info: CollapseInfo, t1: int, t2: int) -> None:
         """Bring the counts and degree groups in step with the tree right
-        after collapse, which has already updated codes and buckets."""
+        after collapse, which has already updated codes and buckets; t1
+        and t2 are the pendant types of the collapsed path's two ends."""
         t = self.tree
+        kind, parent, nkids = t.kind, t.parent, t.nkids
         y = info.y
+        deg_y = nkids[y] + (parent[y] != -1)
         # the collapse must leave structure around the merged block; a
         # path that swallows the whole tree never occurs mid solve
-        check(t.parent[y] != -1 or t.nkids[y] > 0, "tree fully melted")
+        if deg_y == 0:
+            raise InvariantViolation("tree fully melted")
 
         # branching and degree group exits for retired nodes
         self.cnt_branching -= info.branching
         for x in info.absorbed:
-            if t.kind[x] == C_NODE:
+            if kind[x] == C_NODE:
                 self._group_remove(x)
         for c in info.survivors:
             # a surviving cut vertex loses exactly one degree
-            old = t.degree(c) + 1
-            if old == 3:
+            d = nkids[c] + (parent[c] != -1)
+            if d == 2:
                 self.cnt_branching -= 1
             self._group_remove(c)
-            self._group_add(c, old - 1)
-        deg_y = t.degree(y)
+            self._group_add(c, d)
         if deg_y >= 3:
             self.cnt_branching += 1
 
         # the path's two end leaves are gone; y may be a leaf itself
-        path = info.path
-        self.leaf_counts[t.leaf_type(path[0])] -= 1
-        self.leaf_counts[t.leaf_type(path[-1])] -= 1
+        self.leaf_counts[t1] -= 1
+        self.leaf_counts[t2] -= 1
         if deg_y == 1:
             self.leaf_counts[AB] += 1
         self._settle_counts()
@@ -357,7 +359,8 @@ class AugTreeIndex:
             chain = self.chain_children(root, LEAF_CODE[t1])
             if chain:
                 break
-        check(bool(chain), "overloaded hub without chain branches")
+        if not chain:
+            raise InvariantViolation("overloaded hub without chain branches")
         x1 = chain[0]
         for t2 in TYPES:
             if not joinable(t1, t2):

@@ -353,4 +353,16 @@ def path_between(tree, x: int, y: int) -> list[int]:
     return up + [lca] + list(reversed(down))
 
 
+def collapse_between(tree, n1: int, n2: int, counters=None):
+    """Collapse the tree path between leaves n1 and n2 as the solver
+    does: hang the tree from an interior node of the path, the topmost
+    one unless that is an end, and fuse the two descents from it."""
+    path = path_between(tree, n1, n2)
+    last = len(path) - 1
+    top = next((i for i in range(last) if tree.up(path[i]) != path[i + 1]), last)
+    k = min(max(top, 1), last - 1)
+    tree.reroot(path[k])
+    return tree.collapse(path[k - 1 :: -1], path[k + 1 :], counters)
+
+
 __all__ = [name for name in dir() if not name.startswith("_")]

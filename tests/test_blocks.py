@@ -32,6 +32,7 @@ from bipartite_biconnect.matching import AB, A, B
 
 from .helpers import (
     all_graphs,
+    collapse_between,
     flower_graph,
     mixed_graph,
     oracle_bridges,
@@ -40,7 +41,6 @@ from .helpers import (
     oracle_nonsingular_blocks,
     oracle_pendants,
     oracle_split_count,
-    path_between,
     path_graph,
     pendant_kind,
     random_graph,
@@ -367,9 +367,8 @@ def test_tree_roots_at_busiest_cut_vertex(spider4):
 def test_collapse_merges_a_leaf_path(p4):
     t = tree_of(p4)
     leaves = sorted(t.leaves())
-    path = path_between(t, leaves[0], leaves[1])
     before = len(t.live_nodes())
-    info = t.collapse(path)
+    info = collapse_between(t, leaves[0], leaves[1])
     assert t.kind[info.y] == B_NODE
     assert len(t.live_nodes()) < before
     # the whole path melted into one block, nothing else was live
@@ -383,9 +382,8 @@ def test_collapse_minima_skip_a_surviving_hub(spider4):
     t = tree_of(spider4)
     ix = spider4.label_index
     leaf_of = {t.payload[x]: x for x in t.leaves()}
-    path = path_between(t, leaf_of[ix["a3"]], leaf_of[ix["b1"]])
-    info = t.collapse(path)
-    hub = next(x for x in path if t.kind[x] == C_NODE and t.payload[x] == ix["x"])
+    info = collapse_between(t, leaf_of[ix["a3"]], leaf_of[ix["b1"]])
+    hub = next(x for x in info.path if t.kind[x] == C_NODE and t.payload[x] == ix["x"])
     assert info.survivors == [hub] and t.alive[hub]
     # the hub x has the smallest id but is still a cut vertex, so the A
     # minimum is the pendant a3; b1 beats the absorbed cut vertex b3
@@ -464,7 +462,7 @@ def test_tree_keeps_codes_and_buckets_through_collapses_and_reroots():
                 leaves = sorted(t.leaves())
                 if len(leaves) >= 3:
                     n1, n2 = rng.sample(leaves, 2)
-                    info = t.collapse(path_between(t, n1, n2))
+                    info = collapse_between(t, n1, n2)
                     collapses += 1
                     moved += len(info.moved)
                     assert_buckets_from_scratch(t)
@@ -480,7 +478,8 @@ def test_tree_keeps_codes_and_buckets_through_collapses_and_reroots():
 
 def test_collapse_rejects_a_broken_path_under_python_O():
     # the tree invariants raise InvariantViolation rather than assert,
-    # so an optimized interpreter still refuses a path with a gap
+    # so an optimized interpreter still refuses a descent with a gap
+    # and two descents through the same child of the root
     script = (
         "from bipartite_biconnect import InvariantViolation, decompose\n"
         "from bipartite_biconnect.blocks import BlockTree\n"
@@ -489,10 +488,12 @@ def test_collapse_rejects_a_broken_path_under_python_O():
         "dec = decompose(g)\n"
         "t = BlockTree.build(g, dec, dec.comps[0])\n"
         "a, b = sorted(t.leaves())[:2]\n"
-        "try:\n"
-        "    t.collapse([a, t.up(a), b])\n"
-        "except InvariantViolation as exc:\n"
-        "    print(exc)\n"
+        "ka, kb = t.up(a), t.up(b)\n"
+        "for d1, d2 in (([a], [kb, b]), ([ka, a], [ka, a])):\n"
+        "    try:\n"
+        "        t.collapse(d1, d2)\n"
+        "    except InvariantViolation as exc:\n"
+        "        print(exc)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-O", "-c", script],
@@ -502,7 +503,10 @@ def test_collapse_rejects_a_broken_path_under_python_O():
         check=False,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "collapse path must be a contiguous tree path\n"
+    assert proc.stdout == (
+        "collapse path must be a contiguous tree path\n"
+        "collapse descents must start at two root children\n"
+    )
 
 
 def test_dot_export_mentions_every_vertex(p4):

@@ -48,8 +48,13 @@ def test_augment_plain(capsys, p4_file):
     assert err == ""
 
 
+def stdin_of(data: bytes) -> io.TextIOWrapper:
+    """A stdin over data, with the error handler a POSIX locale gives it."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+
+
 def test_augment_reads_stdin(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO(P4))
+    monkeypatch.setattr("sys.stdin", stdin_of(P4.encode()))
     rc, out, _ = run(capsys, ["augment", "-"])
     assert rc == 0
     assert "ADD a1 b2" in out
@@ -141,6 +146,24 @@ def test_input_not_utf8_exits_one(capsys, tmp_path, command):
     assert out == ""
     assert err.startswith("error:") and "UTF-8" in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [["augment", "-"], ["verify", None, "--edges", "-"]])
+def test_stdin_not_utf8_exits_one(capsys, monkeypatch, p4_file, argv):
+    # stdin is decoded strictly, as a file is, whatever its error handler
+    monkeypatch.setattr("sys.stdin", stdin_of(b"A a\xff1\n"))
+    rc, out, err = run(capsys, [p4_file if a is None else a for a in argv])
+    assert rc == 1
+    assert out == ""
+    assert err == "error: cannot read -: not UTF-8 at byte 3\n"
+
+
+def test_closed_stdin_exits_one(capsys, monkeypatch):
+    # python sets sys.stdin to None when the process starts without one
+    monkeypatch.setattr("sys.stdin", None)
+    rc, out, err = run(capsys, ["augment", "-"])
+    assert (rc, out) == (1, "")
+    assert err == "error: cannot read -: no standard input\n"
 
 
 # ----------------------------------------------------------------------

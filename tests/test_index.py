@@ -24,7 +24,7 @@ from bipartite_biconnect.matching import AB, A, B, counts_of
 from bipartite_biconnect.stats import OpCounters
 from bipartite_biconnect.treeindex import AugTreeIndex
 
-from .helpers import all_graphs, path_between, random_graph
+from .helpers import all_graphs, collapse_between, random_graph
 
 
 def needy_trees():
@@ -103,7 +103,8 @@ def collapse_leaf_pairs(tree, index, rng, steps: int) -> None:
         if len(leaves) < 3:
             return
         n1, n2 = rng.sample(leaves, 2)
-        index.update_after_collapse(tree.collapse(path_between(tree, n1, n2)))
+        info = collapse_between(tree, n1, n2)
+        index.update_after_collapse(info, tree.leaf_type(n1), tree.leaf_type(n2))
 
 
 def has_stale_parent(tree) -> bool:
@@ -159,16 +160,15 @@ def test_collapse_update_matches_fresh_build():
             if len(leaves) < 3:
                 break
             n1, n2 = rng.sample(leaves, 2)
-            path = path_between(tree, n1, n2)
             counters = OpCounters()
-            info = tree.collapse(path, counters)
+            info = collapse_between(tree, n1, n2, counters)
             # the counter sees the retired nodes and every child moved
             # one by one; the adopted node's children are not moved
             assert counters.collapse_steps == len(info.absorbed) + len(info.moved)
             assert info.adopted in info.absorbed
-            assert not set(info.moved) & set(path)
+            assert not set(info.moved) & set(info.path)
             moved += len(info.moved)
-            index.update_after_collapse(info)
+            index.update_after_collapse(info, tree.leaf_type(n1), tree.leaf_type(n2))
             index.audit()
     # the corpus exercises collapses that move children
     assert moved > 0
