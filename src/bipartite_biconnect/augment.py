@@ -5,11 +5,10 @@ to fix (one side has fewer than two vertices), one of two special
 shapes built around a lone edge, or the general shapes.  Several
 components needing work are joined to the first one by bridge edges
 that each lower the remaining demand by one, in O(1) amortized per
-bridge.  If one component is left, the bridged components are joined
-into the first decomposition, which hands it to the tree based solver;
-if the pendant pairs run out first, the bridge loop's own records
-finish the job with a round robin stitch in O(n).  Either way each
-input is decomposed once.
+bridge.  If one component is left, the first decomposition's join
+hands its parts to the tree based solver; if the pendant pairs run out
+first, the bridge loop's own records finish the job with a round robin
+stitch in O(n).  Either way each input is decomposed once.
 
 The connected solver walks the structure tree: terminal cases emit all
 their edges at once, iterative cases add one edge, collapse the tree
@@ -197,7 +196,7 @@ def _case_m1(
     a_in = [x for x in comp if g.sides[x] == 0]
     b_in = [x for x in comp if g.sides[x] == 1]
     if len(a_in) >= 2 and len(b_in) >= 2:
-        _solve_connected(st, dec, cid)
+        _solve_connected(st, dec.branches, *dec.component(cid))
         return
     # the component is a star: one hub on the thin side, all other
     # members are its leaves; borrow opposite side vertices from outside
@@ -252,8 +251,8 @@ def _case_m3(
     joined being one group.  If one component is left, the join hands
     it to the tree solver: a bridge between two pendants makes each end
     a cut vertex with one more piece and one more edge and changes no
-    block, so the first decomposition, with the joined components
-    merged, is the decomposition of the bridged graph.
+    block, so the joined components' parts, with the bridges, are those
+    of the bridged graph's decomposition.
     """
     order: list[list[int]] = [[], [], []]  # recs indices per type
     members: dict[int, list[int]] = {}  # recs indices per component
@@ -301,7 +300,7 @@ def _case_m3(
     if left == 1:
         # bridges joined everything, so the component has two vertices
         # on each side and is no star
-        _solve_connected(st, dec, dec.join(joined, st.added))
+        _solve_connected(st, *dec.join(joined, st.added))
         return
     side = A if total[A] else B  # a single vertex pendant's type is its side
     check(total[1 - side] == total[AB] == 0, "stitch saw pendants of two types")
@@ -322,10 +321,11 @@ def _case_m3(
 # connected component solver
 
 
-def _solve_connected(st: _State, dec: Decomposition, cid: int) -> None:
-    comp = dec.comps[cid]
+def _solve_connected(
+    st: _State, branches: list[int], comp: list[int], blocks: list, bridges: list
+) -> None:
     # the build reads only the sides of the graph, which bridges keep
-    tree = BlockTree.build(st.g, dec, comp, st.counters)
+    tree = BlockTree.build(st.g, branches, comp, blocks, bridges, st.counters)
     index = AugTreeIndex(tree, st.counters)
     eta = eta0 = index.eta_now()
     start = len(st.added)

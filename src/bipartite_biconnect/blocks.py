@@ -8,11 +8,13 @@ block forms a block of its own; such a vertex with degree one is a
 pendant, with degree zero it is already a finished component.
 Blocks and bridges are grouped by component, and each component's
 group is sorted (blocks by vertex tuple, bridges by pair), as are the
-members of each block and component.  A structure tree is thus a
-function of the sorted block set, not of the order the DFS met them in,
-and it reads only its own component's group.  Decomposition.join()
-merges components as bridges between their noncut vertices would, so a
-bridged graph needs no second decomposition.
+members of each block and component.  Decomposition.component() gives
+one component's members, blocks and bridges, and BlockTree.build() takes
+them, so a structure tree is a function of the sorted block set, not of
+the order the DFS met them in.  Decomposition.join() gives the parts,
+and the branches, of the one component that bridges between noncut
+vertices make of several, so a bridged graph needs no second
+decomposition.  Nothing writes a decomposition after decompose().
 
 BlockTree models one component as a tree over block, pendant vertex,
 cut vertex and bridge nodes.  Its collapse() applies the effect of one
@@ -52,7 +54,6 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Iterator
 
 from .errors import InvariantViolation, check
@@ -74,8 +75,12 @@ class PendantRec:
     min_b: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class Decomposition:
+    """What decompose() found, never written afterwards: component()
+    reads one component's sorted members, blocks and bridges, and join()
+    those the bridges make of several, with a copy of branches."""
+
     comp_id: list[int]
     comps: list[list[int]]
     # pieces deleting a vertex leaves in its component: 2 or more on a
@@ -89,67 +94,48 @@ class Decomposition:
     block_starts: list[int]
     bridge_starts: list[int]
 
-    def join(self, comps: list[int], bridges: list[tuple[int, int]]) -> int:
-        """Merge comps into one component, as the bridges between them
-        would, and return its id, the lowest of comps; the others are
-        left empty.
+    def component(
+        self, cid: int
+    ) -> tuple[list[int], list[tuple[int, ...]], list[tuple[int, int]]]:
+        """Component cid's sorted members, blocks and bridges."""
+        bs, es = self.block_starts, self.bridge_starts
+        return (
+            self.comps[cid],
+            self.ns_blocks[bs[cid] : bs[cid + 1]],
+            self.cut_edges[es[cid] : es[cid + 1]],
+        )
+
+    def join(
+        self, comps: list[int], bridges: list[tuple[int, int]]
+    ) -> tuple[list[int], list[int], list[tuple[int, ...]], list[tuple[int, int]]]:
+        """The branches, members, blocks and bridges that decompose()
+        gives the one component the bridges make of comps.
 
         Each bridge joins one more of comps, and its ends must be noncut
         vertices (branches 1): each becomes a cut vertex with one more
-        piece and one more edge.  No block changes, so the merged
-        component's members, block and bridge slices and branches are
-        what decompose() of the bridged graph gives it.
+        piece and one more edge, in a copy of branches.  No block
+        changes, so the merged parts are those of comps, with the
+        bridges, each sorted.
         """
-        cid = min(comps)
         check(len(bridges) == len(comps) - 1, "join needs a bridge per component")
-        comp_id, members = self.comp_id, self.comps
-        merged: list[int] = []
+        members: list[int] = []
+        blocks: list[tuple[int, ...]] = []
+        edges = list(bridges)
         for c in comps:
-            merged += members[c]
-            if c != cid:
-                for v in members[c]:
-                    comp_id[v] = cid
-                members[c] = []
-        merged.sort()
-        members[cid] = merged
-        branches = self.branches
+            comp, own_blocks, own_bridges = self.component(c)
+            members += comp
+            blocks += own_blocks
+            edges += own_bridges
+        inside = set(comps)
+        comp_id, branches = self.comp_id, self.branches[:]
         for edge in bridges:
             for x in edge:
-                if comp_id[x] != cid or branches[x] != 1:
+                if comp_id[x] not in inside or branches[x] != 1:
                     raise InvariantViolation(
                         f"bridge end {x} is no noncut vertex of the joined components"
                     )
                 branches[x] = 2
-        self.ns_blocks, self.block_starts = _regroup(
-            self.ns_blocks, self.block_starts, comps, []
-        )
-        self.cut_edges, self.bridge_starts = _regroup(
-            self.cut_edges, self.bridge_starts, comps, bridges
-        )
-        return cid
-
-
-def _regroup(
-    items: list, starts: list[int], comps: list[int], extra: list
-) -> tuple[list, list[int]]:
-    """items and their group starts with the groups of comps and extra
-    gathered, sorted, into the group of the lowest of comps."""
-    cid, *rest = sorted(comps)
-    group = list(extra)
-    for c in comps:
-        group += items[starts[c] : starts[c + 1]]
-    group.sort()
-    out = items[: starts[cid]] + group
-    lo = starts[cid + 1]
-    for c in rest:
-        out += items[lo : starts[c]]
-        lo = starts[c + 1]
-    out += items[lo:]
-    sizes = [b - a for a, b in zip(starts, starts[1:])]
-    for c in rest:
-        sizes[c] = 0
-    sizes[cid] = len(group)
-    return out, list(accumulate(sizes, initial=0))
+        return branches, sorted(members), sorted(blocks), sorted(edges)
 
 
 def decompose(g: BipartiteGraph, counters: OpCounters | None = None) -> Decomposition:
@@ -302,12 +288,13 @@ def tree_to_dot(g: BipartiteGraph) -> str:
     """
     dec = decompose(g)
     lines = ["graph blocktree {"]
-    for cid, comp in enumerate(dec.comps):
+    for cid in range(len(dec.comps)):
+        comp, blocks, bridges = dec.component(cid)
         if len(comp) == 1:
             lab = g.labels[comp[0]]
             lines.append(f'  c{cid}_n0 [shape=box, label="{lab}"];')
             continue
-        t = BlockTree.build(g, dec, comp)
+        t = BlockTree.build(g, dec.branches, comp, blocks, bridges)
         for x in t.live_nodes():
             kind = t.kind[x]
             if kind == B_NODE:
@@ -551,11 +538,15 @@ class BlockTree:
     @staticmethod
     def build(
         g: BipartiteGraph,
-        dec: Decomposition,
+        branches: list[int],
         comp: list[int],
+        blocks: list[tuple[int, ...]],
+        bridges: list[tuple[int, int]],
         counters: OpCounters | None = None,
     ) -> "BlockTree":
-        """The component's tree, in one walk over its slice.
+        """The tree of the component with these sorted members, blocks
+        and bridges, in one walk over them; Decomposition.component()
+        gives them, and join() gives them with the branches to use.
 
         Node ids follow a fixed order: blocks, pendant vertices, cut
         vertices, bridges, each in sorted order.  The walk records each
@@ -569,10 +560,7 @@ class BlockTree:
         """
         if len(comp) < 2:
             raise ValueError("structure tree needs a component with >= 2 vertices")
-        cid = dec.comp_id[comp[0]]
-        branches, adj, sides = dec.branches, g.adj, g.sides
-        blocks = dec.ns_blocks[dec.block_starts[cid] : dec.block_starts[cid + 1]]
-        bridges = dec.cut_edges[dec.bridge_starts[cid] : dec.bridge_starts[cid + 1]]
+        adj, sides = g.adj, g.sides
         # a bridge end the join made a cut vertex is no pendant, whatever
         # its degree in g
         pend = [v for v in comp if len(adj[v]) == 1 and branches[v] < 2]

@@ -100,7 +100,7 @@ def _stats_payload(g: BipartiteGraph) -> dict:
     for cid, cls in enumerate(cen.comp_classes):
         if cls != NEEDY:
             continue
-        tree = BlockTree.build(g, dec, dec.comps[cid])
+        tree = BlockTree.build(g, dec.branches, *dec.component(cid))
         index = AugTreeIndex(tree)
         comp_prof = profile(*index.counts())
         d_max = index.max_cdeg

@@ -42,6 +42,10 @@ class BipartiteGraph:
         self.sides: tuple[int, ...] = tuple(sides)
         if len(self.labels) != len(self.sides):
             raise ValueError("labels and sides length mismatch")
+        if self.sides.count(0) + self.sides.count(1) != len(self.sides):
+            bad = next(i for i, s in enumerate(self.sides) if s not in (0, 1))
+            lab, side = self.labels[bad], self.sides[bad]
+            raise ValueError(f"vertex {lab!r} has side {side!r}, not 0 or 1")
         self.label_index: dict[str, int] = {}
         for i, lab in enumerate(self.labels):
             if lab in self.label_index:

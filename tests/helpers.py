@@ -98,6 +98,23 @@ def sparse_random_graph(n: int) -> BipartiteGraph:
     return generate_instance("random", n, seed=n)
 
 
+def uniform_spider_graph(k: int) -> BipartiteGraph:
+    """A B hub with k chains hub-a-b-a: every leaf is an A vertex, so one
+    component's pendants pair up nowhere, the S2 case."""
+    sides = [1] + [0, 1, 0] * k
+    edges = []
+    for x in range(1, 3 * k, 3):
+        edges += [(x, 0), (x, x + 1), (x + 2, x + 1)]
+    return BipartiteGraph([f"v{i}" for i in range(len(sides))], sides, edges)
+
+
+def a_paths_graph(k: int) -> BipartiteGraph:
+    """k disjoint paths a-b-a: every pendant is an A vertex, so the
+    components' pendants pair up nowhere, the M2 case."""
+    edges = [(x + d, x + 1) for x in range(0, 3 * k, 3) for d in (0, 2)]
+    return BipartiteGraph([f"v{i}" for i in range(3 * k)], [0, 1, 0] * k, edges)
+
+
 # ----------------------------------------------------------------------
 # connectivity from scratch
 

@@ -178,7 +178,7 @@ def test_criterion_5_structure_lemmas_hold():
             for cid, comp in enumerate(dec.comps):
                 if len(comp) < 2:
                     continue
-                tree = BlockTree.build(g, dec, comp)
+                tree = BlockTree.build(g, dec.branches, *dec.component(cid))
                 for x in tree.leaves():
                     # a fresh tree's leaf payload is the pendant vertex
                     # or the block's sorted vertex tuple
@@ -204,7 +204,7 @@ def test_criterion_5_structure_lemmas_hold():
                     assert not critical
                 if len(comp) < 2:
                     continue
-                tree = BlockTree.build(g, dec, comp)
+                tree = BlockTree.build(g, dec.branches, *dec.component(cid))
                 index = AugTreeIndex(tree)
                 hub = index.massive_node()
                 assert massive == ([] if hub == -1 else [tree.payload[hub]])
@@ -254,7 +254,7 @@ def test_criterion_5_structure_lemmas_hold():
             # hub steps also shave the hub's split degree by one
             if res.trace[0] == "S5":
                 dec0 = decompose(g)
-                tree0 = BlockTree.build(g, dec0, dec0.comps[0])
+                tree0 = BlockTree.build(g, dec0.branches, *dec0.component(0))
                 hub = tree0.payload[AugTreeIndex(tree0).massive_node()]
                 d_prev = dec0.branches[hub]
                 cur = g

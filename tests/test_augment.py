@@ -4,6 +4,7 @@ against exhaustive search, and the step invariants."""
 from __future__ import annotations
 
 import ast
+import functools
 import gc
 import importlib
 import os
@@ -20,9 +21,15 @@ from bipartite_biconnect import (
     add_edges,
     augment,
     build_graph,
+    census,
+    classify_m,
+    decompose,
     eta,
     is_componentwise_biconnected,
     parse_graph,
+    pendant_records,
+    profile,
+    theorem_target,
     verify_result,
 )
 from bipartite_biconnect.graph import (
@@ -31,11 +38,20 @@ from bipartite_biconnect.graph import (
     generate_instance,
     spider_graph,
 )
+from bipartite_biconnect.matching import counts_of
 from bipartite_biconnect.stats import OpCounters
 from bipartite_biconnect.treeindex import AugTreeIndex
 from bipartite_biconnect.verify import brute_force_optimal
 
-from .helpers import all_graphs, mixed_graph, random_graph, sparse_random_graph
+from .helpers import (
+    a_paths_graph,
+    all_graphs,
+    mixed_graph,
+    random_graph,
+    sparse_random_graph,
+    uniform_spider_graph,
+)
+from .test_acceptance import disjoint_paths_graph
 
 
 def fixed(g, self_check=True):
@@ -413,6 +429,32 @@ def test_trace_labels_come_from_the_case_alphabet():
         except NoBiconnector:
             continue
         assert set(res.trace) <= allowed
+
+
+def test_every_iterative_and_bridging_case_runs_at_1e4():
+    # M1 labels every one-component input, and M4 and M5 are of constant
+    # size; every other case must show up in a 1e4-vertex family, with
+    # each solve at the closed form target and checked independently
+    families = {
+        kind: functools.partial(generate_instance, kind)
+        for kind in ("spider", "caterpillar", "broom")
+    }
+    families["random"] = sparse_random_graph
+    families["paths"] = disjoint_paths_graph
+    families["uniform spider"] = lambda n: uniform_spider_graph(n // 3)
+    families["a-paths"] = lambda n: a_paths_graph(n // 3)
+    seen = set()
+    for kind, make in families.items():
+        g = make(10_000)
+        dec = decompose(g)
+        cen = census(dec)
+        prof = profile(*counts_of([p.ptype for p in pendant_records(g, dec)]))
+        res = augment(g)
+        assert res.size == theorem_target(classify_m(cen, prof.m), dec, cen, prof), kind
+        rep = verify_result(g, res)
+        assert rep.passed, (kind, rep.witness)
+        seen.update(res.trace)
+    assert seen >= {"M2", "M3", "S1", "S2", "S3", "S4_1", "S4_2", "S5"}, seen
 
 
 def test_counters_fill_in():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import random
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 
 from bipartite_biconnect import (
     BipartiteGraph,
+    InvariantViolation,
     NoBiconnector,
     add_edges,
     augment,
@@ -114,8 +116,8 @@ def test_component_slices_partition_blocks_and_bridges():
         assert dec.bridge_starts[-1] == len(dec.cut_edges)
         blocks, bridges = [], []
         for cid in range(n_comps):
-            own_blocks = dec.ns_blocks[dec.block_starts[cid] : dec.block_starts[cid + 1]]
-            own_bridges = dec.cut_edges[dec.bridge_starts[cid] : dec.bridge_starts[cid + 1]]
+            members, own_blocks, own_bridges = dec.component(cid)
+            assert members == dec.comps[cid]
             assert own_blocks == sorted(own_blocks)
             assert own_bridges == sorted(own_bridges)
             assert all(dec.comp_id[v] == cid for blk in own_blocks for v in blk)
@@ -160,35 +162,18 @@ def join_inputs(rng: random.Random):
         yield kind, shuffled_union(pieces, rng, keep_order=kind == "flowers")
 
 
-def components_by_first_member(dec) -> dict[int, tuple[list, list, list]]:
-    """Each component's members, block slice and bridge slice, keyed by
-    its smallest vertex, so two numberings of the components compare;
-    an empty component owns no slice."""
-    bs, es = dec.block_starts, dec.bridge_starts
-    assert len(bs) == len(es) == len(dec.comps) + 1
-    assert bs[-1] == len(dec.ns_blocks) and es[-1] == len(dec.cut_edges)
-    out = {}
-    for cid, members in enumerate(dec.comps):
-        blocks = dec.ns_blocks[bs[cid] : bs[cid + 1]]
-        bridges = dec.cut_edges[es[cid] : es[cid + 1]]
-        if not members:
-            assert not blocks and not bridges
-            continue
-        assert all(dec.comp_id[v] == cid for v in members)
-        out[members[0]] = (members, blocks, bridges)
-    return out
-
-
 def test_join_matches_decomposing_the_bridged_graph(monkeypatch):
     # the bridge loop's join hands the tree solver what a decomposition
-    # of the bridged graph would: the merged component, its block and
-    # bridge slices and every vertex's branches
+    # of the bridged graph would: every vertex's branches and the merged
+    # component's members, blocks and bridges; and it leaves the
+    # decomposition it reads as decompose() made it
     joins = []
     real_join = Decomposition.join
 
     def join(dec, comps, bridges):
-        joins.append((dec, bridges[:]))
-        return real_join(dec, comps, bridges)
+        out = real_join(dec, comps, bridges)
+        joins.append((dec, bridges[:], out))
+        return out
 
     monkeypatch.setattr(Decomposition, "join", join)
     rng = random.Random(79)
@@ -202,16 +187,44 @@ def test_join_matches_decomposing_the_bridged_graph(monkeypatch):
             continue
         if not joins:
             continue
-        ((dec, bridges),) = joins
+        ((dec, bridges, (branches, *parts)),) = joins
         ref = decompose(add_edges(g, bridges))
-        assert components_by_first_member(dec) == components_by_first_member(ref)
-        assert dec.branches == ref.branches
+        assert parts == list(ref.component(ref.comp_id[parts[0][0]]))
+        assert branches == ref.branches
+        assert dec == decompose(g)
         joined[kind] += 1
-        ab_keys = [p.key for p in pendant_records(g, decompose(g)) if p.ptype == AB]
+        ab_keys = [p.key for p in pendant_records(g, dec) if p.ptype == AB]
         key_ties += len(set(ab_keys)) < len(ab_keys)
     assert sum(joined.values()) >= 2_000, joined
     assert min(joined.values()) >= 400, joined
     assert key_ties >= 100
+
+
+def three_paths() -> BipartiteGraph:
+    """Components 0 and 1 are paths a-b-a, whose b is a cut vertex;
+    component 2 is a lone edge."""
+    labels = ["a1", "b1", "a2", "a3", "b2", "a4", "a5", "b3"]
+    sides = [0, 1, 0, 0, 1, 0, 0, 1]
+    return BipartiteGraph(labels, sides, [(0, 1), (2, 1), (3, 4), (5, 4), (6, 7)])
+
+
+@pytest.mark.parametrize("bridges", [[], [(0, 4), (2, 4)]])
+def test_join_with_a_bridge_count_off_raises(bridges):
+    g = three_paths()
+    dec = decompose(g)
+    with pytest.raises(InvariantViolation, match="join needs a bridge per component"):
+        dec.join([0, 1], bridges)
+    assert dec == decompose(g)
+
+
+@pytest.mark.parametrize("end", [1, 7], ids=["cut vertex", "outside"])
+def test_join_with_a_bridge_end_no_noncut_vertex_of_the_components_raises(end):
+    # b1 is the cut vertex of component 0, b3 lies in component 2
+    g = three_paths()
+    dec = decompose(g)
+    with pytest.raises(InvariantViolation, match=f"bridge end {end} is no noncut"):
+        dec.join([0, 1], [(3, end)])
+    assert dec == decompose(g)
 
 
 def test_split_counts_match_reference():
@@ -251,7 +264,7 @@ def test_pendant_records_sorted_by_lowest_vertex(spider4):
 
 def tree_of(g: BipartiteGraph, cid: int = 0) -> BlockTree:
     dec = decompose(g)
-    return BlockTree.build(g, dec, dec.comps[cid])
+    return BlockTree.build(g, dec.branches, *dec.component(cid))
 
 
 def test_tree_leaves_are_exactly_the_pendants():
@@ -266,7 +279,7 @@ def test_tree_leaves_are_exactly_the_pendants():
         for cid, comp in enumerate(dec.comps):
             if len(comp) < 2:
                 continue
-            t = BlockTree.build(g, dec, comp)
+            t = BlockTree.build(g, dec.branches, *dec.component(cid))
             # a fresh tree's leaf payload is the pendant vertex or the
             # block's sorted vertex tuple
             leaf_keys = sorted(
@@ -279,10 +292,10 @@ def test_tree_leaves_are_exactly_the_pendants():
 def test_cut_vertex_tree_degree_equals_split_count():
     for g in small_corpus():
         dec = decompose(g)
-        for comp in dec.comps:
+        for cid, comp in enumerate(dec.comps):
             if len(comp) < 2:
                 continue
-            t = BlockTree.build(g, dec, comp)
+            t = BlockTree.build(g, dec.branches, *dec.component(cid))
             cut_node = {t.payload[x]: x for x in t.live_nodes() if t.kind[x] == C_NODE}
             assert sorted(cut_node) == [v for v in comp if dec.branches[v] >= 2]
             for v, x in cut_node.items():
@@ -292,10 +305,10 @@ def test_cut_vertex_tree_degree_equals_split_count():
 def test_bridge_nodes_have_degree_two():
     for g in small_corpus():
         dec = decompose(g)
-        for comp in dec.comps:
+        for cid, comp in enumerate(dec.comps):
             if len(comp) < 2:
                 continue
-            t = BlockTree.build(g, dec, comp)
+            t = BlockTree.build(g, dec.branches, *dec.component(cid))
             for x in t.live_nodes():
                 if t.kind[x] == K_NODE:
                     assert t.degree(x) == 2
@@ -334,11 +347,12 @@ def test_trees_of_many_components_read_each_record_boundedly():
             edges += [(base + 2, base + 3), (base + 4, base + 3)]
     g = BipartiteGraph(labels, sides, edges)
     dec = decompose(g)
-    dec.ns_blocks = _CountingList(dec.ns_blocks)
-    dec.cut_edges = _CountingList(dec.cut_edges)
+    dec = dataclasses.replace(
+        dec, ns_blocks=_CountingList(dec.ns_blocks), cut_edges=_CountingList(dec.cut_edges)
+    )
     assert len(dec.ns_blocks) == 1000 and len(dec.cut_edges) == 3000
-    for comp in dec.comps:
-        BlockTree.build(g, dec, comp)
+    for cid in range(len(dec.comps)):
+        BlockTree.build(g, dec.branches, *dec.component(cid))
     assert dec.ns_blocks.reads <= 2 * len(dec.ns_blocks)
     assert dec.cut_edges.reads <= 2 * len(dec.cut_edges)
 
@@ -453,10 +467,10 @@ def test_tree_keeps_codes_and_buckets_through_collapses_and_reroots():
     collapses = moved = stale = 0
     for g in graphs:
         dec = decompose(g)
-        for comp in dec.comps:
+        for cid, comp in enumerate(dec.comps):
             if len(comp) < 2:
                 continue
-            t = BlockTree.build(g, dec, comp)
+            t = BlockTree.build(g, dec.branches, *dec.component(cid))
             assert_buckets_from_scratch(t)
             for _ in range(4):
                 leaves = sorted(t.leaves())
@@ -486,7 +500,7 @@ def test_collapse_rejects_a_broken_path_under_python_O():
         "from bipartite_biconnect.graph import spider_graph\n"
         "g = spider_graph([1, 1, 1])\n"
         "dec = decompose(g)\n"
-        "t = BlockTree.build(g, dec, dec.comps[0])\n"
+        "t = BlockTree.build(g, dec.branches, *dec.component(0))\n"
         "a, b = sorted(t.leaves())[:2]\n"
         "ka, kb = t.up(a), t.up(b)\n"
         "for d1, d2 in (([a], [kb, b]), ([ka, a], [ka, a])):\n"

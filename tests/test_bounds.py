@@ -73,7 +73,7 @@ def test_census_isolated_vertices_are_inert():
 
 def index_massive_and_critical(g, dec, cid):
     """Massive and critical vertices as the solver's index reports them."""
-    tree = BlockTree.build(g, dec, dec.comps[cid])
+    tree = BlockTree.build(g, dec.branches, *dec.component(cid))
     index = AugTreeIndex(tree)
     hub = index.massive_node()
     massive = [] if hub == -1 else [tree.payload[hub]]

@@ -142,6 +142,16 @@ def test_build_graph_rejects_repeated_pair():
         build_graph(["a1", "a2"], ["b1"], [("a1", "b1"), ("a2", "b1"), ("a1", "b1")])
 
 
+def test_constructor_rejects_a_side_other_than_0_or_1():
+    # a bad side is the caller's error, not a solver fault found later
+    labels = ["a1", "a2", "c1", "c2", "c3"]
+    edges = [(0, 2), (0, 3), (1, 3), (1, 4)]
+    with pytest.raises(ValueError, match="vertex 'c1' has side 2, not 0 or 1"):
+        BipartiteGraph(labels, [0, 0, 2, 2, 2], edges)
+    with pytest.raises(ValueError, match="labels and sides length mismatch"):
+        BipartiteGraph(labels, [0, 0, 1, 1], edges)
+
+
 @pytest.mark.parametrize("kind", ["spider", "caterpillar"])
 def test_parse_peak_memory_per_edge(kind):
     # the edge tuple and the rows are the only edge store; a set of all

@@ -40,12 +40,12 @@ def needy_trees():
     graphs.append(caterpillar_graph(12))
     for g in graphs:
         dec = decompose(g)
-        for comp in dec.comps:
+        for cid, comp in enumerate(dec.comps):
             if len(comp) < 2:
                 continue
             if all(dec.branches[v] < 2 for v in comp):
                 continue
-            yield g, dec, BlockTree.build(g, dec, comp)
+            yield g, dec, BlockTree.build(g, dec.branches, *dec.component(cid))
 
 
 def test_fresh_index_is_self_consistent():
@@ -177,7 +177,7 @@ def test_collapse_update_matches_fresh_build():
 def test_chain_queries_on_spider():
     g = spider_graph([1, 1, 2, 2])
     dec = decompose(g)
-    tree = BlockTree.build(g, dec, dec.comps[0])
+    tree = BlockTree.build(g, dec.branches, *dec.component(0))
     index = AugTreeIndex(tree)
     assert tree.kind[tree.root] == C_NODE
     assert tree.payload[tree.root] == g.label_index["x"]
@@ -190,7 +190,7 @@ def test_chain_queries_on_spider():
 def test_choose_root_keeps_a_busy_root():
     g = spider_graph([2, 2, 2])
     dec = decompose(g)
-    tree = BlockTree.build(g, dec, dec.comps[0])
+    tree = BlockTree.build(g, dec.branches, *dec.component(0))
     index = AugTreeIndex(tree)
     assert index.choose_root() == tree.root
 
@@ -198,7 +198,7 @@ def test_choose_root_keeps_a_busy_root():
 def test_find_pair_descents_start_at_root():
     g = caterpillar_graph(10)
     dec = decompose(g)
-    tree = BlockTree.build(g, dec, dec.comps[0])
+    tree = BlockTree.build(g, dec.branches, *dec.component(0))
     index = AugTreeIndex(tree)
     node = index.choose_root()
     if node != tree.root:
@@ -233,7 +233,7 @@ def test_descend_to_a_missing_type_raises():
     # return a path into a node that does not exist
     g = spider_graph([1, 1, 2, 2])
     dec = decompose(g)
-    tree = BlockTree.build(g, dec, dec.comps[0])
+    tree = BlockTree.build(g, dec.branches, *dec.component(0))
     index = AugTreeIndex(tree)
     for kid in sorted(tree.kids(tree.root)):
         assert not tree.code[kid] & 1
