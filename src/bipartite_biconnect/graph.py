@@ -3,6 +3,13 @@
 Vertices carry string labels and get dense integer indices in first
 appearance order.  Side 0 is called A, side 1 is called B.  Edges are
 stored index based with the A endpoint first, sorted, and in no set.
+
+The `BipartiteGraph` constructor is the one place that checks an edge:
+range, sides, orientation and repeats.  `parse_graph` reads the text in
+two passes.  The first maps each line's labels to indices and hands the
+edges to the constructor unchecked; only when it or the constructor
+fails does the second read the text line by line, to name the faulty
+line.
 """
 
 from __future__ import annotations
@@ -46,16 +53,18 @@ class BipartiteGraph:
             bad = next(i for i, s in enumerate(self.sides) if s not in (0, 1))
             lab, side = self.labels[bad], self.sides[bad]
             raise ValueError(f"vertex {lab!r} has side {side!r}, not 0 or 1")
-        self.label_index: dict[str, int] = {}
-        for i, lab in enumerate(self.labels):
-            if lab in self.label_index:
-                raise ParseError(f"duplicate vertex label {lab!r}")
-            self.label_index[lab] = i
+        n = len(self.labels)
+        self.label_index: dict[str, int] = dict(zip(self.labels, range(n)))
+        if len(self.label_index) != n:
+            seen: set[str] = set()
+            for lab in self.labels:
+                if lab in seen:
+                    raise ParseError(f"duplicate vertex label {lab!r}")
+                seen.add(lab)
 
         # the edges in the order given: sorted edges plus a short patch
         # sort in linear time as two runs; an edge given as a canonical
         # tuple is kept as it is
-        n = len(self.labels)
         sides = self.sides
         given: list[tuple[int, int]] = []
         deg = [0] * n
@@ -63,11 +72,12 @@ class BipartiteGraph:
             u, v = e
             if not (0 <= u < n) or not (0 <= v < n):
                 raise IllegalEdge(f"edge ({u}, {v}) references missing vertex")
-            if sides[u] == sides[v]:
+            side = sides[u]
+            if side == sides[v]:
                 raise BipartitenessViolation(
                     f"edge joins same side vertices {self.labels[u]!r} and {self.labels[v]!r}"
                 )
-            if sides[u] == 1:
+            if side:
                 u, v = v, u
                 e = (u, v)
             elif type(e) is not tuple:
@@ -91,8 +101,9 @@ class BipartiteGraph:
             pos[u] += 1
             flat[pos[v]] = u
             pos[v] += 1
+        flat = tuple(flat)
         self.adj: tuple[tuple[int, ...], ...] = tuple(
-            map(tuple(flat).__getitem__, map(slice, starts, starts[1:]))
+            [flat[a:b] for a, b in zip(starts, islice(starts, 1, None))]
         )
 
     @property
@@ -165,10 +176,55 @@ def parse_graph(text: str) -> BipartiteGraph:
     """Parse the line oriented text format.
 
     Directives: ``A <id>...`` and ``B <id>...`` declare vertices,
-    ``E <a-id> <b-id>`` declares one edge.  ``#`` starts a comment line.
-    Duplicate edges, undeclared endpoints, redeclared labels and same
-    side edges are hard errors; a repeat is reported after any other fault.
+    ``E <a-id> <b-id>`` declares one edge.  A line whose first token
+    starts with ``#`` is a comment.  Duplicate edges, undeclared
+    endpoints, redeclared labels and same side edges are hard errors;
+    each names its line, and a repeat is reported after any other fault.
+
+    Two passes.  The first reads each line once, maps each edge's labels
+    to indices and leaves the edge checks to the `BipartiteGraph`
+    constructor.  Only when that pass or the constructor fails does the
+    second, `_parse_lines`, read the text again line by line to name the
+    fault and its line.
     """
+    labels: list[str] = []
+    sides: list[int] = []
+    index: dict[str, int] = {}
+    edges: list[tuple[int, int]] = []
+    try:
+        for line in text.splitlines():
+            tokens = line.split()
+            if not tokens:
+                continue
+            kind = tokens[0]
+            if kind == "E":
+                _, x, y = tokens
+                edges.append((index[x], index[y]))
+            elif kind == "A" or kind == "B":
+                labs = tokens[1:]
+                if not labs:
+                    raise ParseError
+                # a repeated label is left to the constructor's check
+                start = len(labels)
+                labels += labs
+                sides += [0 if kind == "A" else 1] * len(labs)
+                index.update(zip(labs, range(start, len(labels))))
+            elif kind[0] != "#":
+                raise ParseError
+        # the constructor builds its own label index
+        del index
+        return BipartiteGraph(labels, sides, edges)
+    except (KeyError, ValueError, ParseError):
+        # an undeclared label, an E line of another arity, or a fault
+        # above or in the constructor: the line reader names it
+        pass
+    return _parse_lines(text)
+
+
+def _parse_lines(text: str) -> BipartiteGraph:
+    """`parse_graph`'s second pass: check each line in turn, so that the
+    first faulty line is named; a repeated edge is named last, by the
+    first line that repeats an earlier one."""
     labels: list[str] = []
     sides: list[int] = []
     index: dict[str, int] = {}

@@ -6,6 +6,8 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bipartite_biconnect import (
     BipartiteGraph,
@@ -17,7 +19,9 @@ from bipartite_biconnect import (
     parse_graph,
     serialize_graph,
 )
+from bipartite_biconnect.errors import BipartitenessViolation
 from bipartite_biconnect.graph import (
+    _parse_lines,
     broom_graph,
     caterpillar_graph,
     cycle_graph,
@@ -137,6 +141,59 @@ def test_parse_rejects_repeated_edge(text, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        pytest.param(
+            "A a1\n\n  B  \n", ParseError, "line 3: empty B directive", id="empty"
+        ),
+        pytest.param(
+            "A a1 a2\nB b1\n# A a2\nA a3 a2\n",
+            ParseError,
+            "line 4: vertex 'a2' declared twice",
+            id="declared-twice",
+        ),
+        pytest.param(
+            "A a1\nB b1 a1\n",
+            BipartitenessViolation,
+            "line 2: vertex 'a1' declared on both sides",
+            id="both-sides",
+        ),
+        pytest.param(
+            "A a1\nB b1 b2\nE a1 b1\nE a1 b2 b1\n",
+            ParseError,
+            "line 4: E takes exactly two vertex ids",
+            id="arity",
+        ),
+        # a label declared only after the edge that names it
+        pytest.param(
+            "A a1\nE a1 b1\nB b1\n",
+            ParseError,
+            "line 2: edge references undeclared vertex 'b1'",
+            id="undeclared",
+        ),
+        pytest.param(
+            "A a1 a2\nB b1\n\nE a1 b1\nE a2 a1\n",
+            BipartitenessViolation,
+            "line 5: edge 'a2' 'a1' joins vertices on the same side",
+            id="same-side",
+        ),
+        # a repeat earlier in the text is reported after the other fault
+        pytest.param(
+            "A a1\nB b1\nE a1 b1\nE b1 a1\nX a1\n",
+            ParseError,
+            "line 5: unknown directive 'X'",
+            id="unknown-directive",
+        ),
+    ],
+)
+def test_parse_names_each_fault_and_its_line(text, error, message):
+    with pytest.raises(ParseError) as err:
+        parse_graph(text)
+    assert type(err.value) is error
+    assert str(err.value) == message
+
+
 def test_build_graph_rejects_repeated_pair():
     with pytest.raises(ParseError, match="duplicate edge"):
         build_graph(["a1", "a2"], ["b1"], [("a1", "b1"), ("a2", "b1"), ("a1", "b1")])
@@ -152,7 +209,7 @@ def test_constructor_rejects_a_side_other_than_0_or_1():
         BipartiteGraph(labels, [0, 0, 1, 1], edges)
 
 
-@pytest.mark.parametrize("kind", ["spider", "caterpillar"])
+@pytest.mark.parametrize("kind", ["spider", "caterpillar", "random"])
 def test_parse_peak_memory_per_edge(kind):
     # the edge tuple and the rows are the only edge store; a set of all
     # edges beside them pushes the peak past 700 B per edge
@@ -171,6 +228,74 @@ def test_parse_peak_memory_per_edge(kind):
 def test_parse_rejects_bad_directive():
     with pytest.raises(ParseError):
         parse_graph("X a1\n")
+
+
+def _outcome(parse, text):
+    """What a parser makes of text: the graph's fields, or the exception's
+    class and message."""
+    try:
+        g = parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return g.labels, g.sides, g.edges, g.adj, g.label_index
+
+
+# each maps the graph's A and B labels to the lines of one injected
+# fault, which go into the text together
+_FAULTS = [
+    # an empty directive
+    lambda a, b: st.sampled_from([["A"], ["B"], ["  A  "]]),
+    # a label repeated on one side, also within one line
+    lambda a, b: st.sampled_from([[f"A {a[-1]}"], [f"B x {b[0]} x"], ["A z z"]]),
+    # a label declared on both sides
+    lambda a, b: st.sampled_from([[f"B {a[0]}"], [f"A y {b[-1]}"], ["A # b0"]]),
+    # an E line with too few or too many labels
+    lambda a, b: st.sampled_from([["E"], [f"E {a[0]}"]]),
+    lambda a, b: st.sampled_from([[f"E {a[0]} {b[0]} {b[-1]}"], ["A p", "B q", "E q p x"]]),
+    # an undeclared label, or one that a later line declares
+    lambda a, b: st.sampled_from([[f"E {a[0]} nobody"], [f"E nobody {b[0]}"]]),
+    lambda a, b: st.sampled_from([["E a0 late", "B late"], ["A late", "E late b0"]]),
+    # a same-side edge
+    lambda a, b: st.sampled_from([[f"E {a[0]} {a[-1]}"], [f"E {b[-1]} {b[0]}"]]),
+    # one edge twice, in either orientation
+    lambda a, b: st.tuples(st.sampled_from(a), st.sampled_from(b), st.booleans()).map(
+        lambda t: [f"E {t[0]} {t[1]}", f"E {t[0]} {t[1]}" if t[2] else f"E {t[1]} {t[0]}"]
+    ),
+    # an unknown directive
+    lambda a, b: st.sampled_from([["X a0"], ["e a0 b0"], ["AB a0"]]),
+    # comments and blank lines, which are no fault
+    lambda a, b: st.sampled_from([["#"], ["# E a0 b0"], ["#A a0"], [""], ["   "], ["\t# c"]]),
+]
+
+
+@st.composite
+def _faulty_texts(draw):
+    """A small graph's text, its edges written either way round, with up
+    to two injected faults (mostly one) and random blanks around each
+    line."""
+    a = [f"a{i}" for i in range(draw(st.integers(1, 3)))]
+    b = [f"b{j}" for j in range(draw(st.integers(1, 3)))]
+    cells = st.tuples(st.sampled_from(a), st.sampled_from(b))
+    lines = ["A " + " ".join(a), "B " + " ".join(b)]
+    # half the graphs repeat an edge of their own
+    for x, y in draw(st.lists(cells, unique=draw(st.booleans()), max_size=6)):
+        lines.append(f"E {x} {y}" if draw(st.booleans()) else f"E {y} {x}")
+    for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2]))):
+        at = draw(st.integers(0, len(lines)))
+        lines[at:at] = draw(draw(st.sampled_from(_FAULTS))(a, b))
+    pad = st.sampled_from(["", "", " ", "\t"])
+    lines = [draw(pad) + line + draw(pad) for line in lines]
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(
+        st.sampled_from(["", "\n"])
+    )
+
+
+@settings(max_examples=600, deadline=None)
+@given(_faulty_texts())
+def test_parse_agrees_with_the_line_reader(text):
+    # the fast pass hands every fault to the line reader, so both must
+    # return the same graph or raise the same error
+    assert _outcome(parse_graph, text) == _outcome(_parse_lines, text)
 
 
 def test_serialize_is_canonical(p4):
