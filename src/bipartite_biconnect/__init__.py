@@ -22,7 +22,6 @@ from .graph import (
     BipartiteGraph,
     add_edges,
     build_graph,
-    is_legal_edge,
     parse_graph,
     serialize_graph,
 )

@@ -4,12 +4,13 @@ Vertices carry string labels and get dense integer indices in first
 appearance order.  Side 0 is called A, side 1 is called B.  Edges are
 stored index based with the A endpoint first, sorted, and in no set.
 
-The `BipartiteGraph` constructor is the one place that checks an edge:
-range, sides, orientation and repeats.  `parse_graph` reads the text in
-two passes.  The first maps each line's labels to indices and hands the
-edges to the constructor unchecked; only when it or the constructor
-fails does the second read the text line by line, to name the faulty
-line.
+The `BipartiteGraph` constructor is the one place that checks an edge
+or a label: range, sides, orientation, repeated edges and repeated
+labels.  `parse_graph`, `build_graph` and `add_edges` hand it their
+vertices and pairs unchecked.  `parse_graph` reads the text in two
+passes.  The first maps each line's labels to indices; only when it or
+the constructor fails does the second read the text line by line, to
+name the faulty line.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ class BipartiteGraph:
         for e in edges:
             u, v = e
             if not (0 <= u < n) or not (0 <= v < n):
-                raise IllegalEdge(f"edge ({u}, {v}) references missing vertex")
+                raise IllegalEdge(f"edge ({u}, {v}): vertex index out of range")
             side = sides[u]
             if side == sides[v]:
                 raise BipartitenessViolation(
@@ -155,20 +156,17 @@ def build_graph(
     b_labels: Sequence[str],
     edge_pairs: Iterable[tuple[str, str]],
 ) -> BipartiteGraph:
-    """Construct a graph from label lists and (a label, b label) pairs."""
+    """Graph from label lists and (a, b) label pairs, checked by the constructor."""
     labels = list(a_labels) + list(b_labels)
     sides = [0] * len(a_labels) + [1] * len(b_labels)
-    index = {}
-    for i, lab in enumerate(labels):
-        if lab in index:
-            raise ParseError(f"duplicate vertex label {lab!r}")
-        index[lab] = i
-    edges = []
-    for x, y in edge_pairs:
-        if x not in index or y not in index:
-            missing = x if x not in index else y
-            raise ParseError(f"edge references undeclared vertex {missing!r}")
-        edges.append((index[x], index[y]))
+    index = dict(zip(labels, range(len(labels))))
+    if len(index) < len(labels):
+        # the constructor names the first repeated label, before any edge
+        BipartiteGraph(labels, sides, ())
+    try:
+        edges = [(index[x], index[y]) for x, y in edge_pairs]
+    except KeyError as e:
+        raise ParseError(f"edge references undeclared vertex {e.args[0]!r}") from None
     return BipartiteGraph(labels, sides, edges)
 
 
@@ -303,38 +301,19 @@ def serialize_graph(g: BipartiteGraph) -> str:
     return "\n".join(out) + ("\n" if out else "")
 
 
-def is_legal_edge(g: BipartiteGraph, u: int, v: int) -> bool:
-    """True iff u and v sit on opposite sides and are not adjacent;
-    IllegalEdge when either index is outside the graph."""
-    for x in (u, v):
-        if not 0 <= x < g.n:
-            raise IllegalEdge(f"vertex index {x} out of range")
-    return g.sides[u] != g.sides[v] and not g.has_edge(u, v)
-
-
 def add_edges(
     g: BipartiteGraph, pairs: Iterable[tuple[int, int]]
 ) -> BipartiteGraph:
     """Copy of g with the index pairs added, value semantics.
 
-    The one checked way to add edges: every pair must be a legal edge
-    and the list free of repeats, else IllegalEdge.
-    """
-    seen: set[tuple[int, int]] = set()
-    checked = []
-    for u, v in pairs:
-        if not is_legal_edge(g, u, v):
-            raise IllegalEdge(
-                f"cannot add {g.labels[u]!r} {g.labels[v]!r}: same side or already present"
-            )
-        key = (u, v) if g.sides[u] == 0 else (v, u)
-        if key in seen:
-            raise IllegalEdge(
-                f"edge {g.labels[key[0]]!r} {g.labels[key[1]]!r} repeated in the added list"
-            )
-        seen.add(key)
-        checked.append(key)
-    return BipartiteGraph(g.labels, g.sides, g.edges + tuple(checked))
+    The one checked way to add edges: the constructor checks the pairs as
+    it checks an input's edges, and any fault raises IllegalEdge.  It
+    names the first out-of-range or same-side pair, else the smallest
+    pair that is already present or repeated."""
+    try:
+        return BipartiteGraph(g.labels, g.sides, g.edges + tuple(pairs))
+    except ParseError as e:
+        raise IllegalEdge(str(e)) from None
 
 
 def path_graph(k: int) -> BipartiteGraph:
@@ -355,13 +334,7 @@ def cycle_graph(k: int) -> BipartiteGraph:
     """Even cycle with k >= 4 vertices; same labelling as path_graph."""
     if k < 4 or k % 2 != 0:
         raise ValueError("bipartite cycle needs an even k >= 4")
-    g = path_graph(k)
-    first, last = g.labels[0], g.labels[k - 1]
-    return build_graph(
-        [g.labels[i] for i in g.a_vertices()],
-        [g.labels[i] for i in g.b_vertices()],
-        list(g.edge_labels()) + [(first, last)],
-    )
+    return add_edges(path_graph(k), [(0, k - 1)])
 
 
 def spider_graph(chain_lengths: Sequence[int]) -> BipartiteGraph:

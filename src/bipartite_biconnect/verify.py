@@ -224,8 +224,8 @@ def verify_result(
     """Check a proposed augmentation against the original graph.
 
     `result` is an AugmentationResult or any iterable of label pairs.
-    Pair level failures (unknown vertex, same side, duplicate) and
-    structural failures end up in the report, never as exceptions.
+    Item failures (not a pair, unknown vertex, same side, duplicate)
+    and structural failures end up in the report, never as exceptions.
     With use_oracle, additionally confirm the size is minimum whenever
     the instance fits the exhaustive search guards; a cap outside
     [0, MAX_CAP] raises ValueError.
@@ -235,11 +235,16 @@ def verify_result(
     pairs = (
         list(result.added_edges)
         if hasattr(result, "added_edges")
-        else [tuple(p) for p in result]
+        else list(result)
     )
     edge_errors: list[str] = []
     added: set[tuple[int, int]] = set()
-    for x, y in pairs:
+    for p in pairs:
+        try:
+            x, y = p
+        except (TypeError, ValueError):
+            edge_errors.append(f"{p!r}: not a pair of labels")
+            continue
         if x not in g.label_index or y not in g.label_index:
             missing = x if x not in g.label_index else y
             edge_errors.append(f"{x} {y}: unknown vertex {missing}")

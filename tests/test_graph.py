@@ -15,7 +15,6 @@ from bipartite_biconnect import (
     ParseError,
     add_edges,
     build_graph,
-    is_legal_edge,
     parse_graph,
     serialize_graph,
 )
@@ -306,16 +305,6 @@ def test_serialize_is_canonical(p4):
     assert all(line.startswith("E ") for line in lines[2:])
 
 
-def test_is_legal_edge(p4):
-    a1, a2, b1, b2 = range(4)
-    assert is_legal_edge(p4, a1, b2)
-    assert not is_legal_edge(p4, a1, b1)  # already present
-    assert not is_legal_edge(p4, a1, a2)  # same side
-    assert is_legal_edge(p4, b2, a1)  # orientation free
-    with pytest.raises(IllegalEdge):
-        is_legal_edge(p4, 0, 99)
-
-
 def test_add_edges(p4):
     g2 = add_edges(p4, [(0, 3)])
     assert g2.m == p4.m + 1
@@ -343,6 +332,110 @@ def test_add_edges_rejects_an_out_of_range_index(p4):
     for pair in [(0, 99), (99, 0), (-1, 2)]:
         with pytest.raises(IllegalEdge, match="out of range"):
             add_edges(p4, [pair])
+
+
+def test_add_edges_takes_either_orientation(p4):
+    assert add_edges(p4, [(3, 0)]) == add_edges(p4, [(0, 3)])
+    assert add_edges(p4, [(3, 0)]).edges == add_edges(p4, [(0, 3)]).edges
+
+
+# a1 a2 a3 are indices 0 1 2, b1 b2 b3 are 3 4 5, and a1 b1 is an edge
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        # an out-of-range or same-side pair first, in list order
+        ([(0, 4), (1, 2), (0, 3)], "edge joins same side vertices 'a2' and 'a3'"),
+        ([(0, 3), (9, 1)], "edge (9, 1): vertex index out of range"),
+        ([(0, 3), (5, 3), (-1, 4)], "edge joins same side vertices 'b3' and 'b1'"),
+        ([(4, 1), (0, 3), (3, 6), (1, 0)], "edge (3, 6): vertex index out of range"),
+        # then the smallest pair already present or repeated
+        ([(2, 5), (1, 4), (4, 1), (0, 3)], "duplicate edge 'a1' 'b1'"),
+        ([(2, 5), (5, 2), (4, 1), (1, 4)], "duplicate edge 'a2' 'b2'"),
+        ([(5, 2), (2, 5), (4, 0), (0, 4)], "duplicate edge 'a1' 'b2'"),
+    ],
+)
+def test_add_edges_names_the_fault_in_input_order(pairs, message):
+    g = build_graph(["a1", "a2", "a3"], ["b1", "b2", "b3"], [("a1", "b1")])
+    with pytest.raises(IllegalEdge) as err:
+        add_edges(g, pairs)
+    assert str(err.value) == message
+
+
+def _bad_pair(g, pairs):
+    """Is some pair out of range, within one side, already an edge of g
+    or a repeat of an earlier pair?"""
+    seen = set()
+    for u, v in pairs:
+        if not (0 <= u < g.n and 0 <= v < g.n):
+            return True
+        if g.sides[u] == g.sides[v] or g.has_edge(u, v):
+            return True
+        key = (u, v) if g.sides[u] == 0 else (v, u)
+        if key in seen:
+            return True
+        seen.add(key)
+    return False
+
+
+@st.composite
+def _graphs_and_pairs(draw):
+    na, nb = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    a = [f"a{i}" for i in range(na)]
+    b = [f"b{j}" for j in range(nb)]
+    cells = [(x, y) for x in a for y in b]
+    edges = [c for c in cells if draw(st.booleans())]
+    g = build_graph(a, b, edges)
+    end = st.integers(-1, g.n)
+    return g, draw(st.lists(st.tuples(end, end), max_size=5))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_graphs_and_pairs())
+def test_add_edges_raises_exactly_on_a_bad_pair(case):
+    g, pairs = case
+    if _bad_pair(g, pairs):
+        with pytest.raises(IllegalEdge):
+            add_edges(g, pairs)
+        return
+    g2 = add_edges(g, pairs)
+    union = list(g.edge_labels()) + [(g.labels[u], g.labels[v]) for u, v in pairs]
+    a = [g.labels[i] for i in g.a_vertices()]
+    b = [g.labels[i] for i in g.b_vertices()]
+    ref = build_graph(a, b, union)
+    assert (g2.labels, g2.sides, g2.edges, g2.adj) == (ref.labels, ref.sides, ref.edges, ref.adj)
+
+
+@pytest.mark.parametrize(
+    "a, b, label", [(["a1", "a1"], ["b1"], "a1"), (["x"], ["b1", "x"], "x")]
+)
+def test_build_graph_names_a_repeated_label_before_an_undeclared_one(a, b, label):
+    with pytest.raises(ParseError) as err:
+        build_graph(a, b, [("a1", "zz")])
+    assert type(err.value) is ParseError
+    assert str(err.value) == f"duplicate vertex label {label!r}"
+
+
+def test_build_graph_names_the_first_undeclared_label_of_a_pair():
+    with pytest.raises(ParseError) as err:
+        build_graph(["a1"], ["b1"], [("a1", "b1"), ("p", "q")])
+    assert str(err.value) == "edge references undeclared vertex 'p'"
+    with pytest.raises(ParseError) as err:
+        build_graph(["a1"], ["b1"], [("a1", "q")])
+    assert str(err.value) == "edge references undeclared vertex 'q'"
+
+
+def test_cycle_graph_matches_a_built_cycle():
+    # the closing edge added to the path gives the same graph as
+    # building the cycle's label pairs from scratch
+    for k in range(4, 41, 2):
+        p = path_graph(k)
+        ref = build_graph(
+            [p.labels[i] for i in p.a_vertices()],
+            [p.labels[i] for i in p.b_vertices()],
+            list(p.edge_labels()) + [(p.labels[0], p.labels[k - 1])],
+        )
+        c = cycle_graph(k)
+        assert (c.labels, c.sides, c.edges, c.adj) == (ref.labels, ref.sides, ref.edges, ref.adj)
 
 
 def test_has_edge_matches_reference():

@@ -315,6 +315,24 @@ def test_verify_result_flags_unknown_label(p4):
     assert rep.edge_errors
 
 
+def test_verify_result_reports_an_item_that_is_not_a_pair(p4):
+    # each malformed item is one report line; the good and bad pairs
+    # around it are still checked
+    items = [("a1",), ("a1", "b1"), ("a1", "b2", "x"), None, ["a1", "b2"], 7, ("a2", "a1")]
+    rep = verify_result(p4, items)
+    assert not rep.passed
+    assert rep.lines() == [
+        "BAD EDGE ('a1',): not a pair of labels",
+        "BAD EDGE a1 b1: duplicate edge",
+        "BAD EDGE ('a1', 'b2', 'x'): not a pair of labels",
+        "BAD EDGE None: not a pair of labels",
+        "BAD EDGE 7: not a pair of labels",
+        "BAD EDGE a2 a1: same side",
+    ]
+    # without the malformed items the same list is one good pair
+    assert verify_result(p4, [["a1", "b2"]]).passed
+
+
 def test_verify_result_oracle_flags_waste(spider4):
     # a correct but oversized edge set: the checker accepts it, the
     # exhaustive search disagrees on the count
