@@ -42,7 +42,7 @@ from .bounds import (
     theorem_target,
 )
 from .errors import InvariantViolation, NoBiconnector, check
-from .graph import BipartiteGraph, add_edges
+from .graph import BipartiteGraph
 from .matching import (
     AB,
     TYPES,
@@ -73,13 +73,12 @@ class AugmentationResult:
 class _State:
     """Mutable view of the graph while edges are being added."""
 
-    def __init__(self, g: BipartiteGraph, counters: OpCounters, self_check: bool):
+    def __init__(self, g: BipartiteGraph, counters: OpCounters):
         self.g = g
         self.added: list[tuple[int, int]] = []
         self.added_set: set[tuple[int, int]] = set()
         self.cases: list[str] = []
         self.counters = counters
-        self.self_check = self_check  # audit after every connected step
 
     def add_edge(self, u: int, v: int, case: str) -> None:
         n = self.g.n
@@ -111,17 +110,13 @@ def _binding_edge(
     return (a1, b2) if first_is_a else (a2, b1)
 
 
-def augment(
-    g: BipartiteGraph,
-    counters: OpCounters | None = None,
-    self_check: bool = False,
-) -> AugmentationResult:
+def augment(g: BipartiteGraph, counters: OpCounters | None = None) -> AugmentationResult:
     """Compute a smallest set of side respecting edges whose addition
     makes every component a block or a lone vertex.
 
     Raises NoBiconnector when work is needed but one side has fewer
-    than two vertices.  With self_check the incremental structures are
-    audited against a rebuild after every solver step; slow, test only.
+    than two vertices.  counters, when given, accumulates the solve's
+    work counts.
     """
     counters = counters if counters is not None else OpCounters()
     dec = decompose(g, counters)
@@ -138,7 +133,7 @@ def augment(
         raise NoBiconnector(
             f"a side with {min(na, nb)} vertices cannot anchor any cycle"
         )
-    st = _State(g, counters, self_check)
+    st = _State(g, counters)
     if label == "M4":
         _case_m4(st, dec, cen)
     elif label == "M5":
@@ -342,27 +337,7 @@ def _solve_connected(
         eta -= 1
         if index.eta_now() != eta:
             raise InvariantViolation("demand must drop by one")
-        if st.self_check:
-            _audit_against_rebuild(st, comp[0], index)
     check(len(st.added) - start == eta0, "connected solve missed its bound")
-
-
-def _audit_against_rebuild(st: _State, anchor: int, index: AugTreeIndex) -> None:
-    """Compare the incrementally maintained state with a from-scratch
-    decomposition of the graph as it stands now."""
-    index.audit()
-    g2 = add_edges(st.g, st.added)
-    dec2 = decompose(g2)
-    cid2 = dec2.comp_id[anchor]
-    types = [p.ptype for p in pendant_records(g2, dec2) if p.comp == cid2]
-    counts = counts_of(types)
-    check(index.counts() == counts, "leaf census drifted from rebuild")
-    max_d = max(dec2.branches[v] for v in dec2.comps[cid2])
-    check(index.max_cdeg == max_d, "split degree drifted from rebuild")
-    check(
-        index.eta_now() == max(max_d - 1, sum(counts) - pair_count(*counts), 0),
-        "demand drifted from rebuild",
-    )
 
 
 def _emit_leaf_pair(

@@ -320,15 +320,14 @@ class CollapseInfo:
     tree no longer shows afterwards: the retired nodes, of which
     branching had degree three or more, and the surviving cut vertices,
     each now one degree lower.  y took over the children of the
-    absorbed node adopted; moved lists the off-path children of the
-    other absorbed nodes, now y's too."""
+    absorbed node with the most; moved lists the off-path children of
+    the other absorbed nodes, now y's too."""
 
     y: int
     path: list[int]
     absorbed: list[int]
     survivors: list[int]
     branching: int
-    adopted: int
     moved: list[int]
 
 
@@ -807,50 +806,7 @@ class BlockTree:
             parent[y] = -1
             self.root = y
 
-        return CollapseInfo(y, path, absorbed, survivors, branching, adopted, moved)
-
-    # ------------------------------------------------------------------
-    # verification aid
-
-    def audit(self) -> None:
-        """Crosscheck every parent link, child count, code, bucket and
-        presence mask against a from-scratch pass over up() that reads
-        no bucket."""
-        live = self.live_nodes()
-        below: dict[int, list[int]] = {x: [] for x in live}
-        for x in live:
-            p = self.up(x)
-            if x == self.root:
-                check(p == -1, "root has a parent")
-            else:
-                if p == -1 or not self.alive[p]:
-                    raise InvariantViolation(f"parent link broken at {x}")
-                below[p].append(x)
-        order = [self.root]
-        for x in order:
-            order += below[x]
-        check(len(order) == len(live), "a live node hangs below no root")
-        code: dict[int, int] = {}
-        for x in reversed(order):
-            kids = below[x]
-            code[x] = self._leaf_code(x) if not kids else 8 if len(kids) >= 2 else 0
-            for ch in kids:
-                code[x] |= code[ch]
-        for x in live:
-            want: dict[int, set[int]] = {}
-            for ch in below[x]:
-                want.setdefault(code[ch], set()).add(ch)
-            heads = self.heads[self.base[x] : self.base[x] + SLOTS]
-            got = [walk_list(h, self.snext, len(live)) for h in heads]
-            if self.code[x] != code[x]:
-                raise InvariantViolation(f"code mismatch at {x}")
-            if self.nkids[x] != len(below[x]):
-                raise InvariantViolation(f"child count wrong at {x}")
-            if self.present[x] != sum(1 << c for c in want):
-                raise InvariantViolation(f"presence mask wrong at {x}")
-            buckets = {c: set(m) for c, m in enumerate(got) if m}
-            if buckets != want or sum(map(len, got)) != len(below[x]):
-                raise InvariantViolation(f"bucket mismatch at {x}")
+        return CollapseInfo(y, path, absorbed, survivors, branching, moved)
 
 
 def walk_list(x: int, nxt: list[int], need: int) -> list[int]:

@@ -45,9 +45,6 @@ def joinable(t1: int, t2: int) -> bool:
 
 @dataclass(frozen=True)
 class MatchingProfile:
-    n_a: int
-    n_b: int
-    n_ab: int
     m: int
     r: int
 
@@ -61,7 +58,7 @@ def pair_count(n_a: int, n_b: int, n_ab: int) -> int:
 def profile(n_a: int, n_b: int, n_ab: int) -> MatchingProfile:
     """Closed form pairing profile for the given type counts."""
     m = pair_count(n_a, n_b, n_ab)
-    return MatchingProfile(n_a, n_b, n_ab, m, n_a + n_b + n_ab - 2 * m)
+    return MatchingProfile(m, n_a + n_b + n_ab - 2 * m)
 
 
 def counts_of(types: Sequence[int]) -> tuple[int, int, int]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .blocks import B_NODE, C_NODE, LEAF_CODE, S_NODE, BlockTree, CollapseInfo
 from .blocks import walk_list
-from .errors import InvariantViolation, check
+from .errors import InvariantViolation
 from .matching import AB, CROSS_ORDER, LEGAL_COMBOS, TYPES
 from .matching import is_decrementing, joinable, pair_count
 from .stats import OpCounters
@@ -32,8 +32,8 @@ CODES_WITH = tuple((bit, *many) for bit, many in zip(LEAF_CODE, CODES_WITH_MANY)
 
 class AugTreeIndex:
     def __init__(self, tree: BlockTree, counters: OpCounters | None = None):
-        """Fill every count and degree group from the tree's live nodes;
-        audit() builds a fresh index mid solve, among retired nodes."""
+        """Fill every count and degree group from the tree's live nodes,
+        skipping retired ones, so an index can also be built mid solve."""
         self.tree = t = tree
         self.counters = counters
         n = t.capacity
@@ -369,30 +369,3 @@ class AugTreeIndex:
             if others:
                 return self.descend(x1, t1), self.descend(others[0], t2)
         raise InvariantViolation("no legal partner for the chain leaves")
-
-    # ------------------------------------------------------------------
-    # verification aid
-
-    def audit(self) -> None:
-        """Crosscheck the tree, then every count and degree group against
-        a fresh index."""
-        t = self.tree
-        t.audit()
-        fresh = AugTreeIndex(t)
-        check(self.leaf_counts == fresh.leaf_counts, "leaf counts mismatch")
-        check(
-            (self._total, self._m, self._mr) == (fresh._total, fresh._m, fresh._mr),
-            "pair counts mismatch",
-        )
-        check(self.cnt_branching == fresh.cnt_branching, "branching count mismatch")
-        check(self.max_cdeg == fresh.max_cdeg, "max split degree mismatch")
-        check(
-            _list_sets(self.grp_head, self.gnext)
-            == _list_sets(fresh.grp_head, fresh.gnext),
-            "degree group mismatch",
-        )
-
-
-def _list_sets(heads: dict[int, int], nxt: list[int]) -> dict[int, set[int]]:
-    """Members of each linked list, by the key of its head."""
-    return {k: set(walk_list(h, nxt, len(nxt))) for k, h in heads.items()}

@@ -242,14 +242,14 @@ def verify_result(
     for p in pairs:
         try:
             x, y = p
+            # an unhashable label raises TypeError here
+            u, v = g.label_index.get(x, -1), g.label_index.get(y, -1)
         except (TypeError, ValueError):
             edge_errors.append(f"{p!r}: not a pair of labels")
             continue
-        if x not in g.label_index or y not in g.label_index:
-            missing = x if x not in g.label_index else y
-            edge_errors.append(f"{x} {y}: unknown vertex {missing}")
+        if u == -1 or v == -1:
+            edge_errors.append(f"{x} {y}: unknown vertex {x if u == -1 else y}")
             continue
-        u, v = g.label_index[x], g.label_index[y]
         if g.sides[u] == g.sides[v]:
             edge_errors.append(f"{x} {y}: same side")
             continue

@@ -1,17 +1,29 @@
 """Slow, definition-level reference implementations used to pin down
 expected values.  Everything here is written straight from first
 principles (path enumeration, exhaustive search) so it shares no code
-with the package under test."""
+with the package under test, except the step audits at the end, which
+crosscheck the solver's incremental structures from inside a solve."""
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import random
 from collections import deque
 
-from bipartite_biconnect import BipartiteGraph, build_graph
+from bipartite_biconnect import (
+    BipartiteGraph,
+    InvariantViolation,
+    add_edges,
+    build_graph,
+    decompose,
+    pendant_records,
+)
+from bipartite_biconnect.blocks import SLOTS, walk_list
+from bipartite_biconnect.errors import check
 from bipartite_biconnect.graph import generate_instance
-from bipartite_biconnect.matching import AB, A, B
+from bipartite_biconnect.matching import AB, A, B, counts_of, pair_count
+from bipartite_biconnect.treeindex import AugTreeIndex
 
 
 # ----------------------------------------------------------------------
@@ -380,6 +392,123 @@ def collapse_between(tree, n1: int, n2: int, counters=None):
     k = min(max(top, 1), last - 1)
     tree.reroot(path[k])
     return tree.collapse(path[k - 1 :: -1], path[k + 1 :], counters)
+
+
+# ----------------------------------------------------------------------
+# step audits: every check raises InvariantViolation, also under python -O
+
+
+def audit_tree(t) -> None:
+    """Crosscheck every parent link, child count, code, bucket and
+    presence mask of a structure tree against a from-scratch pass over
+    up() that reads no bucket."""
+    live = t.live_nodes()
+    below: dict[int, list[int]] = {x: [] for x in live}
+    for x in live:
+        p = t.up(x)
+        if x == t.root:
+            check(p == -1, "root has a parent")
+        else:
+            if p == -1 or not t.alive[p]:
+                raise InvariantViolation(f"parent link broken at {x}")
+            below[p].append(x)
+    order = [t.root]
+    for x in order:
+        order += below[x]
+    check(len(order) == len(live), "a live node hangs below no root")
+    code: dict[int, int] = {}
+    for x in reversed(order):
+        kids = below[x]
+        code[x] = t._leaf_code(x) if not kids else 8 if len(kids) >= 2 else 0
+        for ch in kids:
+            code[x] |= code[ch]
+    for x in live:
+        want: dict[int, set[int]] = {}
+        for ch in below[x]:
+            want.setdefault(code[ch], set()).add(ch)
+        heads = t.heads[t.base[x] : t.base[x] + SLOTS]
+        got = [walk_list(h, t.snext, len(live)) for h in heads]
+        if t.code[x] != code[x]:
+            raise InvariantViolation(f"code mismatch at {x}")
+        if t.nkids[x] != len(below[x]):
+            raise InvariantViolation(f"child count wrong at {x}")
+        if t.present[x] != sum(1 << c for c in want):
+            raise InvariantViolation(f"presence mask wrong at {x}")
+        buckets = {c: set(m) for c, m in enumerate(got) if m}
+        if buckets != want or sum(map(len, got)) != len(below[x]):
+            raise InvariantViolation(f"bucket mismatch at {x}")
+
+
+def _list_sets(heads: dict[int, int], nxt: list[int]) -> dict[int, set[int]]:
+    """Members of each linked list, by the key of its head."""
+    return {k: set(walk_list(h, nxt, len(nxt))) for k, h in heads.items()}
+
+
+def audit_index(index: AugTreeIndex) -> None:
+    """Crosscheck the tree, then every count and degree group of its
+    index against a fresh index."""
+    audit_tree(index.tree)
+    fresh = AugTreeIndex(index.tree)
+    check(index.leaf_counts == fresh.leaf_counts, "leaf counts mismatch")
+    check(
+        (index._total, index._m, index._mr) == (fresh._total, fresh._m, fresh._mr),
+        "pair counts mismatch",
+    )
+    check(index.cnt_branching == fresh.cnt_branching, "branching count mismatch")
+    check(index.max_cdeg == fresh.max_cdeg, "max split degree mismatch")
+    check(
+        _list_sets(index.grp_head, index.gnext)
+        == _list_sets(fresh.grp_head, fresh.gnext),
+        "degree group mismatch",
+    )
+
+
+def audit_against_rebuild(
+    g: BipartiteGraph, added: list[tuple[int, int]], anchor: int, index: AugTreeIndex
+) -> None:
+    """Audit the index, then compare it with a from-scratch
+    decomposition of g plus the edges added so far, in the component
+    of vertex anchor."""
+    audit_index(index)
+    g2 = add_edges(g, added)
+    dec2 = decompose(g2)
+    cid2 = dec2.comp_id[anchor]
+    types = [p.ptype for p in pendant_records(g2, dec2) if p.comp == cid2]
+    counts = counts_of(types)
+    check(index.counts() == counts, "leaf census drifted from rebuild")
+    max_d = max(dec2.branches[v] for v in dec2.comps[cid2])
+    check(index.max_cdeg == max_d, "split degree drifted from rebuild")
+    check(
+        index.eta_now() == max(max_d - 1, sum(counts) - pair_count(*counts), 0),
+        "demand drifted from rebuild",
+    )
+
+
+def audited_augment(g: BipartiteGraph):
+    """augment(g) with every audit above run after each iterative step
+    (S5 and S4_2); returns the result and the number of audits run.
+
+    Each such step joins two leaves and collapses the path between them
+    in _join_and_collapse, so the module's binding of that name is
+    swapped for one that audits after it, for this call only.  The
+    package's __init__ shadows the module name with the function, so
+    the module is looked up by its full name."""
+    mod = importlib.import_module("bipartite_biconnect.augment")
+    real = mod._join_and_collapse
+    audits = 0
+
+    def join_and_collapse(st, tree, index, *args) -> None:
+        nonlocal audits
+        real(st, tree, index, *args)
+        audit_against_rebuild(st.g, st.added, st.added[-1][0], index)
+        audits += 1
+
+    mod._join_and_collapse = join_and_collapse
+    try:
+        res = mod.augment(g)
+    finally:
+        mod._join_and_collapse = real
+    return res, audits
 
 
 __all__ = [name for name in dir() if not name.startswith("_")]

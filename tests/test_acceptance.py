@@ -43,6 +43,7 @@ from bipartite_biconnect.verify import brute_force_optimal
 
 from .helpers import (
     all_graphs,
+    audited_augment,
     massive_and_critical,
     oracle_max_matching,
     oracle_pendants,
@@ -219,7 +220,7 @@ def test_criterion_5_structure_lemmas_hold():
             broom_graph(3, 5),
             caterpillar_graph(14),
         ):
-            augment(g, self_check=True)
+            audited_augment(g)
 
         # every edge of a connected solve lowers the bound by exactly one
         stepped = 0

@@ -46,6 +46,7 @@ from bipartite_biconnect.verify import brute_force_optimal
 from .helpers import (
     a_paths_graph,
     all_graphs,
+    audited_augment,
     mixed_graph,
     random_graph,
     sparse_random_graph,
@@ -54,8 +55,8 @@ from .helpers import (
 from .test_acceptance import disjoint_paths_graph
 
 
-def fixed(g, self_check=True):
-    res = augment(g, self_check=self_check)
+def fixed(g):
+    res, _ = audited_augment(g)
     rep = verify_result(g, res)
     assert rep.passed, rep.witness
     assert res.size == res.target
@@ -254,7 +255,7 @@ def test_matches_exhaustive_minimum_on_small_corpus():
                 with pytest.raises(NoBiconnector):
                     augment(g)
                 continue
-            res = augment(g, self_check=True)
+            res, _ = audited_augment(g)
             assert res.size == size_o
             assert verify_result(g, res).passed
 
@@ -269,7 +270,7 @@ def test_matches_exhaustive_minimum_on_randoms():
             with pytest.raises(NoBiconnector):
                 augment(g)
             continue
-        res = augment(g, self_check=True)
+        res, _ = audited_augment(g)
         assert res.size == size_o
         assert verify_result(g, res).passed
 
@@ -284,12 +285,12 @@ def test_connected_solves_hit_eta_exactly():
         if len(decompose(g).comps) != 1:
             continue
         checked += 1
-        res = augment(g, self_check=True)
+        res, _ = audited_augment(g)
         assert res.size == eta(g)
     assert checked > 100
 
 
-SELF_CHECK_INPUTS = {
+AUDIT_INPUTS = {
     "spider-300": lambda: generate_instance("spider", 300),
     "caterpillar-300": lambda: generate_instance("caterpillar", 300),
     "random-2000-seed0": lambda: generate_instance("random", 2000, seed=0),
@@ -300,15 +301,17 @@ SELF_CHECK_INPUTS = {
 }
 
 
-@pytest.mark.parametrize("name", list(SELF_CHECK_INPUTS))
+@pytest.mark.parametrize("name", list(AUDIT_INPUTS))
 def test_self_check_holds_past_brute_force_sizes(name):
-    """The index audit and the rebuild comparison after every solver
+    """The index audit and the rebuild comparison after every iterative
     step hold on inputs far too big for exhaustive search, including
-    one whose branch step re-roots at a critical cut vertex."""
-    g = SELF_CHECK_INPUTS[name]()
-    res = augment(g, self_check=True)
+    one whose branch step re-roots at a critical cut vertex; the audits
+    ran once per S5 and S4_2 step and leave the output unchanged."""
+    g = AUDIT_INPUTS[name]()
+    res, audits = audited_augment(g)
     assert res.size == res.target
     assert res.added_edges == augment(g).added_edges
+    assert audits == res.trace.count("S5") + res.trace.count("S4_2") > 0
 
 
 def test_self_check_holds_on_the_seeded_corpus(monkeypatch):
@@ -344,33 +347,34 @@ def test_self_check_holds_on_the_seeded_corpus(monkeypatch):
     ]
     for g in graphs:
         try:
-            res = augment(g, self_check=True)
+            res, _ = audited_augment(g)
         except NoBiconnector:
             continue
         assert res.size == res.target
     assert critical > 0
 
 
-def test_self_check_audits_under_python_O():
+def test_step_audit_raises_under_python_O():
     # the audits raise InvariantViolation rather than assert, so an
     # optimized interpreter still catches a drifted leaf census at the
     # first audit, not only at the final bound check
     script = (
-        "from bipartite_biconnect import InvariantViolation, augment\n"
+        "from bipartite_biconnect import InvariantViolation\n"
         "from bipartite_biconnect.graph import generate_instance\n"
         "from bipartite_biconnect.treeindex import AugTreeIndex\n"
+        "from tests.helpers import audited_augment\n"
         "AugTreeIndex.counts = lambda self: (9, 9, 9)\n"
         "try:\n"
-        "    augment(generate_instance('spider', 40), self_check=True)\n"
+        "    audited_augment(generate_instance('spider', 40))\n"
         "except InvariantViolation as exc:\n"
         "    print(exc)\n"
     )
-    src = str(Path(__file__).parent.parent / "src")
+    root = Path(__file__).parent.parent
     proc = subprocess.run(
         [sys.executable, "-O", "-c", script],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": os.pathsep.join((str(root / "src"), str(root)))},
         check=False,
     )
     assert proc.returncode == 0, proc.stderr

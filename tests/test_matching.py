@@ -38,7 +38,7 @@ def test_profile_known_values():
     assert profile(0, 0, 5).m == 2
     assert profile(0, 0, 5).r == 1
     assert profile(3, 3, 0).m == 3
-    assert profile(1, 0, 0) == MatchingProfile(1, 0, 0, 0, 1)
+    assert profile(1, 0, 0) == MatchingProfile(0, 1)
 
 
 def test_counts_of():

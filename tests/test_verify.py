@@ -316,9 +316,10 @@ def test_verify_result_flags_unknown_label(p4):
 
 
 def test_verify_result_reports_an_item_that_is_not_a_pair(p4):
-    # each malformed item is one report line; the good and bad pairs
-    # around it are still checked
+    # each malformed item is one report line, also one with an
+    # unhashable label; the good and bad pairs around it are still checked
     items = [("a1",), ("a1", "b1"), ("a1", "b2", "x"), None, ["a1", "b2"], 7, ("a2", "a1")]
+    items += [(["a1"], "b2"), ({"x": 1}, "b2"), ("a1", ["b2"])]
     rep = verify_result(p4, items)
     assert not rep.passed
     assert rep.lines() == [
@@ -328,6 +329,9 @@ def test_verify_result_reports_an_item_that_is_not_a_pair(p4):
         "BAD EDGE None: not a pair of labels",
         "BAD EDGE 7: not a pair of labels",
         "BAD EDGE a2 a1: same side",
+        "BAD EDGE (['a1'], 'b2'): not a pair of labels",
+        "BAD EDGE ({'x': 1}, 'b2'): not a pair of labels",
+        "BAD EDGE ('a1', ['b2']): not a pair of labels",
     ]
     # without the malformed items the same list is one good pair
     assert verify_result(p4, [["a1", "b2"]]).passed
