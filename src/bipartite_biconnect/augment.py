@@ -1,14 +1,17 @@
 """Minimum augmentation to componentwise biconnectivity.
 
-The driver classifies the whole graph first: nothing to do, too thin
-to fix (one side has fewer than two vertices), one of two special
-shapes built around a lone edge, or the general shapes.  Several
-components needing work are joined to the first one by bridge edges
-that each lower the remaining demand by one, in O(1) amortized per
-bridge.  If one component is left, the first decomposition's join
-hands its parts to the tree based solver; if the pendant pairs run out
-first, the bridge loop's own records finish the job with a round robin
-stitch in O(n).  Either way each input is decomposed once.
+`analyse` decomposes the whole graph once, takes its census, counts
+and pairs its pendants by type, and so fixes the case and the closed
+form target; `solve` works from that record, as `augment --stats`
+reports it.  The case is nothing to do, too thin to fix (one side has
+fewer than two vertices), one of two special shapes built around a
+lone edge, or the general shapes.  Several components
+needing work are joined to the first one by bridge edges that each
+lower the remaining demand by one, in O(1) amortized per bridge.  If
+one component is left, the first decomposition's join hands its parts
+to the tree based solver; if the pendant pairs run out first, the
+bridge loop's own records finish the job with a round robin stitch in
+O(n).  Either way each input is decomposed once.
 
 The connected solver walks the structure tree: terminal cases emit all
 their edges at once, iterative cases add one edge, collapse the tree
@@ -48,6 +51,7 @@ from .matching import (
     TYPES,
     A,
     B,
+    MatchingProfile,
     counts_of,
     joinable,
     maximum_legal_matching,
@@ -110,6 +114,31 @@ def _binding_edge(
     return (a1, b2) if first_is_a else (a2, b1)
 
 
+@dataclass(slots=True)
+class Analysis:
+    """The whole graph as the solver reads it before it adds any edge."""
+
+    dec: Decomposition
+    cen: ComponentCensus
+    recs: list[PendantRec]
+    counts: tuple[int, int, int]
+    prof: MatchingProfile
+    label: str
+    target: int
+
+
+def analyse(g: BipartiteGraph, counters: OpCounters | None = None) -> Analysis:
+    """Decompose g once, counting into counters, and fix its case and target."""
+    dec = decompose(g, counters)
+    cen = census(dec)
+    recs = pendant_records(g, dec)
+    counts = counts_of([p.ptype for p in recs])
+    prof = profile(*counts)
+    label = classify_m(cen, prof.m)
+    target = theorem_target(label, dec, cen, prof)
+    return Analysis(dec, cen, recs, counts, prof, label, target)
+
+
 def augment(g: BipartiteGraph, counters: OpCounters | None = None) -> AugmentationResult:
     """Compute a smallest set of side respecting edges whose addition
     makes every component a block or a lone vertex.
@@ -119,44 +148,32 @@ def augment(g: BipartiteGraph, counters: OpCounters | None = None) -> Augmentati
     work counts.
     """
     counters = counters if counters is not None else OpCounters()
-    dec = decompose(g, counters)
-    cen = census(dec)
-    recs = pendant_records(g, dec)
-    prof = profile(*counts_of([p.ptype for p in recs]))
-    label = classify_m(cen, prof.m)
-    target = theorem_target(label, dec, cen, prof)
-    if label == "M6":
+    return solve(g, analyse(g, counters), counters)
+
+
+def solve(g: BipartiteGraph, a: Analysis, counters: OpCounters) -> AugmentationResult:
+    """augment(g) from g's analysis a; counters accumulates the work."""
+    if a.label == "M6":
         return AugmentationResult([], [], 0)
-    na = g.sides.count(0)
-    nb = g.n - na
-    if na < 2 or nb < 2:
-        raise NoBiconnector(
-            f"a side with {min(na, nb)} vertices cannot anchor any cycle"
-        )
+    thin = min(g.sides.count(0), g.sides.count(1))
+    if thin < 2:
+        raise NoBiconnector(f"a side with {thin} vertices cannot anchor any cycle")
     st = _State(g, counters)
-    if label == "M4":
-        _case_m4(st, dec, cen)
-    elif label == "M5":
-        _case_m5(st, g, dec, cen)
-    elif label == "M1":
-        _case_m1(st, g, dec, cen)
-    else:
-        _case_m3(st, dec, cen, recs)
-    if len(st.added) != target:
-        raise InvariantViolation(f"emitted {len(st.added)}, target {target}")
+    _WHOLE[a.label](st, a)
+    if len(st.added) != a.target:
+        raise InvariantViolation(f"emitted {len(st.added)}, target {a.target}")
     added_labels = [(g.labels[u], g.labels[v]) for u, v in st.added]
-    return AugmentationResult(added_labels, st.cases, target)
+    return AugmentationResult(added_labels, st.cases, a.target)
 
 
 # ----------------------------------------------------------------------
 # whole graph cases
 
 
-def _case_m4(st: _State, dec: Decomposition, cen: ComponentCensus) -> None:
+def _case_m4(st: _State, a: Analysis) -> None:
     """A lone edge among lone vertices: close a four cycle through it."""
     g = st.g
-    edge_comp = dec.comps[cen.comp_classes.index(EDGE)]
-    u, v = edge_comp
+    u, v = a.dec.comps[a.cen.comp_classes.index(EDGE)]
     r, c = (u, v) if g.sides[u] == 0 else (v, u)
     spare_a = min(x for x in range(g.n) if g.sides[x] == 0 and not g.adj[x])
     spare_b = min(x for x in range(g.n) if g.sides[x] == 1 and not g.adj[x])
@@ -165,28 +182,22 @@ def _case_m4(st: _State, dec: Decomposition, cen: ComponentCensus) -> None:
     st.add_edge(spare_a, spare_b, "M4")
 
 
-def _case_m5(
-    st: _State, g: BipartiteGraph, dec: Decomposition, cen: ComponentCensus
-) -> None:
+def _case_m5(st: _State, a: Analysis) -> None:
     """A lone edge next to finished blocks: hang it off the first block."""
-    edge_comp = dec.comps[cen.comp_classes.index(EDGE)]
-    u, v = edge_comp
+    g, dec, classes = st.g, a.dec, a.cen.comp_classes
+    u, v = dec.comps[classes.index(EDGE)]
     r, c = (u, v) if g.sides[u] == 0 else (v, u)
-    host = dec.comps[cen.comp_classes.index(BLOCK)]
+    host = dec.comps[classes.index(BLOCK)]
     host_a = min(x for x in host if g.sides[x] == 0)
     host_b = min(x for x in host if g.sides[x] == 1)
     st.add_edge(r, host_b, "M5")
     st.add_edge(host_a, c, "M5")
 
 
-def _case_m1(
-    st: _State,
-    g: BipartiteGraph,
-    dec: Decomposition,
-    cen: ComponentCensus,
-) -> None:
+def _case_m1(st: _State, a: Analysis) -> None:
     """One component needs work; everything else is already finished."""
-    cid = cen.comp_classes.index(NEEDY)
+    g, dec = st.g, a.dec
+    cid = a.cen.comp_classes.index(NEEDY)
     comp = dec.comps[cid]
     a_in = [x for x in comp if g.sides[x] == 0]
     b_in = [x for x in comp if g.sides[x] == 1]
@@ -206,7 +217,7 @@ def _case_m1(
         for leaf in leaves:
             st.add_edge(leaf, w, "M1")
         return
-    host = dec.comps[cen.comp_classes.index(BLOCK)]
+    host = dec.comps[a.cen.comp_classes.index(BLOCK)]
     side_vs = [x for x in host if g.sides[x] == out_side]
     w1, w2 = side_vs[0], side_vs[1]
     st.add_edge(leaves[0], w1, "M1")
@@ -214,12 +225,7 @@ def _case_m1(
         st.add_edge(leaf, w2, "M1")
 
 
-def _case_m3(
-    st: _State,
-    dec: Decomposition,
-    cen: ComponentCensus,
-    recs: list[PendantRec],
-) -> None:
+def _case_m3(st: _State, a: Analysis) -> None:
     """Several components need work: bridge them, then stitch or solve.
 
     Each bridge joins the first component w1 (component ids follow the
@@ -249,13 +255,14 @@ def _case_m3(
     block, so the joined components' parts, with the bridges, are those
     of the bridged graph's decomposition.
     """
+    dec, recs = a.dec, a.recs
     order: list[list[int]] = [[], [], []]  # recs indices per type
     members: dict[int, list[int]] = {}  # recs indices per component
     for i, p in enumerate(recs):  # recs arrive sorted by key
         order[p.ptype].append(i)
         members.setdefault(p.comp, []).append(i)
     # components still to join w1; left counts them and w1
-    outside = [cls in (NEEDY, EDGE) for cls in cen.comp_classes]
+    outside = [cls in (NEEDY, EDGE) for cls in a.cen.comp_classes]
     left = sum(outside)
     w1 = outside.index(True)
     outside[w1] = False
@@ -341,14 +348,12 @@ def _solve_connected(
 
 
 def _emit_leaf_pair(
-    st: _State, tree: BlockTree, n1: int, n2: int, case: str
-) -> tuple[int, int]:
-    """Add the binding edge between leaves n1 and n2; returns their types."""
-    t1, t2 = tree.leaf_type(n1), tree.leaf_type(n2)
+    st: _State, tree: BlockTree, n1: int, n2: int, t1: int, t2: int, case: str
+) -> None:
+    """Add the binding edge between leaves n1 and n2 of types t1 and t2."""
     a, b = tree.min_a, tree.min_b
     u, v = _binding_edge(a[n1], b[n1], t1, n1, a[n2], b[n2], t2, n2)
     st.add_edge(u, v, case)
-    return t1, t2
 
 
 def _terminal_small(st: _State, tree: BlockTree, index: AugTreeIndex) -> None:
@@ -430,7 +435,7 @@ def _terminal_two_critical(st: _State, tree: BlockTree, index: AugTreeIndex) -> 
     own, far = stacks
     for _ in range(len(sides[u1])):
         t1, t2 = pick_cross_pair(tuple(map(len, own)), tuple(map(len, far)))
-        _emit_leaf_pair(st, tree, own[t1].pop(), far[t2].pop(), "S3")
+        _emit_leaf_pair(st, tree, own[t1].pop(), far[t2].pop(), t1, t2, "S3")
 
 
 def _terminal_one_branch(
@@ -438,22 +443,20 @@ def _terminal_one_branch(
 ) -> None:
     """A single branching node: pair up pendants, then attach leftovers
     to already matched pendants."""
-    leaves = sorted(tree.leaves())
-    pairs, leftovers = maximum_legal_matching(
-        [(x, tree.leaf_type(x)) for x in leaves]
-    )
+    types = {x: tree.leaf_type(x) for x in sorted(tree.leaves())}
+    pairs, leftovers = maximum_legal_matching(list(types.items()))
     matched: list[int] = []
     for n1, n2 in pairs:
-        _emit_leaf_pair(st, tree, n1, n2, case)
+        _emit_leaf_pair(st, tree, n1, n2, types[n1], types[n2], case)
         matched.extend((n1, n2))
     matched.sort()
     first_partner = [
-        next((x for x in matched if joinable(t, tree.leaf_type(x))), -1) for t in TYPES
+        next((x for x in matched if joinable(t, types[x])), -1) for t in TYPES
     ]
     for lone in leftovers:
-        partner = first_partner[tree.leaf_type(lone)]
+        partner = first_partner[types[lone]]
         check(partner != -1, "leftover pendant has no matched partner")
-        _emit_leaf_pair(st, tree, lone, partner, case)
+        _emit_leaf_pair(st, tree, lone, partner, types[lone], types[partner], case)
 
 
 def _join_and_collapse(
@@ -462,11 +465,13 @@ def _join_and_collapse(
     index: AugTreeIndex,
     path1: list[int],
     path2: list[int],
+    t1: int,
+    t2: int,
     case: str,
 ) -> None:
-    """Join the two leaves that end the descent paths from the root,
-    then collapse the tree path the new edge closes."""
-    t1, t2 = _emit_leaf_pair(st, tree, path1[-1], path2[-1], case)
+    """Join the two leaves of types t1 and t2 that end the descent paths
+    from the root, then collapse the tree path the new edge closes."""
+    _emit_leaf_pair(st, tree, path1[-1], path2[-1], t1, t2, case)
     index.update_after_collapse(tree.collapse(path1, path2, st.counters), t1, t2)
 
 
@@ -488,6 +493,9 @@ def _branch_step(st: _State, tree: BlockTree, index: AugTreeIndex) -> None:
         index.reroot_walk(node)
     _join_and_collapse(st, tree, index, *index.find_pair(), "S4_2")
 
+
+# whole graph cases by the label classify_m gives them; M6 needs no edge
+_WHOLE = {"M1": _case_m1, "M2": _case_m3, "M3": _case_m3, "M4": _case_m4, "M5": _case_m5}
 
 # terminal cases by the tag AugTreeIndex.s_case() gives them
 _TERMINAL = {

@@ -13,9 +13,9 @@ import sys
 import time
 from typing import Optional
 
-from .augment import augment
-from .blocks import BlockTree, decompose, pendant_records, tree_to_dot
-from .bounds import NEEDY, census, classify_m
+from .augment import Analysis, analyse, augment, solve
+from .blocks import BlockTree, tree_to_dot
+from .bounds import NEEDY
 from .errors import CapExceeded, NoBiconnector, ParseError
 from .graph import (
     BipartiteGraph,
@@ -23,7 +23,7 @@ from .graph import (
     parse_graph,
     serialize_graph,
 )
-from .matching import counts_of, profile
+from .matching import profile
 from .stats import OpCounters
 from .treeindex import AugTreeIndex
 from .verify import MAX_CAP, brute_force_optimal, check_componentwise_biconnected, verify_result
@@ -77,14 +77,11 @@ def _parse_edge_lines(text: str) -> list[tuple[str, str]]:
     return pairs
 
 
-def _stats_payload(g: BipartiteGraph) -> dict:
-    dec = decompose(g)
-    cen = census(dec)
-    recs = pendant_records(g, dec)
-    counts = counts_of([p.ptype for p in recs])
-    prof = profile(*counts)
+def _stats_payload(g: BipartiteGraph, a: Analysis) -> dict:
+    """The solver's own analysis of g, then each needy component's."""
+    dec, cen, counts, prof = a.dec, a.cen, a.counts, a.prof
     out: dict = {
-        "m_case": classify_m(cen, prof.m),
+        "m_case": a.label,
         "census": {
             "c1": cen.c1,
             "c2": cen.c2,
@@ -149,9 +146,10 @@ def _print_stat_lines(stats: dict) -> None:
 
 def _cmd_augment(args: argparse.Namespace) -> int:
     g = parse_graph(_read_text(args.input))
-    stats = _stats_payload(g) if args.stats else None
     counters = OpCounters()
-    result = augment(g, counters)
+    a = analyse(g, counters)
+    stats = _stats_payload(g, a) if args.stats else None
+    result = solve(g, a, counters)
     if args.verify:
         rep = verify_result(g, result)
         if not rep.passed:

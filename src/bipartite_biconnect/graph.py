@@ -287,8 +287,12 @@ def serialize_graph(g: BipartiteGraph) -> str:
     """Render a graph back to the text format, deterministically.
 
     Vertices are listed in index order, edges sorted by index pair, so
-    equal graphs built the same way serialize byte identically.
+    equal graphs built the same way serialize byte identically.  A label
+    that is empty or holds whitespace raises ValueError.
     """
+    bad = next((lab for lab in g.labels if lab.split() != [lab]), None)
+    if bad is not None:
+        raise ValueError(f"label {bad!r} is empty or holds whitespace")
     out = []
     a = [g.labels[i] for i in g.a_vertices()]
     b = [g.labels[i] for i in g.b_vertices()]

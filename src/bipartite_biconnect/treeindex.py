@@ -296,11 +296,11 @@ class AugTreeIndex:
     # ------------------------------------------------------------------
     # pair searches
 
-    def find_pair(self) -> tuple[list[int], list[int]]:
+    def find_pair(self) -> tuple[list[int], list[int], int, int]:
         """Locate a pairable pendant pair in different root branches.
 
-        Returns the two descent paths (root child ... leaf); the full
-        collapse path is rev(first) + [root] + second.  The pairing is
+        Returns the descent paths (root child ... leaf) and the types of
+        their leaves; the collapse path is rev(first) + [root] + second.  The pairing is
         certified to lower the pair count by one; combos are tried in
         CROSS_ORDER.
         """
@@ -317,19 +317,19 @@ class AugTreeIndex:
             for t1, t2 in combos:
                 b1, b2 = LEAF_CODE[t1], LEAF_CODE[t2]
                 if code[k1] & b1 and code[k2] & b2:
-                    return self.descend(k1, t1), self.descend(k2, t2)
+                    return self.descend(k1, t1), self.descend(k2, t2), t1, t2
                 if code[k2] & b1 and code[k1] & b2:
-                    return self.descend(k2, t1), self.descend(k1, t2)
+                    return self.descend(k2, t1), self.descend(k1, t2), t1, t2
             raise InvariantViolation("no pairable pendants across the two root branches")
         for t1, t2 in combos:
             for x in self.child_with(root, t1, many_only=True, need=2):
                 others = self.child_with(root, t2, exclude=(x,), need=1)
                 if others:
-                    return self.descend(x, t1), self.descend(others[0], t2)
+                    return self.descend(x, t1), self.descend(others[0], t2), t1, t2
         raise InvariantViolation("no pairable pendants across root branches")
 
-    def hub_step_pair(self) -> tuple[list[int], list[int]]:
-        """Pick the pendant pair for one step of the heavy hub case.
+    def hub_step_pair(self) -> tuple[list[int], list[int], int, int]:
+        """Pick the pendant pair for one heavy hub step, as find_pair does.
 
         The root is the overloaded cut vertex.  First preference: two
         whole chain branches of compatible types.  Otherwise all chain
@@ -353,7 +353,7 @@ class AugTreeIndex:
                 if not second:
                     continue
                 x1, x2 = first[0], second[0]
-            return self.descend(x1, t1), self.descend(x2, t2)
+            return self.descend(x1, t1), self.descend(x2, t2), t1, t2
         # all chains carry one type; find the partner in a branching branch
         for t1 in TYPES:
             chain = self.chain_children(root, LEAF_CODE[t1])
@@ -367,5 +367,5 @@ class AugTreeIndex:
                 continue
             others = self.child_with(root, t2, many_only=True, exclude=(x1,), need=1)
             if others:
-                return self.descend(x1, t1), self.descend(others[0], t2)
+                return self.descend(x1, t1), self.descend(others[0], t2), t1, t2
         raise InvariantViolation("no legal partner for the chain leaves")

@@ -7,7 +7,6 @@ crosscheck the solver's incremental structures from inside a solve."""
 from __future__ import annotations
 
 import importlib
-import itertools
 import random
 from collections import deque
 
@@ -15,7 +14,6 @@ from bipartite_biconnect import (
     BipartiteGraph,
     InvariantViolation,
     add_edges,
-    build_graph,
     decompose,
     pendant_records,
 )

@@ -21,24 +21,19 @@ from bipartite_biconnect import (
     add_edges,
     augment,
     build_graph,
-    census,
-    classify_m,
     decompose,
     eta,
     is_componentwise_biconnected,
     parse_graph,
-    pendant_records,
-    profile,
-    theorem_target,
     verify_result,
 )
+from bipartite_biconnect.augment import analyse
 from bipartite_biconnect.graph import (
     broom_graph,
     caterpillar_graph,
     generate_instance,
     spider_graph,
 )
-from bipartite_biconnect.matching import counts_of
 from bipartite_biconnect.stats import OpCounters
 from bipartite_biconnect.treeindex import AugTreeIndex
 from bipartite_biconnect.verify import brute_force_optimal
@@ -450,11 +445,8 @@ def test_every_iterative_and_bridging_case_runs_at_1e4():
     seen = set()
     for kind, make in families.items():
         g = make(10_000)
-        dec = decompose(g)
-        cen = census(dec)
-        prof = profile(*counts_of([p.ptype for p in pendant_records(g, dec)]))
         res = augment(g)
-        assert res.size == theorem_target(classify_m(cen, prof.m), dec, cen, prof), kind
+        assert res.size == analyse(g).target, kind
         rep = verify_result(g, res)
         assert rep.passed, (kind, rep.witness)
         seen.update(res.trace)

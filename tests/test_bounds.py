@@ -10,18 +10,15 @@ import pytest
 from bipartite_biconnect import (
     build_graph,
     census,
-    classify_m,
     decompose,
     eta,
     pendant_records,
     serialize_graph,
-    theorem_target,
 )
+from bipartite_biconnect.augment import analyse
 from bipartite_biconnect.blocks import BlockTree
 from bipartite_biconnect.bounds import eta_extended
 from bipartite_biconnect.cli import main
-from bipartite_biconnect.errors import NoBiconnector
-from bipartite_biconnect.matching import counts_of, profile
 from bipartite_biconnect.treeindex import AugTreeIndex
 from bipartite_biconnect.verify import brute_force_optimal
 
@@ -152,10 +149,7 @@ def test_criticality_invariants_hold_on_randoms():
 
 def test_classify_m_table():
     def label(g):
-        dec = decompose(g)
-        recs = pendant_records(g, dec)
-        m = profile(*counts_of([p.ptype for p in recs])).m
-        return classify_m(census(dec), m)
+        return analyse(g).label
 
     assert label(build_graph([], [], [])) == "M6"
     assert label(build_graph(["a1"], ["b1"], [])) == "M6"
@@ -239,10 +233,7 @@ def test_theorem_target_fixture_values(
     lone_edge_plus_isolated, lone_edge_plus_block, p4
 ):
     def target(g):
-        dec = decompose(g)
-        cen = census(dec)
-        prof = profile(*counts_of([p.ptype for p in pendant_records(g, dec)]))
-        return theorem_target(classify_m(cen, prof.m), dec, cen, prof)
+        return analyse(g).target
 
     assert target(lone_edge_plus_isolated) == 3
     assert target(lone_edge_plus_block) == 2
@@ -252,6 +243,5 @@ def test_theorem_target_fixture_values(
 
 def test_eta_extended_matches_eta_on_connected(p4, spider4):
     for g in (p4, spider4):
-        dec = decompose(g)
-        prof = profile(*counts_of([p.ptype for p in pendant_records(g, dec)]))
-        assert eta_extended(dec, census(dec), prof) == eta(g)
+        a = analyse(g)
+        assert eta_extended(a.dec, a.cen, a.prof) == eta(g)

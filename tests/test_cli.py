@@ -6,6 +6,7 @@ from __future__ import annotations
 import importlib
 import io
 import json
+import sys
 
 import pytest
 
@@ -15,6 +16,7 @@ from bipartite_biconnect.graph import generate_instance, parse_graph, serialize_
 P4 = "A a1 a2\nB b1 b2\nE a1 b1\nE a2 b1\nE a2 b2\n"
 C4 = "A a1 a2\nB b1 b2\nE a1 b1\nE a1 b2\nE a2 b1\nE a2 b2\n"
 STAR = "A a1\nB b1 b2\nE a1 b1\nE a1 b2\n"
+TWO_PATHS = P4 + "A a3 a4\nB b3 b4\nE a3 b3\nE a4 b3\nE a4 b4\n"
 
 
 @pytest.fixture()
@@ -106,6 +108,33 @@ def test_augment_stat_lines(capsys, p4_file):
     assert "# STAT census c1=1 c2=0 c3=0 c_iso=0 c_total=1" in lines
     assert "# STAT pendants A=1 B=1 AB=0 m=1 r=0" in lines
     assert any(l.startswith("# STAT component 0 s_case=S1") for l in lines)
+
+
+@pytest.mark.parametrize(
+    "flags", [[], ["--stats"], ["--json", "--stats"]], ids=["plain", "stats", "json"]
+)
+def test_augment_analyses_its_input_once(capsys, monkeypatch, tmp_path, flags):
+    # --stats reports the solver's own analysis instead of redoing it;
+    # every module's binding of each front end function is counted
+    aug = importlib.import_module("bipartite_biconnect.augment")
+    calls = dict.fromkeys(["decompose", "pendant_records", "census", "classify_m"], 0)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in calls:
+        real, wrapper = getattr(aug, name), counted(name, getattr(aug, name))
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("bipartite_biconnect") and vars(mod).get(name) is real:
+                monkeypatch.setattr(mod, name, wrapper)
+    f = tmp_path / "two_paths.txt"
+    f.write_text(TWO_PATHS)
+    assert run(capsys, ["augment", str(f), *flags])[0] == 0
+    assert calls == dict.fromkeys(calls, 1)
 
 
 def test_augment_verified(capsys, p4_file):

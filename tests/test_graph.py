@@ -305,6 +305,16 @@ def test_serialize_is_canonical(p4):
     assert all(line.startswith("E ") for line in lines[2:])
 
 
+@pytest.mark.parametrize("label", ["a 1", "", "a\xa01"])
+def test_serialize_refuses_a_label_the_format_cannot_carry(label):
+    # build_graph accepts these labels, but parse_graph would split or
+    # drop them, so the text could not be read back
+    g = build_graph([label, "a2"], ["b1"], [("a2", "b1")])
+    with pytest.raises(ValueError) as err:
+        serialize_graph(g)
+    assert str(err.value) == f"label {label!r} is empty or holds whitespace"
+
+
 def test_add_edges(p4):
     g2 = add_edges(p4, [(0, 3)])
     assert g2.m == p4.m + 1

@@ -14,13 +14,11 @@ import random
 import pytest
 
 from bipartite_biconnect import (
-    BipartiteGraph,
     InvariantViolation,
     decompose,
     pendant_records,
 )
 from bipartite_biconnect.blocks import C_NODE, BlockTree
-from bipartite_biconnect.bounds import eta_extended
 from bipartite_biconnect.graph import caterpillar_graph, spider_graph
 from bipartite_biconnect.matching import AB, A, B, counts_of
 from bipartite_biconnect.stats import OpCounters
@@ -204,11 +202,11 @@ def test_find_pair_descents_start_at_root():
     node = index.choose_root()
     if node != tree.root:
         index.reroot_walk(node)
-    d1, d2 = index.find_pair()
+    d1, d2, t1, t2 = index.find_pair()
     assert tree.up(d1[0]) == tree.root
     assert tree.up(d2[0]) == tree.root
-    assert tree.leaf_type(d1[-1]) is not None
-    assert tree.leaf_type(d2[-1]) is not None
+    assert tree.leaf_type(d1[-1]) == t1
+    assert tree.leaf_type(d2[-1]) == t2
 
 
 def test_descend_returns_a_path_to_the_right_type():
