@@ -19,7 +19,7 @@ import math
 import random
 from bisect import bisect_left
 from itertools import accumulate, compress, islice
-from operator import eq
+from operator import eq, index
 from typing import Iterable, Sequence
 
 from .errors import BipartitenessViolation, IllegalEdge, ParseError
@@ -288,11 +288,13 @@ def serialize_graph(g: BipartiteGraph) -> str:
 
     Vertices are listed in index order, edges sorted by index pair, so
     equal graphs built the same way serialize byte identically.  A label
-    that is empty or holds whitespace raises ValueError.
+    that is not a string, is empty or holds whitespace raises ValueError.
     """
-    bad = next((lab for lab in g.labels if lab.split() != [lab]), None)
-    if bad is not None:
-        raise ValueError(f"label {bad!r} is empty or holds whitespace")
+    for lab in g.labels:
+        if not isinstance(lab, str):
+            raise ValueError(f"label {lab!r} is not a string")
+        if lab.split() != [lab]:
+            raise ValueError(f"label {lab!r} is empty or holds whitespace")
     out = []
     a = [g.labels[i] for i in g.a_vertices()]
     b = [g.labels[i] for i in g.b_vertices()]
@@ -312,12 +314,24 @@ def add_edges(
 
     The one checked way to add edges: the constructor checks the pairs as
     it checks an input's edges, and any fault raises IllegalEdge.  It
-    names the first out-of-range or same-side pair, else the smallest
-    pair that is already present or repeated."""
+    names the first item that is not a pair of vertex indices or is out
+    of range or within one side, else the smallest pair that is already
+    present or repeated."""
+    pairs = tuple(pairs)
     try:
-        return BipartiteGraph(g.labels, g.sides, g.edges + tuple(pairs))
+        return BipartiteGraph(g.labels, g.sides, g.edges + pairs)
     except ParseError as e:
         raise IllegalEdge(str(e)) from None
+    except (TypeError, ValueError):
+        # the constructor checks the items in order, each one it can
+        # read, so it failed on the first that is no pair of indices
+        for item in pairs:
+            try:
+                u, v = item
+                index(u), index(v)
+            except (TypeError, ValueError):
+                raise IllegalEdge(f"edge {item!r}: not a pair of vertex indices") from None
+        raise
 
 
 def path_graph(k: int) -> BipartiteGraph:

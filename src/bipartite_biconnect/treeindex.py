@@ -1,8 +1,7 @@
 """Incremental case index over the structure tree.
 
 The tree keeps every node's subtree code and its children in per code
-buckets (see blocks), and the pair searches here read those buckets.
-The index adds what the case analysis reads: cut vertex nodes grouped
+buckets (see blocks).  The index adds what the case analysis reads: cut vertex nodes grouped
 by tree degree in linked lists, which makes the most splitting cut
 vertex and the candidates at any particular degree constant time
 queries; the number of branching nodes; and the leaf counts, with the
@@ -13,6 +12,14 @@ The index is built once per tree.  None of its state depends on where
 the tree is rooted, and the tree keeps its codes and buckets current
 through a re-root, so a branch step re-roots by walking the tree path
 to the new root, never by rebuilding.
+
+Both iterative steps pick their pendant pair by one search over the
+root's buckets.  For each (t1, t2) in a combo order, it takes the first
+root child in the buckets of one code table for t1 and another root
+child in the buckets of a second table for t2.  The three tables, by
+type, are CHAINS (the code of a chain, a subtree whose one pendant is
+of that type), CODES_WITH_MANY and CODES_WITH.  At a root of degree
+two the first end is the lower node id when both children qualify.
 """
 
 from __future__ import annotations
@@ -20,14 +27,20 @@ from __future__ import annotations
 from .blocks import B_NODE, C_NODE, LEAF_CODE, S_NODE, BlockTree, CollapseInfo
 from .blocks import walk_list
 from .errors import InvariantViolation
-from .matching import AB, CROSS_ORDER, LEGAL_COMBOS, TYPES
-from .matching import is_decrementing, joinable, pair_count
+from .matching import AB, CROSS_ORDER, LEGAL_COMBOS
+from .matching import is_decrementing, pair_count
 from .stats import OpCounters
 
-# by type: codes of subtrees with more than one pendant that hold it
+# the pair search's code tables by type: a chain of the type; a subtree
+# with more than one pendant that holds it; any subtree that holds it
+CHAINS = tuple((bit,) for bit in LEAF_CODE)
 CODES_WITH_MANY = tuple(tuple(c for c in range(8, 16) if c & bit) for bit in LEAF_CODE)
-# by type: codes whose subtree holds it; the single leaf code first
 CODES_WITH = tuple((bit, *many) for bit, many in zip(LEAF_CODE, CODES_WITH_MANY))
+# two chains of joinable types; failing that, all chains hold one type,
+# and the partner comes from a subtree with more than one pendant
+HUB_COMBOS = tuple((t1, t2, CHAINS[t1], CHAINS[t2]) for t1, t2 in LEGAL_COMBOS) + tuple(
+    (t1, t2, CHAINS[t1], CODES_WITH_MANY[t2]) for t1, t2 in CROSS_ORDER
+)
 
 
 class AugTreeIndex:
@@ -159,35 +172,6 @@ class AugTreeIndex:
     # ------------------------------------------------------------------
     # queries
 
-    def child_with(
-        self,
-        p: int,
-        ptype: int,
-        many_only: bool = False,
-        exclude: tuple[int, ...] = (),
-        need: int = 1,
-    ) -> list[int]:
-        """Up to `need` children of p whose subtree holds a ptype pendant,
-        optionally restricted to subtrees with more than one pendant,
-        skipping excluded nodes.  Scans bucket heads in fixed code order."""
-        out: list[int] = []
-        codes = CODES_WITH_MANY[ptype] if many_only else CODES_WITH[ptype]
-        t = self.tree
-        base, heads, snext = t.base[p], t.heads, t.snext
-        for c in codes:
-            x = heads[base + c]
-            while x != -1 and len(out) < need:
-                if x not in exclude:
-                    out.append(x)
-                x = snext[x]
-            if len(out) >= need:
-                return out
-        return out
-
-    def chain_children(self, p: int, code: int, need: int = 1) -> list[int]:
-        t = self.tree
-        return walk_list(t.heads[t.base[p] + code], t.snext, need)
-
     def descend(self, x: int, ptype: int) -> list[int]:
         """Walk from x down to a pendant of the given type.
 
@@ -296,76 +280,60 @@ class AugTreeIndex:
     # ------------------------------------------------------------------
     # pair searches
 
-    def find_pair(self) -> tuple[list[int], list[int], int, int]:
-        """Locate a pairable pendant pair in different root branches.
-
-        Returns the descent paths (root child ... leaf) and the types of
-        their leaves; the collapse path is rev(first) + [root] + second.  The pairing is
-        certified to lower the pair count by one; combos are tried in
-        CROSS_ORDER.
-        """
+    def _pair(self, combos) -> tuple[list[int], list[int], int, int]:
+        """The pair of the first combo (t1, t2, codes1, codes2) that has
+        one: x, the first root child in the buckets of codes1 (the lower
+        node id at a root of degree two), and y, the first other root
+        child in those of codes2.  If x is the only child for codes2, it
+        becomes y and the next child for codes1 becomes x.  Returns the
+        two descents and their types."""
         t = self.tree
         root = t.root
-        deg = t.degree(root)
-        counts = self.counts()
-        combos = (c for c in CROSS_ORDER if is_decrementing(counts, *c))
-        if deg == 2:
-            k1, k2 = t.kids(root)
-            if k2 < k1:
-                k1, k2 = k2, k1
-            code = t.code
-            for t1, t2 in combos:
-                b1, b2 = LEAF_CODE[t1], LEAF_CODE[t2]
-                if code[k1] & b1 and code[k2] & b2:
-                    return self.descend(k1, t1), self.descend(k2, t2), t1, t2
-                if code[k2] & b1 and code[k1] & b2:
-                    return self.descend(k2, t1), self.descend(k1, t2), t1, t2
-            raise InvariantViolation("no pairable pendants across the two root branches")
-        for t1, t2 in combos:
-            for x in self.child_with(root, t1, many_only=True, need=2):
-                others = self.child_with(root, t2, exclude=(x,), need=1)
-                if others:
-                    return self.descend(x, t1), self.descend(others[0], t2), t1, t2
+        code, base, heads, snext = t.code, t.base[root], t.heads, t.snext
+        low = min(t.kids(root)) if t.nkids[root] == 2 else -1
+        for t1, t2, codes1, codes2 in combos:
+            x = _first(heads, snext, base, codes1, -1)
+            if x == -1:
+                continue
+            if -1 < low < x and code[low] in codes1:
+                x = low
+            y = _first(heads, snext, base, codes2, x)
+            if y == -1 and code[x] in codes2:
+                x, y = _first(heads, snext, base, codes1, x), x
+            if x != -1 and y != -1:
+                return self.descend(x, t1), self.descend(y, t2), t1, t2
         raise InvariantViolation("no pairable pendants across root branches")
 
-    def hub_step_pair(self) -> tuple[list[int], list[int], int, int]:
-        """Pick the pendant pair for one heavy hub step, as find_pair does.
+    def find_pair(self) -> tuple[list[int], list[int], int, int]:
+        """The branch step's pair: pendants in two root branches whose
+        join lowers the pair count by one, the decrementing combos tried
+        in CROSS_ORDER.  The first end comes from CODES_WITH_MANY, or at
+        a root of degree two from CODES_WITH, lower node id first, and
+        the second from CODES_WITH.  Returns the descent paths (root
+        child ... leaf) and the types of their leaves; the collapse path
+        is rev(first) + [root] + second."""
+        counts = self.counts()
+        firsts = CODES_WITH if self.tree.nkids[self.tree.root] == 2 else CODES_WITH_MANY
+        return self._pair(
+            (t1, t2, firsts[t1], CODES_WITH[t2])
+            for t1, t2 in CROSS_ORDER
+            if is_decrementing(counts, t1, t2)
+        )
 
-        The root is the overloaded cut vertex.  First preference: two
-        whole chain branches of compatible types.  Otherwise all chain
-        leaves share one type and the partner comes from a non chain
-        branch.
-        """
-        t = self.tree
-        root = t.root
-        for t1, t2 in LEGAL_COMBOS:
-            c1, c2 = LEAF_CODE[t1], LEAF_CODE[t2]
-            need = 2 if c1 == c2 else 1
-            first = self.chain_children(root, c1, need=need)
-            if not first:
-                continue
-            if c1 == c2:
-                if len(first) < 2:
-                    continue
-                x1, x2 = first
-            else:
-                second = self.chain_children(root, c2, need=1)
-                if not second:
-                    continue
-                x1, x2 = first[0], second[0]
-            return self.descend(x1, t1), self.descend(x2, t2), t1, t2
-        # all chains carry one type; find the partner in a branching branch
-        for t1 in TYPES:
-            chain = self.chain_children(root, LEAF_CODE[t1])
-            if chain:
-                break
-        if not chain:
-            raise InvariantViolation("overloaded hub without chain branches")
-        x1 = chain[0]
-        for t2 in TYPES:
-            if not joinable(t1, t2):
-                continue
-            others = self.child_with(root, t2, many_only=True, exclude=(x1,), need=1)
-            if others:
-                return self.descend(x1, t1), self.descend(others[0], t2), t1, t2
-        raise InvariantViolation("no legal partner for the chain leaves")
+    def hub_step_pair(self) -> tuple[list[int], list[int], int, int]:
+        """The hub step's pair at the overloaded root, as find_pair returns
+        it: CHAINS by CHAINS over LEGAL_COMBOS, then CHAINS by
+        CODES_WITH_MANY over CROSS_ORDER (HUB_COMBOS)."""
+        return self._pair(HUB_COMBOS)
+
+
+def _first(heads, snext, base: int, codes: tuple[int, ...], skip: int) -> int:
+    """The first node other than skip (-1 for none) in the buckets of
+    codes, in code order, of the node whose slots start at base, or -1."""
+    for c in codes:
+        x = heads[base + c]
+        if x == skip != -1:
+            x = snext[x]
+        if x != -1:
+            return x
+    return -1

@@ -1,26 +1,39 @@
 """Slow, definition-level reference implementations used to pin down
 expected values.  Everything here is written straight from first
 principles (path enumeration, exhaustive search) so it shares no code
-with the package under test, except the step audits at the end, which
-crosscheck the solver's incremental structures from inside a solve."""
+with the package under test, except the step audits, which crosscheck
+the solver's incremental structures from inside a solve, and the
+reference pair searches at the end, which read the same tree."""
 
 from __future__ import annotations
 
 import importlib
 import random
-from collections import deque
+from collections import Counter, deque
 
 from bipartite_biconnect import (
     BipartiteGraph,
     InvariantViolation,
     add_edges,
+    augment,
     decompose,
     pendant_records,
 )
-from bipartite_biconnect.blocks import SLOTS, walk_list
+from bipartite_biconnect.blocks import LEAF_CODE, SLOTS, walk_list
 from bipartite_biconnect.errors import check
 from bipartite_biconnect.graph import generate_instance
-from bipartite_biconnect.matching import AB, A, B, counts_of, pair_count
+from bipartite_biconnect.matching import (
+    AB,
+    CROSS_ORDER,
+    LEGAL_COMBOS,
+    TYPES,
+    A,
+    B,
+    counts_of,
+    is_decrementing,
+    joinable,
+    pair_count,
+)
 from bipartite_biconnect.treeindex import AugTreeIndex
 
 
@@ -115,6 +128,26 @@ def uniform_spider_graph(k: int) -> BipartiteGraph:
     edges = []
     for x in range(1, 3 * k, 3):
         edges += [(x, 0), (x, x + 1), (x + 2, x + 1)]
+    return BipartiteGraph([f"v{i}" for i in range(len(sides))], sides, edges)
+
+
+def one_side_hub_graph(rng: random.Random, chains: int, branches: int) -> BipartiteGraph:
+    """A B hub with chains A pendants and branches random subtrees, each
+    hung from an A vertex next to the hub and 2 to 4 vertices larger.
+    The hub's chains mostly hold one type, so a hub step often has to
+    find the partner in a branch with more than one pendant."""
+    sides = [1] + [0] * chains
+    edges = [(x, 0) for x in range(1, chains + 1)]
+    for _ in range(branches):
+        members = [len(sides)]
+        edges.append((len(sides), 0))
+        sides.append(0)
+        for _ in range(rng.randint(2, 4)):
+            u = rng.choice(members)
+            v = len(sides)
+            sides.append(1 - sides[u])
+            edges.append((u, v) if sides[u] == 0 else (v, u))
+            members.append(v)
     return BipartiteGraph([f"v{i}" for i in range(len(sides))], sides, edges)
 
 
@@ -507,6 +540,122 @@ def audited_augment(g: BipartiteGraph):
     finally:
         mod._join_and_collapse = real
     return res, audits
+
+
+# ----------------------------------------------------------------------
+# reference pair searches: the branch and hub step searches as written
+# before they shared one scan of the root's buckets, each on its own
+# helpers, kept to pin the shared search to them step by step
+
+
+def _ref_child_with(index, p, ptype, many_only=False, exclude=(), need=1):
+    """Up to need children of p whose subtree holds a ptype pendant,
+    optionally only subtrees with more than one pendant, skipping the
+    excluded nodes; buckets in ascending code order."""
+    out = []
+    many = tuple(c for c in range(8, 16) if c & LEAF_CODE[ptype])
+    codes = many if many_only else (LEAF_CODE[ptype], *many)
+    t = index.tree
+    for c in codes:
+        x = t.heads[t.base[p] + c]
+        while x != -1 and len(out) < need:
+            if x not in exclude:
+                out.append(x)
+            x = t.snext[x]
+        if len(out) >= need:
+            return out
+    return out
+
+
+def _ref_chain_children(index, p, code, need=1):
+    t = index.tree
+    return walk_list(t.heads[t.base[p] + code], t.snext, need)
+
+
+def ref_find_pair(index):
+    """AugTreeIndex.find_pair as it was: the two children in id order at a
+    root of degree two, else up to two first ends per combo."""
+    t = index.tree
+    root = t.root
+    counts = index.counts()
+    combos = (c for c in CROSS_ORDER if is_decrementing(counts, *c))
+    if t.degree(root) == 2:
+        k1, k2 = sorted(t.kids(root))
+        for t1, t2 in combos:
+            b1, b2 = LEAF_CODE[t1], LEAF_CODE[t2]
+            if t.code[k1] & b1 and t.code[k2] & b2:
+                return index.descend(k1, t1), index.descend(k2, t2), t1, t2
+            if t.code[k2] & b1 and t.code[k1] & b2:
+                return index.descend(k2, t1), index.descend(k1, t2), t1, t2
+        raise InvariantViolation("no pairable pendants across the two root branches")
+    for t1, t2 in combos:
+        for x in _ref_child_with(index, root, t1, many_only=True, need=2):
+            others = _ref_child_with(index, root, t2, exclude=(x,))
+            if others:
+                return index.descend(x, t1), index.descend(others[0], t2), t1, t2
+    raise InvariantViolation("no pairable pendants across root branches")
+
+
+def ref_hub_step_pair(index):
+    """AugTreeIndex.hub_step_pair as it was: two chain branches of legal
+    types, else the first chain type's partner in a branching branch."""
+    root = index.tree.root
+    for t1, t2 in LEGAL_COMBOS:
+        c1, c2 = LEAF_CODE[t1], LEAF_CODE[t2]
+        if c1 == c2:
+            first = _ref_chain_children(index, root, c1, need=2)
+            if len(first) == 2:
+                return index.descend(first[0], t1), index.descend(first[1], t2), t1, t2
+            continue
+        first = _ref_chain_children(index, root, c1)
+        second = _ref_chain_children(index, root, c2)
+        if first and second:
+            return index.descend(first[0], t1), index.descend(second[0], t2), t1, t2
+    chain = []
+    for t1 in TYPES:
+        chain = _ref_chain_children(index, root, LEAF_CODE[t1])
+        if chain:
+            break
+    if not chain:
+        raise InvariantViolation("overloaded hub without chain branches")
+    for t2 in TYPES:
+        if not joinable(t1, t2):
+            continue
+        others = _ref_child_with(index, root, t2, many_only=True, exclude=(chain[0],))
+        if others:
+            return index.descend(chain[0], t1), index.descend(others[0], t2), t1, t2
+    raise InvariantViolation("no legal partner for the chain leaves")
+
+
+def pair_searches_checked_augment(g: BipartiteGraph):
+    """augment(g) with every call of find_pair and hub_step_pair checked
+    against the reference search on the same index.  Returns the result
+    and a Counter of the calls checked, keyed by the method name and by
+    whether the second end came from a root branch with more than one
+    pendant."""
+    checked: Counter = Counter()
+    refs = {"find_pair": ref_find_pair, "hub_step_pair": ref_hub_step_pair}
+    real = {name: getattr(AugTreeIndex, name) for name in refs}
+
+    def checked_search(name):
+        def search(index):
+            want = refs[name](index)
+            got = real[name](index)
+            if got != want:
+                raise InvariantViolation(f"{name} gave {got}, the reference {want}")
+            checked[name, bool(index.tree.code[got[1][0]] & 8)] += 1
+            return got
+
+        return search
+
+    for name in refs:
+        setattr(AugTreeIndex, name, checked_search(name))
+    try:
+        res = augment(g)
+    finally:
+        for name, fn in real.items():
+            setattr(AugTreeIndex, name, fn)
+    return res, checked
 
 
 __all__ = [name for name in dir() if not name.startswith("_")]

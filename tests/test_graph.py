@@ -305,14 +305,16 @@ def test_serialize_is_canonical(p4):
     assert all(line.startswith("E ") for line in lines[2:])
 
 
-@pytest.mark.parametrize("label", ["a 1", "", "a\xa01"])
+@pytest.mark.parametrize("label", ["a 1", "", "a\xa01", 1])
 def test_serialize_refuses_a_label_the_format_cannot_carry(label):
     # build_graph accepts these labels, but parse_graph would split or
-    # drop them, so the text could not be read back
+    # drop them, or the text could not hold them, so it could not be
+    # read back
     g = build_graph([label, "a2"], ["b1"], [("a2", "b1")])
     with pytest.raises(ValueError) as err:
         serialize_graph(g)
-    assert str(err.value) == f"label {label!r} is empty or holds whitespace"
+    fault = "is not a string" if label == 1 else "is empty or holds whitespace"
+    assert str(err.value) == f"label {label!r} {fault}"
 
 
 def test_add_edges(p4):
@@ -362,6 +364,12 @@ def test_add_edges_takes_either_orientation(p4):
         ([(2, 5), (1, 4), (4, 1), (0, 3)], "duplicate edge 'a1' 'b1'"),
         ([(2, 5), (5, 2), (4, 1), (1, 4)], "duplicate edge 'a2' 'b2'"),
         ([(5, 2), (2, 5), (4, 0), (0, 4)], "duplicate edge 'a1' 'b2'"),
+        # an item that is no pair of indices counts as the first kind
+        ([(0, 4), (0, 4, 1), (9, 1)], "edge (0, 4, 1): not a pair of vertex indices"),
+        ([(0, 4), (0,)], "edge (0,): not a pair of vertex indices"),
+        ([("a1", "b2"), (0, 4)], "edge ('a1', 'b2'): not a pair of vertex indices"),
+        ([(0, 4), (0.0, 4), "ab", 5], "edge (0.0, 4): not a pair of vertex indices"),
+        ([(0, 4), (9, 1), (0, 4, 1)], "edge (9, 1): vertex index out of range"),
     ],
 )
 def test_add_edges_names_the_fault_in_input_order(pairs, message):

@@ -10,6 +10,7 @@ semantics.
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -19,12 +20,22 @@ from bipartite_biconnect import (
     pendant_records,
 )
 from bipartite_biconnect.blocks import C_NODE, BlockTree
-from bipartite_biconnect.graph import caterpillar_graph, spider_graph
+from bipartite_biconnect.graph import caterpillar_graph, generate_instance, spider_graph
 from bipartite_biconnect.matching import AB, A, B, counts_of
 from bipartite_biconnect.stats import OpCounters
 from bipartite_biconnect.treeindex import AugTreeIndex
 
-from .helpers import all_graphs, audit_index, collapse_between, random_graph
+from .helpers import (
+    a_paths_graph,
+    all_graphs,
+    audit_index,
+    collapse_between,
+    mixed_graph,
+    one_side_hub_graph,
+    pair_searches_checked_augment,
+    random_graph,
+    uniform_spider_graph,
+)
 
 
 def needy_trees():
@@ -238,3 +249,57 @@ def test_descend_to_a_missing_type_raises():
         assert not tree.code[kid] & 1
         with pytest.raises(InvariantViolation, match=f"subtree of {kid} lost type"):
             index.descend(kid, AB)
+
+
+def _uniform_spider_at_its_hub():
+    """The index of uniform_spider_graph(6), rooted at its hub: case S2,
+    six A pendants, so no two pendants anywhere may be joined."""
+    g = uniform_spider_graph(6)
+    dec = decompose(g)
+    tree = BlockTree.build(g, dec.branches, *dec.component(0))
+    index = AugTreeIndex(tree)
+    hub = next(x for x in tree.live_nodes() if tree.kind[x] == C_NODE and tree.payload[x] == 0)
+    if tree.root != hub:
+        index.reroot_walk(hub)
+    assert index.counts() == (6, 0, 0) and index.s_case() == "S2"
+    return index
+
+
+def test_find_pair_with_no_pair_raises():
+    # a plain raise, so python -O keeps it
+    with pytest.raises(InvariantViolation, match="no pairable pendants"):
+        _uniform_spider_at_its_hub().find_pair()
+
+
+def test_hub_step_pair_with_no_pair_raises():
+    with pytest.raises(InvariantViolation, match="no pairable pendants"):
+        _uniform_spider_at_its_hub().hub_step_pair()
+
+
+def test_pair_searches_match_the_reference_at_every_step():
+    # the one bucket search of find_pair and hub_step_pair returns what
+    # the two searches it replaced returned, descents and types alike,
+    # at every S4_2 and S5 step
+    graphs = [
+        generate_instance(kind, n, seed=seed)
+        for kind in ("spider", "broom", "caterpillar", "random")
+        for n in (12, 60, 300, 2000)
+        for seed in (0, 1)
+    ]
+    graphs += [uniform_spider_graph(k) for k in (2, 6, 50)]
+    graphs += [a_paths_graph(k) for k in (2, 6, 50)]
+    rng = random.Random(2828)
+    for _ in range(1200):
+        n = rng.randint(4, 40)
+        graphs.append(mixed_graph(rng, n, rng.random(), rng.randint(0, n // 3)))
+    for _ in range(300):
+        graphs.append(one_side_hub_graph(rng, rng.randint(3, 8), rng.randint(1, 4)))
+    total: Counter = Counter()
+    for g in graphs:
+        res, checked = pair_searches_checked_augment(g)
+        assert res.size == res.target
+        total += checked
+    # both searches ran, and the hub step found partners both among the
+    # chains and in branches with more than one pendant
+    assert total["find_pair", False] + total["find_pair", True] > 1000
+    assert total["hub_step_pair", False] > 1000 and total["hub_step_pair", True] > 10
