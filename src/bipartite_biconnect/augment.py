@@ -14,10 +14,13 @@ bridge loop's own records finish the job with a round robin stitch in
 O(n).  Either way each input is decomposed once.
 
 The connected solver walks the structure tree: terminal cases emit all
-their edges at once, iterative cases add one edge, collapse the tree
-path it closes, and reclassify.  Every added edge is checked legal on
-the way out and the final count is checked against the closed form
-target; a miss raises InvariantViolation, also under python -O.
+their edges at once.  The branch step adds one edge, collapses the tree
+path it closes, and reclassifies; the hub step runs pair after pair
+while the root stays massive, and fuses two chains of the root in place
+wherever it can, without the general collapse.  Every added edge is
+checked legal on the way out and the final count is checked against the
+closed form target; a miss raises InvariantViolation, also under
+python -O.
 """
 
 from __future__ import annotations
@@ -85,17 +88,20 @@ class _State:
         self.counters = counters
 
     def add_edge(self, u: int, v: int, case: str) -> None:
-        n = self.g.n
+        g = self.g
+        sides = g.sides
+        n = len(sides)
         if not (0 <= u < n and 0 <= v < n):
             raise InvariantViolation(f"edge end out of range: {u} {v}")
-        if self.g.sides[u] == 1:
+        if sides[u] == 1:
             u, v = v, u
-        if self.g.sides[u] != 0 or self.g.sides[v] != 1:
+        if sides[u] != 0 or sides[v] != 1:
             raise InvariantViolation("edge within one side")
-        if self.g.has_edge(u, v) or (u, v) in self.added_set:
+        edge = (u, v)
+        if edge in self.added_set or g.has_edge(u, v):
             raise InvariantViolation("edge already present")
-        self.added_set.add((u, v))
-        self.added.append((u, v))
+        self.added_set.add(edge)
+        self.added.append(edge)
         self.cases.append(case)
         self.counters.edges_added += 1
 
@@ -333,17 +339,18 @@ def _solve_connected(
     start = len(st.added)
     while index.leaf_total() > 0:
         case = index.s_case()
-        if case == "S5":
-            _hub_step(st, tree, index)
-        elif case == "S4_2":
-            _branch_step(st, tree, index)
-        else:
+        if case in _TERMINAL:
             _TERMINAL[case](st, tree, index)
             break
-        # each iterative step adds one edge and must lower the demand by one
-        eta -= 1
+        before = len(st.added)
+        if case == "S5":
+            _hub_run(st, tree, index)
+        else:
+            _branch_step(st, tree, index)
+        # each edge of an iterative case must lower the demand by one
+        eta -= len(st.added) - before
         if index.eta_now() != eta:
-            raise InvariantViolation("demand must drop by one")
+            raise InvariantViolation("demand must drop by one per edge")
     check(len(st.added) - start == eta0, "connected solve missed its bound")
 
 
@@ -475,15 +482,41 @@ def _join_and_collapse(
     index.update_after_collapse(tree.collapse(path1, path2, st.counters), t1, t2)
 
 
-def _hub_step(st: _State, tree: BlockTree, index: AugTreeIndex) -> None:
-    """One reduction at a cut vertex splitting harder than pairs can pay."""
+def _fuse_chains(
+    st: _State, tree: BlockTree, index: AugTreeIndex, x1: int, x2: int, t1: int, t2: int
+) -> None:
+    """Join the pendants that end the root's chains x1 and x2, of types t1
+    and t2, and fuse both chains into one block leaf of the root."""
+    n1, n2, cuts = tree.fuse_chains(x1, x2, t1, t2, st.counters)
+    _emit_leaf_pair(st, tree, n1, n2, t1, t2, "S5")
+    index.update_after_fuse(cuts, t1, t2)
+
+
+def _hub_run(st: _State, tree: BlockTree, index: AugTreeIndex) -> None:
+    """The hub step, for as long as the root is a cut vertex splitting
+    harder than pairs can pay: each pair joins pendants in two of its
+    branches, two chains fused in place when two are of joinable types,
+    else a chain and a branch with more than one pendant through the
+    general collapse."""
     root = tree.root
     if tree.kind[root] != C_NODE:
         raise InvariantViolation("hub step at a root that is no cut vertex")
     deg_before = tree.degree(root)
-    _join_and_collapse(st, tree, index, *index.hub_step_pair(), "S5")
-    if tree.degree(root) != deg_before - 1:
-        raise InvariantViolation("hub degree must drop by one")
+    pairs = 0
+    massive_node, chain_pair, s_case = index.massive_node, index.chain_pair, index.s_case
+    while True:
+        if massive_node() != root:
+            raise InvariantViolation("hub step at a root that is not the massive node")
+        chains = chain_pair()
+        if chains is None:
+            _join_and_collapse(st, tree, index, *index.hub_step_pair(), "S5")
+        else:
+            _fuse_chains(st, tree, index, *chains)
+        pairs += 1
+        if s_case() != "S5":
+            break
+    if tree.degree(root) != deg_before - pairs:
+        raise InvariantViolation("hub degree must drop by one per pair")
 
 
 def _branch_step(st: _State, tree: BlockTree, index: AugTreeIndex) -> None:

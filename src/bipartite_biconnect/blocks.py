@@ -28,7 +28,9 @@ before it in its descent.  The new node takes over the children of the
 absorbed node with the most children at once, so a collapse costs the
 path plus the other children it moves, not the size of the merged
 block.  The adopted children keep pointing at the retired node; up()
-resolves such stale parent pointers.
+resolves such stale parent pointers.  fuse_chains() is the collapse of
+the path between the pendants of two chains of the root: both chains
+retire whole and no child moves, so it needs no path check or search.
 
 Every node carries a four bit code describing its subtree: bit 8 says
 the subtree holds more than one pendant, bits 4, 2, 1 say it holds a
@@ -807,6 +809,85 @@ class BlockTree:
             self.root = y
 
         return CollapseInfo(y, path, absorbed, survivors, branching, moved)
+
+    def fuse_chains(
+        self, x1: int, x2: int, t1: int, t2: int, counters: OpCounters | None = None
+    ) -> tuple[int, int, list[int]]:
+        """collapse() for the path between the pendants of two chains of
+        the root, x1 and x2, whose one pendant is of type t1 and t2.
+        Returns the two pendants and the chains' cut nodes.
+
+        Each chain is walked down from the root, a node's one child
+        sitting in its bucket for the leaf code of the chain's type; the
+        walk raises at a node with two children or an end that is no
+        pendant of that type.  Nothing hangs off a chain and each cut
+        node on it has degree two, so both chains retire whole and the
+        root, which must have degree three or more, is the one survivor:
+        the new node is a block leaf of the root, with the id, smallest
+        noncut vertices, slots and bucket position collapse gives it.
+        Only the chains' links to the root and the one bucket of the
+        slots the new node takes over are cleared; no other link of a
+        retired node is read again.
+        """
+        kind, payload, sides = self.kind, self.payload, self.sides
+        min_a, min_b, alive, parent = self.min_a, self.min_b, self.alive, self.parent
+        nkids, heads, base, code = self.nkids, self.heads, self.base, self.code
+        root = self.root
+        y = self.new_node(B_NODE, None, -1, -1)
+        ends: list[int] = []
+        cuts: list[int] = []
+        ma = mb = -1
+        retired = 0
+        # collapse adopts the slots of the node with the most children,
+        # the first among equals on the path chain one bottom up, the
+        # root, chain two top down: chain one's node above its pendant,
+        # else x2 when it has a child, else x1
+        adopted = x2 if nkids[x2] else x1
+        for x, ptype in ((x1, t1), (x2, t2)):
+            self._unlink(root, x)
+            bit = LEAF_CODE[ptype]
+            while True:
+                if kind[x] == C_NODE:
+                    cuts.append(x)
+                    v = payload[x]
+                    va, vb = (v, -1) if sides[v] == 0 else (-1, v)
+                else:
+                    va, vb = min_a[x], min_b[x]
+                if va != -1 and (ma == -1 or va < ma):
+                    ma = va
+                if vb != -1 and (mb == -1 or vb < mb):
+                    mb = vb
+                alive[x] = False
+                parent[x] = y
+                retired += 1
+                kids = nkids[x]
+                if not kids:
+                    break
+                if kids != 1:
+                    raise InvariantViolation(f"chain node {x} has {kids} children")
+                if not ends:
+                    adopted = x
+                x = heads[base[x] + bit]
+                if x == -1:
+                    raise InvariantViolation("a chain lost its pendant")
+            if kind[x] not in (B_NODE, S_NODE) or self.leaf_type(x) != ptype:
+                raise InvariantViolation(f"chain ended at {x}, not a {ptype} pendant")
+            ends.append(x)
+        if nkids[adopted]:
+            # a chain node's one child has the node's own code
+            heads[base[adopted] + code[adopted]] = -1
+        min_a[y], min_b[y] = ma, mb
+        base[y] = base[adopted]
+        code[y] = LEAF_CODE[AB]
+        parent[y] = root
+        self._link(root, y)
+        code[root] = self._fresh_code(root)
+        if counters:
+            counters.tree_nodes += 1
+            counters.collapse_steps += retired
+            # fresh codes for the new node and the root
+            counters.index_updates += 2
+        return ends[0], ends[1], cuts
 
 
 def walk_list(x: int, nxt: list[int], need: int) -> list[int]:

@@ -51,8 +51,12 @@ class MatchingProfile:
 
 def pair_count(n_a: int, n_b: int, n_ab: int) -> int:
     """m, the closed form size of a largest legal pairing."""
-    surplus = min(abs(n_a - n_b), n_ab)
-    return min(n_a, n_b) + surplus + (n_ab - surplus) // 2
+    # min(n_a, n_b) + min(abs(n_a - n_b), n_ab) + ..., without the
+    # builtin calls: every iterative step recounts m
+    fewer, surplus = (n_b, n_a - n_b) if n_a > n_b else (n_a, n_b - n_a)
+    if surplus > n_ab:
+        surplus = n_ab
+    return fewer + surplus + (n_ab - surplus) // 2
 
 
 def profile(n_a: int, n_b: int, n_ab: int) -> MatchingProfile:

@@ -20,6 +20,10 @@ child in the buckets of a second table for t2.  The three tables, by
 type, are CHAINS (the code of a chain, a subtree whose one pendant is
 of that type), CODES_WITH_MANY and CODES_WITH.  At a root of degree
 two the first end is the lower node id when both children qualify.
+The hub step's first stage, two chains of joinable types, is also
+chain_pair, which names the two root children without descending: the
+hub step fuses such chains in place (BlockTree.fuse_chains) and brings
+the index in step with update_after_fuse.
 """
 
 from __future__ import annotations
@@ -38,7 +42,8 @@ CODES_WITH_MANY = tuple(tuple(c for c in range(8, 16) if c & bit) for bit in LEA
 CODES_WITH = tuple((bit, *many) for bit, many in zip(LEAF_CODE, CODES_WITH_MANY))
 # two chains of joinable types; failing that, all chains hold one type,
 # and the partner comes from a subtree with more than one pendant
-HUB_COMBOS = tuple((t1, t2, CHAINS[t1], CHAINS[t2]) for t1, t2 in LEGAL_COMBOS) + tuple(
+CHAIN_COMBOS = tuple((t1, t2, CHAINS[t1], CHAINS[t2]) for t1, t2 in LEGAL_COMBOS)
+HUB_COMBOS = CHAIN_COMBOS + tuple(
     (t1, t2, CHAINS[t1], CODES_WITH_MANY[t2]) for t1, t2 in CROSS_ORDER
 )
 
@@ -277,6 +282,23 @@ class AugTreeIndex:
             self.leaf_counts[AB] += 1
         self._settle_counts()
 
+    def update_after_fuse(self, cuts: list[int], t1: int, t2: int) -> None:
+        """Bring the counts and degree groups in step with the tree right
+        after fuse_chains: the chains' cut nodes, each of degree two, are
+        cut vertices no more, and the t1 and t2 leaves became one AB leaf.
+        The root is one degree lower and still branching: a massive root
+        has degree four or more, as it splits harder than m + r >= 2."""
+        for x in cuts:
+            self._group_remove(x)
+        root = self.tree.root
+        self._group_remove(root)
+        self._group_add(root, self.tree.nkids[root])
+        counts = self.leaf_counts
+        counts[t1] -= 1
+        counts[t2] -= 1
+        counts[AB] += 1
+        self._settle_counts()
+
     # ------------------------------------------------------------------
     # pair searches
 
@@ -325,6 +347,20 @@ class AugTreeIndex:
         it: CHAINS by CHAINS over LEGAL_COMBOS, then CHAINS by
         CODES_WITH_MANY over CROSS_ORDER (HUB_COMBOS)."""
         return self._pair(HUB_COMBOS)
+
+    def chain_pair(self) -> tuple[int, int, int, int] | None:
+        """hub_step_pair's first stage without the descents, at a root of
+        degree three or more: the two root children it takes when two are
+        chains of joinable types, and their types, else None."""
+        t = self.tree
+        heads, base = t.heads, t.base[t.root]
+        for t1, t2, (c1,), (c2,) in CHAIN_COMBOS:
+            x = heads[base + c1]
+            if x != -1:
+                y = t.snext[x] if c1 == c2 else heads[base + c2]
+                if y != -1:
+                    return x, y, t1, t2
+        return None
 
 
 def _first(heads, snext, base: int, codes: tuple[int, ...], skip: int) -> int:

@@ -2,8 +2,10 @@
 expected values.  Everything here is written straight from first
 principles (path enumeration, exhaustive search) so it shares no code
 with the package under test, except the step audits, which crosscheck
-the solver's incremental structures from inside a solve, and the
-reference pair searches at the end, which read the same tree."""
+the solver's incremental structures from inside a solve, the step by
+step hub step, which runs inside the solver as the reference for its
+hub runs, and the reference pair searches at the end, which read the
+same tree."""
 
 from __future__ import annotations
 
@@ -15,11 +17,10 @@ from bipartite_biconnect import (
     BipartiteGraph,
     InvariantViolation,
     add_edges,
-    augment,
     decompose,
     pendant_records,
 )
-from bipartite_biconnect.blocks import LEAF_CODE, SLOTS, walk_list
+from bipartite_biconnect.blocks import C_NODE, LEAF_CODE, SLOTS, walk_list
 from bipartite_biconnect.errors import check
 from bipartite_biconnect.graph import generate_instance
 from bipartite_biconnect.matching import (
@@ -515,31 +516,72 @@ def audit_against_rebuild(
     )
 
 
-def audited_augment(g: BipartiteGraph):
-    """augment(g) with every audit above run after each iterative step
-    (S5 and S4_2); returns the result and the number of audits run.
+def _augment_module():
+    """The augment module; the package's __init__ shadows its name with
+    the function, so it is looked up by its full name."""
+    return importlib.import_module("bipartite_biconnect.augment")
 
-    Each such step joins two leaves and collapses the path between them
-    in _join_and_collapse, so the module's binding of that name is
-    swapped for one that audits after it, for this call only.  The
-    package's __init__ shadows the module name with the function, so
-    the module is looked up by its full name."""
-    mod = importlib.import_module("bipartite_biconnect.augment")
-    real = mod._join_and_collapse
+
+def _with_steps(g: BipartiteGraph, **steps):
+    """augment(g) with the augment module's functions of these names
+    swapped for the given ones, for this call only."""
+    mod = _augment_module()
+    real = {name: getattr(mod, name) for name in steps}
+    for name, fn in steps.items():
+        setattr(mod, name, fn)
+    try:
+        return mod.augment(g)
+    finally:
+        for name, fn in real.items():
+            setattr(mod, name, fn)
+
+
+def audited_augment(g: BipartiteGraph):
+    """augment(g) with every audit above run after each pair of the
+    iterative cases (S5 and S4_2); returns the result and the number of
+    audits run.
+
+    Each such pair either joins two leaves and collapses the path
+    between them in _join_and_collapse, or fuses two chains of the hub
+    in _fuse_chains, so the module's bindings of both names are swapped
+    for ones that audit after them."""
+    mod = _augment_module()
     audits = 0
 
-    def join_and_collapse(st, tree, index, *args) -> None:
-        nonlocal audits
-        real(st, tree, index, *args)
-        audit_against_rebuild(st.g, st.added, st.added[-1][0], index)
-        audits += 1
+    def audited(real):
+        def step(st, tree, index, *args) -> None:
+            nonlocal audits
+            real(st, tree, index, *args)
+            audit_against_rebuild(st.g, st.added, st.added[-1][0], index)
+            audits += 1
 
-    mod._join_and_collapse = join_and_collapse
-    try:
-        res = mod.augment(g)
-    finally:
-        mod._join_and_collapse = real
+        return step
+
+    res = _with_steps(
+        g,
+        _join_and_collapse=audited(mod._join_and_collapse),
+        _fuse_chains=audited(mod._fuse_chains),
+    )
     return res, audits
+
+
+def _ref_hub_step(st, tree, index) -> None:
+    """The hub step as one pair per call, each through hub_step_pair and
+    the general collapse, checked as it was before hub runs."""
+    root = tree.root
+    if tree.kind[root] != C_NODE:
+        raise InvariantViolation("hub step at a root that is no cut vertex")
+    deg_before = tree.degree(root)
+    _augment_module()._join_and_collapse(st, tree, index, *index.hub_step_pair(), "S5")
+    if tree.degree(root) != deg_before - 1:
+        raise InvariantViolation("hub degree must drop by one")
+
+
+def step_by_step_augment(g: BipartiteGraph):
+    """augment(g) with each hub step a single pair through the general
+    collapse, the solver's case loop asking for the case after every
+    pair: the reference for the hub runs, which fuse chains in place."""
+    return _with_steps(g, _hub_run=_ref_hub_step)
 
 
 # ----------------------------------------------------------------------
@@ -628,34 +670,54 @@ def ref_hub_step_pair(index):
 
 
 def pair_searches_checked_augment(g: BipartiteGraph):
-    """augment(g) with every call of find_pair and hub_step_pair checked
-    against the reference search on the same index.  Returns the result
-    and a Counter of the calls checked, keyed by the method name and by
-    whether the second end came from a root branch with more than one
-    pendant."""
+    """augment(g) with every pick of find_pair and hub_step_pair, and of
+    the hub run's chain pairs, checked against the reference search on
+    the same, live index.  Returns the result and a Counter of the picks
+    checked, keyed by the method name and by whether the second end
+    came from a root branch with more than one pendant; a chain pair
+    counts as hub_step_pair's."""
     checked: Counter = Counter()
     refs = {"find_pair": ref_find_pair, "hub_step_pair": ref_hub_step_pair}
     real = {name: getattr(AugTreeIndex, name) for name in refs}
 
+    def compare(name, index, got):
+        want = refs[name](index)
+        if got != want:
+            raise InvariantViolation(f"{name} gave {got}, the reference {want}")
+        checked[name, bool(index.tree.code[got[1][0]] & 8)] += 1
+
     def checked_search(name):
         def search(index):
-            want = refs[name](index)
             got = real[name](index)
-            if got != want:
-                raise InvariantViolation(f"{name} gave {got}, the reference {want}")
-            checked[name, bool(index.tree.code[got[1][0]] & 8)] += 1
+            compare(name, index, got)
             return got
 
         return search
 
+    real_fuse = _augment_module()._fuse_chains
+
+    def fuse_chains(st, tree, index, x1, x2, t1, t2) -> None:
+        # the run fuses the two chains that hub_step_pair would descend
+        compare("hub_step_pair", index, (_chain(tree, x1), _chain(tree, x2), t1, t2))
+        real_fuse(st, tree, index, x1, x2, t1, t2)
+
     for name in refs:
         setattr(AugTreeIndex, name, checked_search(name))
     try:
-        res = augment(g)
+        res = _with_steps(g, _fuse_chains=fuse_chains)
     finally:
         for name, fn in real.items():
             setattr(AugTreeIndex, name, fn)
     return res, checked
+
+
+def _chain(tree, x: int) -> list[int]:
+    """x and the nodes below it down to a leaf, x's subtree a chain."""
+    path = [x]
+    while tree.nkids[x]:
+        (x,) = tree.kids(x)
+        path.append(x)
+    return path
 
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -27,7 +27,8 @@ from bipartite_biconnect import (
     parse_graph,
     verify_result,
 )
-from bipartite_biconnect.augment import analyse
+from bipartite_biconnect.augment import _State, _hub_run, analyse
+from bipartite_biconnect.blocks import S_NODE, BlockTree
 from bipartite_biconnect.graph import (
     broom_graph,
     caterpillar_graph,
@@ -43,8 +44,10 @@ from .helpers import (
     all_graphs,
     audited_augment,
     mixed_graph,
+    one_side_hub_graph,
     random_graph,
     sparse_random_graph,
+    step_by_step_augment,
     uniform_spider_graph,
 )
 from .test_acceptance import disjoint_paths_graph
@@ -374,6 +377,90 @@ def test_step_audit_raises_under_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "leaf census drifted from rebuild\n"
+
+
+def test_hub_runs_match_the_step_by_step_hub():
+    # a hub run fuses chains in place and checks per run what the step
+    # by step hub step checked per step; both add the same edges in the
+    # same order, also where a run starts with pairs into branches with
+    # more than one pendant and then resumes with chains
+    graphs = [
+        generate_instance(kind, n, seed=seed)
+        for kind in ("spider", "broom", "caterpillar", "random", "path")
+        for n in (12, 60, 300, 2000, 20_000)
+        for seed in (0, 1)
+    ]
+    graphs += [uniform_spider_graph(k) for k in (2, 6, 50)]
+    graphs += [a_paths_graph(k) for k in (2, 6, 50)]
+    rng = random.Random(2929)
+    graphs += [
+        one_side_hub_graph(rng, rng.randint(3, 8), rng.randint(1, 4)) for _ in range(300)
+    ]
+    for _ in range(1200):
+        n = rng.randint(4, 40)
+        graphs.append(mixed_graph(rng, n, rng.random(), rng.randint(0, n // 3)))
+    mod = importlib.import_module("bipartite_biconnect.augment")
+    runs: list[str] = []  # per hub run, C for a chain pair, S for another
+    real_run, real_fuse, real_join = mod._hub_run, mod._fuse_chains, mod._join_and_collapse
+
+    def hub_run(*args):
+        runs.append("")
+        real_run(*args)
+
+    def fuse_chains(*args):
+        runs[-1] += "C"
+        real_fuse(*args)
+
+    def join_and_collapse(*args):
+        if args[-1] == "S5":
+            runs[-1] += "S"
+        real_join(*args)
+
+    for g in graphs:
+        try:
+            want = step_by_step_augment(g)
+        except NoBiconnector:
+            continue
+        mod._hub_run, mod._fuse_chains = hub_run, fuse_chains
+        mod._join_and_collapse = join_and_collapse
+        try:
+            got = augment(g)
+        finally:
+            mod._hub_run, mod._fuse_chains = real_run, real_fuse
+            mod._join_and_collapse = real_join
+        assert (got.added_edges, got.trace) == (want.added_edges, want.trace)
+    assert sum(run.count("C") for run in runs) > 1000
+    assert any("SC" in run for run in runs)
+
+
+def _spider_at_its_hub():
+    """A spider's state at its first hub step: the tree, its index and
+    the root's first chain pair."""
+    g = generate_instance("spider", 40)
+    dec = decompose(g)
+    tree = BlockTree.build(g, dec.branches, *dec.component(0))
+    index = AugTreeIndex(tree)
+    assert index.s_case() == "S5"
+    return g, tree, index, index.chain_pair()
+
+
+def test_hub_run_at_a_forked_chain_raises():
+    # a plain raise, so python -O keeps it
+    g, tree, index, (x1, _, _, _) = _spider_at_its_hub()
+    tree.nkids[x1] = 2
+    with pytest.raises(InvariantViolation, match="has 2 children"):
+        _hub_run(_State(g, OpCounters()), tree, index)
+
+
+def test_hub_run_at_a_chain_ending_in_the_wrong_type_raises():
+    g, tree, index, (x1, _, t1, _) = _spider_at_its_hub()
+    leaf = x1
+    while tree.nkids[leaf]:
+        (leaf,) = tree.kids(leaf)
+    assert tree.kind[leaf] == S_NODE and tree.leaf_type(leaf) == t1
+    tree.min_a[leaf], tree.min_b[leaf] = tree.min_b[leaf], tree.min_a[leaf]
+    with pytest.raises(InvariantViolation, match="not a"):
+        _hub_run(_State(g, OpCounters()), tree, index)
 
 
 # ----------------------------------------------------------------------
