@@ -4,14 +4,19 @@ principles (path enumeration, exhaustive search) so it shares no code
 with the package under test, except the step audits, which crosscheck
 the solver's incremental structures from inside a solve, the step by
 step hub step, which runs inside the solver as the reference for its
-hub runs, and the reference pair searches at the end, which read the
-same tree."""
+hub runs, the reference pair searches, which read the same tree, and
+the set-up references at the end: the pendant records, the structure
+tree build and the index fill as they were written before they went
+flat, kept to pin the set-up to them field by field."""
 
 from __future__ import annotations
 
 import importlib
 import random
+from array import array
 from collections import Counter, deque
+from dataclasses import dataclass
+from pathlib import Path
 
 from bipartite_biconnect import (
     BipartiteGraph,
@@ -20,9 +25,18 @@ from bipartite_biconnect import (
     decompose,
     pendant_records,
 )
-from bipartite_biconnect.blocks import C_NODE, LEAF_CODE, SLOTS, walk_list
+from bipartite_biconnect.blocks import (
+    B_NODE,
+    C_NODE,
+    K_NODE,
+    LEAF_CODE,
+    S_NODE,
+    SLOTS,
+    BlockTree,
+    walk_list,
+)
 from bipartite_biconnect.errors import check
-from bipartite_biconnect.graph import generate_instance
+from bipartite_biconnect.graph import generate_instance, parse_graph
 from bipartite_biconnect.matching import (
     AB,
     CROSS_ORDER,
@@ -718,6 +732,240 @@ def _chain(tree, x: int) -> list[int]:
         (x,) = tree.kids(x)
         path.append(x)
     return path
+
+
+# ----------------------------------------------------------------------
+# set-up references
+
+
+GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
+
+
+def setup_corpus(max_gen: int = 2_000):
+    """The graphs the set-up references are checked on: every golden
+    input, every generator kind at 12 to max_gen vertices (seeds 0 and
+    1), and 1,200 small forests with cycles (mixed_graph)."""
+    for path in sorted(GOLDEN_INPUTS.glob("*.txt")):
+        yield parse_graph(path.read_text())
+    for kind in ("spider", "broom", "caterpillar", "random", "path"):
+        for n in (12, 60, 300, 2_000):
+            if n <= max_gen:
+                for seed in (0, 1):
+                    yield generate_instance(kind, n, seed=seed)
+    rng = random.Random(3030)
+    for _ in range(1200):
+        n = rng.randint(4, 40)
+        yield mixed_graph(rng, n, rng.random(), rng.randint(0, n // 3))
+
+
+@dataclass
+class PendantRec:
+    """One pendant block as seen right after decomposition: a single
+    vertex of type A or B, or a nonsingular block of type AB."""
+
+    ptype: int  # matching's A, B or AB
+    comp: int
+    key: int  # smallest member vertex, used for deterministic ordering
+    # smallest noncut member vertex on side A and on side B, -1 for none
+    min_a: int
+    min_b: int
+
+
+def ref_pendant_records(g: BipartiteGraph, dec) -> list[PendantRec]:
+    """pendant_records as one object per pendant: all pendant blocks,
+    ordered by smallest member vertex, ties in sorted block order."""
+    recs: list[PendantRec] = []
+    branches = dec.branches
+    for blk in dec.ns_blocks:
+        cuts = [v for v in blk if branches[v] >= 2]
+        if len(cuts) != 1:
+            continue
+        mins = [-1, -1]
+        for v in blk:
+            if branches[v] < 2 and mins[g.sides[v]] == -1:
+                mins[g.sides[v]] = v
+        recs.append(PendantRec(AB, dec.comp_id[blk[0]], blk[0], mins[0], mins[1]))
+    for v in range(g.n):
+        if len(g.adj[v]) == 1 and branches[v] < 2:
+            if g.sides[v] == 0:
+                recs.append(PendantRec(A, dec.comp_id[v], v, v, -1))
+            else:
+                recs.append(PendantRec(B, dec.comp_id[v], v, -1, v))
+    recs.sort(key=lambda r: r.key)
+    return recs
+
+
+def pendant_fields(recs: list[PendantRec]) -> list[list[int]]:
+    """The records' five fields, each as a list in record order."""
+    return [
+        [getattr(r, name) for r in recs]
+        for name in ("ptype", "comp", "key", "min_a", "min_b")
+    ]
+
+
+def ref_build(g: BipartiteGraph, branches, comp, blocks, bridges, counters=None):
+    """BlockTree.build with a list of nodes in peeling order, one pass
+    over it that settles every code, and a _link call per node."""
+    if len(comp) < 2:
+        raise ValueError("structure tree needs a component with >= 2 vertices")
+    adj, sides = g.adj, g.sides
+    pend = [v for v in comp if len(adj[v]) == 1 and branches[v] < 2]
+    cuts = [v for v in comp if branches[v] >= 2]
+    c_first = len(blocks) + len(pend)
+    k_first = c_first + len(cuts)
+    n = k_first + len(bridges)
+    vnode = dict(zip(pend, range(len(blocks), c_first)))
+    vnode.update(zip(cuts, range(c_first, k_first)))
+    deg = [0] * n
+    nbx = [0] * n
+
+    pendant_blocks = 0
+    blk_a = [-1] * len(blocks)
+    blk_b = [-1] * len(blocks)
+    for x, blk in enumerate(blocks):
+        ma = mb = -1
+        for v in blk:
+            if branches[v] >= 2:
+                y = vnode[v]
+                deg[x] += 1
+                deg[y] += 1
+                nbx[x] ^= y
+                nbx[y] ^= x
+            elif sides[v] == 0:
+                if ma == -1:
+                    ma = v
+            elif mb == -1:
+                mb = v
+        blk_a[x], blk_b[x] = ma, mb
+        if deg[x] == 1:
+            pendant_blocks += 1
+    for x, edge in enumerate(bridges, k_first):
+        for v in edge:
+            y = vnode[v]
+            deg[x] += 1
+            deg[y] += 1
+            nbx[x] ^= y
+            nbx[y] ^= x
+
+    t = BlockTree(n + len(pend) + pendant_blocks)
+    t.sides = sides
+    t.size = n
+    t.kind[:n] = (
+        [B_NODE] * len(blocks)
+        + [S_NODE] * len(pend)
+        + [C_NODE] * len(cuts)
+        + [K_NODE] * len(bridges)
+    )
+    t.payload[:n] = blocks + pend + cuts + bridges
+    t.alive[:n] = [True] * n
+    t.min_a[: len(blocks)] = blk_a
+    t.min_b[: len(blocks)] = blk_b
+    for x, v in enumerate(pend, len(blocks)):
+        if sides[v] == 0:
+            t.min_a[x] = v
+        else:
+            t.min_b[x] = v
+    if counters:
+        counters.tree_nodes += n
+        counters.index_updates += n
+
+    if cuts:
+        root, most = -1, -1
+        for x, v in enumerate(cuts, c_first):
+            if branches[v] > most:
+                root, most = x, branches[v]
+    else:
+        root = n - 1 if bridges else 0
+    stack = [x for x in range(n) if deg[x] == 1 and x != root]
+    order = []
+    parent = t.parent
+    while stack:
+        x = stack.pop()
+        if deg[x] != 1:
+            continue
+        p = nbx[x]
+        parent[x] = p
+        order.append(x)
+        nbx[p] ^= x
+        deg[p] -= 1
+        if deg[p] == 1 and p != root:
+            stack.append(p)
+    order.append(root)
+    check(len(order) == n, "structure tree is not connected")
+    t.root = root
+    code = t.code
+    kids = [0] * n
+    for x in order:
+        k = kids[x]
+        c = (code[x] | (8 if k >= 2 else 0)) if k else t._leaf_code(x)
+        code[x] = c
+        p = parent[x]
+        if p != -1:
+            code[p] |= c
+            kids[p] += 1
+    t.base[:n] = range(0, n * SLOTS, SLOTS)
+    t.heads = array("i", [-1]) * (n * SLOTS)
+    for x in range(n - 1, -1, -1):
+        if x != root:
+            t._link(parent[x], x)
+    return t
+
+
+TREE_FIELDS = (
+    "capacity", "size", "root", "sides", "kind", "payload", "min_a", "min_b",
+    "alive", "parent", "code", "nkids", "base", "heads", "present", "sprev", "snext",
+)
+
+
+def tree_state(t) -> dict:
+    """Every field of a structure tree, by name."""
+    return {name: getattr(t, name) for name in TREE_FIELDS}
+
+
+def ref_aug_tree_index(tree, counters=None) -> AugTreeIndex:
+    """AugTreeIndex(tree) filled by one _group_add call per live cut
+    node, in descending id order, and leaf_type per leaf."""
+    self = AugTreeIndex.__new__(AugTreeIndex)
+    self.tree = t = tree
+    self.counters = counters
+    n = t.capacity
+    self.leaf_counts = leaf_counts = [0, 0, 0]
+    self.grp_head = {}
+    self.gprev = [-1] * n
+    self.gnext = [-1] * n
+    self.grp_of = [-1] * n
+    self._max_top = 0
+    self.cnt_branching = 0
+    kind, parent, nkids, alive = t.kind, t.parent, t.nkids, t.alive
+    for x in range(t.size - 1, -1, -1):
+        if not alive[x]:
+            continue
+        d = nkids[x] + (parent[x] != -1)
+        if d >= 3:
+            self.cnt_branching += 1
+        if kind[x] == C_NODE:
+            self._group_add(x, d)
+        elif d <= 1 and kind[x] in (B_NODE, S_NODE):
+            leaf_counts[t.leaf_type(x)] += 1
+    self._settle_counts()
+    return self
+
+
+def index_state(index: AugTreeIndex) -> dict:
+    """An index's state: each degree group as a list from its head, the
+    group links, the counts, and max_cdeg, m and m + r."""
+    return {
+        "groups": {d: walk_list(h, index.gnext, len(index.gnext)) for d, h in index.grp_head.items()},
+        "gprev": index.gprev,
+        "gnext": index.gnext,
+        "grp_of": index.grp_of,
+        "leaf_counts": index.leaf_counts,
+        "cnt_branching": index.cnt_branching,
+        "max_cdeg": index.max_cdeg,
+        "m": index.m_value(),
+        "m_plus_r": index.m_plus_r(),
+        "total": index.leaf_total(),
+    }
 
 
 __all__ = [name for name in dir() if not name.startswith("_")]

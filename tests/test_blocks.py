@@ -31,6 +31,7 @@ from bipartite_biconnect.blocks import (
 )
 from bipartite_biconnect.graph import caterpillar_graph, spider_graph
 from bipartite_biconnect.matching import AB, A, B
+from bipartite_biconnect.stats import OpCounters
 
 from .helpers import (
     all_graphs,
@@ -44,8 +45,13 @@ from .helpers import (
     oracle_pendants,
     oracle_split_count,
     path_graph,
+    pendant_fields,
     pendant_kind,
     random_graph,
+    ref_build,
+    ref_pendant_records,
+    setup_corpus,
+    tree_state,
 )
 
 
@@ -258,6 +264,35 @@ def test_pendant_records_sorted_by_lowest_vertex(spider4):
     assert keys == sorted(keys)
 
 
+def test_pendant_records_break_a_shared_key_by_sorted_block_order():
+    # two four-cycles meet at the cut vertex 0, the smallest vertex of
+    # both, and the DFS meets (0, 3, 4, 6) first, as 3 is 0's lowest
+    # neighbour on a cycle; sorted block order puts (0, 2, 5, 7) first.
+    # B and A pendants, on 0 and on the cut vertex 8, alternate by key
+    sides = [0, 1, 0, 1, 0, 1, 1, 1, 1, 0, 1, 0]
+    edges = [(0, 5), (2, 5), (2, 7), (0, 7), (0, 3), (4, 3), (4, 6), (0, 6)]
+    edges += [(0, 1), (0, 8), (9, 8), (11, 8), (0, 10)]
+    g = BipartiteGraph([f"v{i}" for i in range(12)], sides, edges)
+    dec = decompose(g)
+    assert pendant_fields(pendant_records(g, dec)) == [
+        [AB, AB, B, A, B, A],
+        [0] * 6,
+        [0, 0, 1, 9, 10, 11],
+        [2, 4, -1, 9, -1, 11],
+        [5, 3, 1, -1, 10, -1],
+    ]
+
+
+def test_pendant_records_match_the_reference_on_the_setup_corpus():
+    names = ("ptype", "comp", "key", "min_a", "min_b")
+    for g in setup_corpus():
+        dec = decompose(g)
+        got = pendant_fields(pendant_records(g, dec))
+        want = pendant_fields(ref_pendant_records(g, dec))
+        for name, mine, theirs in zip(names, got, want):
+            assert mine == theirs, (name, g.labels)
+
+
 # ----------------------------------------------------------------------
 # structure tree
 
@@ -287,6 +322,42 @@ def test_tree_leaves_are_exactly_the_pendants():
                 for x in t.leaves()
             )
             assert leaf_keys == sorted(by_comp.get(cid, []))
+
+
+def test_build_matches_the_reference_build(monkeypatch):
+    # every component of the corpus, then every tree a solve builds,
+    # the components that bridges join included
+    for g in setup_corpus():
+        dec = decompose(g)
+        for cid, comp in enumerate(dec.comps):
+            if len(comp) < 2:
+                continue
+            parts = (g, dec.branches, *dec.component(cid))
+            mine, theirs = OpCounters(), OpCounters()
+            got = BlockTree.build(*parts, mine)
+            assert tree_state(got) == tree_state(ref_build(*parts, theirs))
+            assert mine == theirs
+    real_build, real_join = BlockTree.build, Decomposition.join
+    calls = {"build": 0, "join": 0}
+
+    def build(g, branches, comp, blocks, bridges, counters=None):
+        calls["build"] += 1
+        t = real_build(g, branches, comp, blocks, bridges, counters)
+        assert tree_state(t) == tree_state(ref_build(g, branches, comp, blocks, bridges))
+        return t
+
+    def join(dec, comps, bridges):
+        calls["join"] += 1
+        return real_join(dec, comps, bridges)
+
+    monkeypatch.setattr(BlockTree, "build", staticmethod(build))
+    monkeypatch.setattr(Decomposition, "join", join)
+    for g in setup_corpus(max_gen=300):
+        try:
+            augment(g)
+        except NoBiconnector:
+            continue
+    assert calls["build"] > calls["join"] >= 100, calls
 
 
 def test_cut_vertex_tree_degree_equals_split_count():

@@ -9,6 +9,7 @@ semantics.
 
 from __future__ import annotations
 
+import importlib
 import random
 from collections import Counter
 
@@ -16,6 +17,8 @@ import pytest
 
 from bipartite_biconnect import (
     InvariantViolation,
+    NoBiconnector,
+    augment,
     decompose,
     pendant_records,
 )
@@ -30,10 +33,13 @@ from .helpers import (
     all_graphs,
     audit_index,
     collapse_between,
+    index_state,
     mixed_graph,
     one_side_hub_graph,
     pair_searches_checked_augment,
     random_graph,
+    ref_aug_tree_index,
+    setup_corpus,
     uniform_spider_graph,
 )
 
@@ -75,6 +81,39 @@ def test_leaf_counts_match_pendant_records():
         cid = dec.comp_id[anchor]
         types = [p.ptype for p in pendant_records(g, dec) if p.comp == cid]
         assert index.counts() == counts_of(types)
+
+
+def test_index_matches_the_reference_fill(monkeypatch):
+    # on every fresh tree of the corpus, then on the live tree after
+    # every pair of the iterative cases, retired nodes included
+    for g in setup_corpus():
+        dec = decompose(g)
+        for cid, comp in enumerate(dec.comps):
+            if len(comp) < 2:
+                continue
+            tree = BlockTree.build(g, dec.branches, *dec.component(cid))
+            assert index_state(AugTreeIndex(tree)) == index_state(ref_aug_tree_index(tree))
+    mod = importlib.import_module("bipartite_biconnect.augment")
+    steps = 0
+
+    def compared(real):
+        def step(st, tree, index, *args) -> None:
+            nonlocal steps
+            real(st, tree, index, *args)
+            fresh = AugTreeIndex(tree)
+            assert index_state(fresh) == index_state(ref_aug_tree_index(tree))
+            steps += 1
+
+        return step
+
+    monkeypatch.setattr(mod, "_join_and_collapse", compared(mod._join_and_collapse))
+    monkeypatch.setattr(mod, "_fuse_chains", compared(mod._fuse_chains))
+    for g in setup_corpus(max_gen=300):
+        try:
+            augment(g)
+        except NoBiconnector:
+            continue
+    assert steps >= 1_000
 
 
 def test_max_degree_and_eta_match_the_decomposition():
