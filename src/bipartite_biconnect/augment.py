@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import accumulate
 
 from .blocks import (
     C_NODE,
@@ -34,7 +35,6 @@ from .blocks import (
     S_NODE,
     BlockTree,
     Decomposition,
-    PendantRec,
     decompose,
     pendant_records,
 )
@@ -126,7 +126,8 @@ class Analysis:
 
     dec: Decomposition
     cen: ComponentCensus
-    recs: list[PendantRec]
+    # pendant_records' parallel lists: ptype, comp, key, min_a, min_b
+    recs: tuple[list[int], list[int], list[int], list[int], list[int]]
     counts: tuple[int, int, int]
     prof: MatchingProfile
     label: str
@@ -138,7 +139,7 @@ def analyse(g: BipartiteGraph, counters: OpCounters | None = None) -> Analysis:
     dec = decompose(g, counters)
     cen = census(dec)
     recs = pendant_records(g, dec)
-    counts = counts_of([p.ptype for p in recs])
+    counts = counts_of(recs[0])
     prof = profile(*counts)
     label = classify_m(cen, prof.m)
     target = theorem_target(label, dec, cen, prof)
@@ -244,10 +245,10 @@ def _case_m3(st: _State, a: Analysis) -> None:
     is pushed at most once.  w1's end of the bridge is the first of its
     unused pendants of the chosen type, kept in a heap per type; the
     partner is the first pendant of its type outside w1, found by a
-    cursor per type over recs that only moves forward, since a used
-    pendant always lies in w1 and joining w1 is permanent.  "First"
-    means first in recs, which is sorted by key: keys tie only between
-    AB pendants of one component, and recs order breaks those ties.
+    cursor per type over the records that only moves forward, since a
+    used pendant always lies in w1 and joining w1 is permanent.  "First"
+    means first in record order, which is by key: keys tie only between
+    AB pendants of one component, and record order breaks those ties.
 
     A bridge uses up one pendant on each side and leaves every other
     pendant a pendant.  So if the pairs run out with two or more
@@ -261,12 +262,18 @@ def _case_m3(st: _State, a: Analysis) -> None:
     block, so the joined components' parts, with the bridges, are those
     of the bridged graph's decomposition.
     """
-    dec, recs = a.dec, a.recs
-    order: list[list[int]] = [[], [], []]  # recs indices per type
-    members: dict[int, list[int]] = {}  # recs indices per component
-    for i, p in enumerate(recs):  # recs arrive sorted by key
-        order[p.ptype].append(i)
-        members.setdefault(p.comp, []).append(i)
+    dec = a.dec
+    ptype, comp, key, min_a, min_b = a.recs
+    order: list[list[int]] = [[], [], []]  # record indices per type
+    for i, t in enumerate(ptype):  # records arrive sorted by key
+        order[t].append(i)
+    # record indices by component, in key order within each: component
+    # c's are members[starts[c]:starts[c + 1]]
+    members = sorted(range(len(comp)), key=comp.__getitem__)
+    sizes = [0] * (len(dec.comps) + 1)
+    for c in comp:
+        sizes[c + 1] += 1
+    starts = list(accumulate(sizes))
     # components still to join w1; left counts them and w1
     outside = [cls in (NEEDY, EDGE) for cls in a.cen.comp_classes]
     left = sum(outside)
@@ -274,8 +281,8 @@ def _case_m3(st: _State, a: Analysis) -> None:
     outside[w1] = False
     joined = [w1]  # w1 and every component it absorbed
     own: list[list[int]] = [[], [], []]  # heaps of w1's unused pendants
-    for i in members[w1]:
-        own[recs[i].ptype].append(i)  # ascending, so already heaps
+    for i in members[starts[w1] : starts[w1 + 1]]:
+        own[ptype[i]].append(i)  # ascending, so already heaps
     cursor = [0, 0, 0]
     total = [len(ids) for ids in order]
     m = pair_count(*total)
@@ -284,26 +291,27 @@ def _case_m3(st: _State, a: Analysis) -> None:
         c1 = (len(own[0]), len(own[1]), len(own[2]))
         c2 = tuple(t - o for t, o in zip(total, c1))
         t1, t2 = pick_cross_pair(c1, c2)
-        rep1 = recs[heappop(own[t1])]
+        i1 = heappop(own[t1])
         ids, pos = order[t2], cursor[t2]
-        while not outside[recs[ids[pos]].comp]:
+        while not outside[comp[ids[pos]]]:
             pos += 1
         cursor[t2] = pos + 1
-        rep2 = recs[ids[pos]]
+        i2 = ids[pos]
         u, v = _binding_edge(
-            rep1.min_a, rep1.min_b, t1, rep1.key, rep2.min_a, rep2.min_b, t2, rep2.key
+            min_a[i1], min_b[i1], t1, key[i1], min_a[i2], min_b[i2], t2, key[i2]
         )
         st.add_edge(u, v, "M3")
         total[t1] -= 1
         total[t2] -= 1
         m -= 1
-        # join rep2's component to w1
-        outside[rep2.comp] = False
-        joined.append(rep2.comp)
+        # join i2's component to w1
+        c = comp[i2]
+        outside[c] = False
+        joined.append(c)
         left -= 1
-        for i in members[rep2.comp]:
-            if i != ids[pos]:
-                heappush(own[recs[i].ptype], i)
+        for i in members[starts[c] : starts[c + 1]]:
+            if i != i2:
+                heappush(own[ptype[i]], i)
 
     if left == 1:
         # bridges joined everything, so the component has two vertices
@@ -313,7 +321,11 @@ def _case_m3(st: _State, a: Analysis) -> None:
     side = A if total[A] else B  # a single vertex pendant's type is its side
     check(total[1 - side] == total[AB] == 0, "stitch saw pendants of two types")
     groups = [(sorted(own[side]), joined)]
-    groups += [(members[cid], [cid]) for cid, out in enumerate(outside) if out]
+    groups += [
+        (members[starts[cid] : starts[cid + 1]], [cid])
+        for cid, out in enumerate(outside)
+        if out
+    ]
     sides = st.g.sides
     anchors = [
         min(next(x for x in dec.comps[cid] if sides[x] != side) for cid in comps)
@@ -322,7 +334,7 @@ def _case_m3(st: _State, a: Analysis) -> None:
     for pos, (pendants, _) in enumerate(groups):
         nxt = anchors[(pos + 1) % len(groups)]
         for i in pendants:
-            st.add_edge(recs[i].key, nxt, "M2")
+            st.add_edge(key[i], nxt, "M2")
 
 
 # ----------------------------------------------------------------------

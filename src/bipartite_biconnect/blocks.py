@@ -15,6 +15,10 @@ the order the DFS met them in.  Decomposition.join() gives the parts,
 and the branches, of the one component that bridges between noncut
 vertices make of several, so a bridged graph needs no second
 decomposition.  Nothing writes a decomposition after decompose().
+pendant_records() reads every pendant block off a decomposition as five
+parallel int lists, type, component, key (the smallest member vertex)
+and smallest noncut vertex per side, in key order: no object per
+pendant.
 
 BlockTree models one component as a tree over block, pendant vertex,
 cut vertex and bridge nodes.  Its collapse() applies the effect of one
@@ -46,10 +50,12 @@ takes over the slots of the node it adopts.  Every per-node field is a
 flat list sized once, at build, so building, collapsing and re-rooting
 allocate no container per node.
 
-A build fills every bucket in descending node id order, so each head
-starts as the lowest id in its bucket; later pushes put single nodes
-at the heads.  Every push is a function of the tree, and so of the
-input alone: repeated runs make identical choices.
+A build hangs the tree from its root in two passes: a peel, which
+takes every node after its children and so settles the node's code as
+it takes it, then one pass that fills every bucket in descending node
+id order, so each head starts as the lowest id in its bucket; later
+pushes put single nodes at the heads.  Every push is a function of the
+tree, and so of the input alone: repeated runs make identical choices.
 """
 
 from __future__ import annotations
@@ -62,19 +68,6 @@ from .errors import InvariantViolation, check
 from .graph import BipartiteGraph
 from .matching import AB, A, B
 from .stats import OpCounters
-
-
-@dataclass
-class PendantRec:
-    """One pendant block as seen right after decomposition: a single
-    vertex of type A or B, or a nonsingular block of type AB."""
-
-    ptype: int  # matching's A, B or AB
-    comp: int
-    key: int  # smallest member vertex, used for deterministic ordering
-    # smallest noncut member vertex on side A and on side B, -1 for none
-    min_a: int
-    min_b: int
 
 
 @dataclass(frozen=True)
@@ -142,7 +135,7 @@ class Decomposition:
 
 def decompose(g: BipartiteGraph, counters: OpCounters | None = None) -> Decomposition:
     n = g.n
-    adj = g.adj
+    adj, sides = g.adj, g.sides
     disc = [-1] * n
     low = [0] * n
     parent = [-1] * n
@@ -210,7 +203,7 @@ def decompose(g: BipartiteGraph, counters: OpCounters | None = None) -> Decompos
                 # the edges above (u, v) on the stack and (u, v) itself
                 a, b = tails.pop(), heads.pop()
                 if a == u and b == v:
-                    cut_edges.append((u, v) if g.sides[u] == 0 else (v, u))
+                    cut_edges.append((u, v) if sides[u] == 0 else (v, u))
                 else:
                     vset = {a, b}
                     while a != u or b != v:
@@ -222,11 +215,18 @@ def decompose(g: BipartiteGraph, counters: OpCounters | None = None) -> Decompos
         # its blocks and bridges are the ones found since it started
         if counters:
             counters.dfs_visits += len(comp)
-        comps.append(sorted(comp))
-        ns_blocks[block_starts[-1]:] = sorted(ns_blocks[block_starts[-1]:])
-        cut_edges[bridge_starts[-1]:] = sorted(cut_edges[bridge_starts[-1]:])
-        block_starts.append(len(ns_blocks))
-        bridge_starts.append(len(cut_edges))
+        if len(comp) > 1:
+            comp.sort()
+        comps.append(comp)
+        # a lone block or bridge is sorted already
+        first, end = block_starts[-1], len(ns_blocks)
+        if end - first > 1:
+            ns_blocks[first:] = sorted(ns_blocks[first:])
+        block_starts.append(end)
+        first, end = bridge_starts[-1], len(cut_edges)
+        if end - first > 1:
+            cut_edges[first:] = sorted(cut_edges[first:])
+        bridge_starts.append(end)
 
     return Decomposition(
         comp_id=comp_id,
@@ -239,27 +239,57 @@ def decompose(g: BipartiteGraph, counters: OpCounters | None = None) -> Decompos
     )
 
 
-def pendant_records(g: BipartiteGraph, dec: Decomposition) -> list[PendantRec]:
-    """All pendant blocks, ordered by smallest member vertex."""
-    recs: list[PendantRec] = []
-    branches = dec.branches
+def pendant_records(
+    g: BipartiteGraph, dec: Decomposition
+) -> tuple[list[int], list[int], list[int], list[int], list[int]]:
+    """All pendant blocks as five parallel lists (ptype, comp, key, min_a,
+    min_b), ordered by key.
+
+    A record's ptype is matching's A, B or AB, comp its component, key
+    its smallest member vertex, and min_a and min_b its smallest noncut
+    member vertex on side A and on side B, -1 for none.  Keys tie only
+    between AB blocks that share their smallest vertex, a cut vertex;
+    sorted block order breaks the tie.
+    """
+    branches, comp_id, sides = dec.branches, dec.comp_id, g.sides
+    ptype: list[int] = []
+    key: list[int] = []
+    min_a: list[int] = []
+    min_b: list[int] = []
     for blk in dec.ns_blocks:
-        cuts = [v for v in blk if branches[v] >= 2]
-        if len(cuts) != 1:
-            continue
-        mins = [-1, -1]
+        cuts = 0
+        ma = mb = -1
         for v in blk:
-            if branches[v] < 2 and mins[g.sides[v]] == -1:
-                mins[g.sides[v]] = v
-        recs.append(PendantRec(AB, dec.comp_id[blk[0]], blk[0], mins[0], mins[1]))
-    for v in range(g.n):
-        if len(g.adj[v]) == 1 and branches[v] < 2:
-            if g.sides[v] == 0:
-                recs.append(PendantRec(A, dec.comp_id[v], v, v, -1))
-            else:
-                recs.append(PendantRec(B, dec.comp_id[v], v, -1, v))
-    recs.sort(key=lambda r: r.key)
-    return recs
+            if branches[v] >= 2:
+                cuts += 1
+            elif sides[v]:
+                if mb == -1:
+                    mb = v
+            elif ma == -1:
+                ma = v
+        if cuts == 1:
+            ptype.append(AB)
+            key.append(blk[0])
+            min_a.append(ma)
+            min_b.append(mb)
+    blocks = len(key)
+    for v, row in enumerate(g.adj):
+        if len(row) == 1 and branches[v] < 2:
+            side = sides[v]
+            ptype.append(side)  # a pendant vertex's type is its side: A 0, B 1
+            key.append(v)
+            min_a.append(-1 if side else v)
+            min_b.append(v if side else -1)
+    if blocks:
+        # the blocks come grouped by component and the vertices in
+        # order: a stable sort merges them, and blocks of one key keep
+        # their sorted order
+        order = sorted(range(len(key)), key=key.__getitem__)
+        ptype = [ptype[i] for i in order]
+        key = [key[i] for i in order]
+        min_a = [min_a[i] for i in order]
+        min_b = [min_b[i] for i in order]
+    return ptype, [comp_id[v] for v in key], key, min_a, min_b
 
 
 # Tree node kinds.
@@ -282,19 +312,25 @@ _WITH_8, _WITH_4, _WITH_2, _WITH_1 = (
 _DOT_SHAPE = {B_NODE: "box", S_NODE: "box", C_NODE: "circle", K_NODE: "diamond"}
 
 
+def _dot_string(text: str) -> str:
+    """text as a DOT quoted string: backslashes and quotes escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def tree_to_dot(g: BipartiteGraph) -> str:
     """Structure trees of all components as one DOT forest.
 
     Blocks and pendant vertices render as boxes, cut vertices as
-    circles, bridges as diamonds.  Output is deterministic.
+    circles, bridges as diamonds.  Labels are escaped for DOT quoted
+    strings.  Output is deterministic.
     """
     dec = decompose(g)
     lines = ["graph blocktree {"]
     for cid in range(len(dec.comps)):
         comp, blocks, bridges = dec.component(cid)
         if len(comp) == 1:
-            lab = g.labels[comp[0]]
-            lines.append(f'  c{cid}_n0 [shape=box, label="{lab}"];')
+            lab = _dot_string(g.labels[comp[0]])
+            lines.append(f"  c{cid}_n0 [shape=box, label={lab}];")
             continue
         t = BlockTree.build(g, dec.branches, comp, blocks, bridges)
         for x in t.live_nodes():
@@ -307,7 +343,7 @@ def tree_to_dot(g: BipartiteGraph) -> str:
                 a, b = t.payload[x]
                 lab = f"{g.labels[a]} {g.labels[b]}"
             lines.append(
-                f'  c{cid}_n{x} [shape={_DOT_SHAPE[kind]}, label="{lab}"];'
+                f"  c{cid}_n{x} [shape={_DOT_SHAPE[kind]}, label={_dot_string(lab)}];"
             )
         for x in t.live_nodes():
             for ch in sorted(t.kids(x)):
@@ -552,12 +588,13 @@ class BlockTree:
         Node ids follow a fixed order: blocks, pendant vertices, cut
         vertices, bridges, each in sorted order.  The walk records each
         node's degree and the xor of its neighbours' ids, and the tree
-        then hangs from its root by peeling leaves: a leaf's one
-        neighbour left is the xor, and it is the leaf's parent.  The
-        peeling order lists every node after its children, so one pass
-        over it settles every code; then the children go into their
-        buckets in descending id order, so each head is the lowest id
-        its bucket holds.
+        then hangs from its root in two passes.  The first peels leaves:
+        a leaf's one neighbour left is the xor, and it is the leaf's
+        parent.  A node is peeled after all its children, so the peel
+        settles its code, child count and presence mask as it takes it.
+        The second links every child into its parent's bucket in
+        descending id order, so each head is the lowest id its bucket
+        holds.
         """
         if len(comp) < 2:
             raise ValueError("structure tree needs a component with >= 2 vertices")
@@ -635,40 +672,55 @@ class BlockTree:
                     root, most = x, branches[v]
         else:
             root = n - 1 if bridges else 0
+        t.root = root
+        # the peel; a node's code is the or of its children's codes, plus
+        # 8 if it has two or more, and a node without children has its
+        # leaf code: 1 for a block, 4 or 2 for a pendant vertex of side A
+        # or B, 0 on a cut or bridge node
+        parent, code, nkids, present = t.parent, t.code, t.nkids, t.present
+        p_first = len(blocks)
         stack = [x for x in range(n) if deg[x] == 1 and x != root]
-        order = []
-        parent = t.parent
+        peeled = 0
         while stack:
             x = stack.pop()
             if deg[x] != 1:
                 continue
+            k = nkids[x]
+            if k:
+                c = code[x] | 8 if k >= 2 else code[x]
+            elif x < p_first:
+                c = 1
+            elif x < c_first:
+                c = 2 if sides[pend[x - p_first]] else 4
+            else:
+                c = 0
+            code[x] = c
             p = nbx[x]
             parent[x] = p
-            order.append(x)
+            code[p] |= c
+            nkids[p] += 1
+            present[p] |= 1 << c
+            peeled += 1
             nbx[p] ^= x
             deg[p] -= 1
             if deg[p] == 1 and p != root:
                 stack.append(p)
-        order.append(root)
-        check(len(order) == n, "structure tree is not connected")
-        t.root = root
-        # a node's code is the or of its children's codes, plus 8 if it
-        # has two or more; a node without children has its leaf code
-        code = t.code
-        kids = [0] * n
-        for x in order:
-            k = kids[x]
-            c = (code[x] | (8 if k >= 2 else 0)) if k else t._leaf_code(x)
-            code[x] = c
+        check(peeled == n - 1, "structure tree is not connected")
+        k = nkids[root]
+        code[root] = (code[root] | (8 if k >= 2 else 0)) if k else t._leaf_code(root)
+        # the links; node p's slots start at its base, p * SLOTS
+        t.base[:n] = range(0, n * SLOTS, SLOTS)
+        t.heads = heads = array("i", [-1]) * (n * SLOTS)
+        sprev, snext = t.sprev, t.snext
+        for x in range(n - 1, -1, -1):
             p = parent[x]
             if p != -1:
-                code[p] |= c
-                kids[p] += 1
-        t.base[:n] = range(0, n * SLOTS, SLOTS)
-        t.heads = array("i", [-1]) * (n * SLOTS)
-        for x in range(n - 1, -1, -1):
-            if x != root:
-                t._link(parent[x], x)
+                slot = p * SLOTS + code[x]
+                head = heads[slot]
+                if head != -1:
+                    snext[x] = head
+                    sprev[head] = x
+                heads[slot] = x
         return t
 
     def reroot(self, target: int) -> list[int]:

@@ -56,8 +56,8 @@ def eta(g: BipartiteGraph) -> int:
     dec = decompose(g)
     if len(dec.comps) != 1:
         raise ValueError("eta is defined on connected graphs")
-    recs = pendant_records(g, dec)
-    return eta_extended(dec, census(dec), profile(*counts_of([p.ptype for p in recs])))
+    ptype = pendant_records(g, dec)[0]
+    return eta_extended(dec, census(dec), profile(*counts_of(ptype)))
 
 
 def eta_extended(

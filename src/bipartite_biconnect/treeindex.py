@@ -31,7 +31,7 @@ from __future__ import annotations
 from .blocks import B_NODE, C_NODE, LEAF_CODE, S_NODE, BlockTree, CollapseInfo
 from .blocks import walk_list
 from .errors import InvariantViolation
-from .matching import AB, CROSS_ORDER, LEGAL_COMBOS
+from .matching import AB, CROSS_ORDER, LEGAL_COMBOS, A, B
 from .matching import is_decrementing, pair_count
 from .stats import OpCounters
 
@@ -51,28 +51,44 @@ HUB_COMBOS = CHAIN_COMBOS + tuple(
 class AugTreeIndex:
     def __init__(self, tree: BlockTree, counters: OpCounters | None = None):
         """Fill every count and degree group from the tree's live nodes,
-        skipping retired ones, so an index can also be built mid solve."""
+        skipping retired ones, so an index can also be built mid solve.
+        The nodes are taken in descending id order and each cut node
+        goes to the head of its degree group, so each group starts at
+        its lowest id."""
         self.tree = t = tree
         self.counters = counters
         n = t.capacity
+        grp_head: dict[int, int] = {}
+        self.grp_head = grp_head
+        self.gprev = gprev = [-1] * n
+        self.gnext = gnext = [-1] * n
+        self.grp_of = grp_of = [-1] * n
         self.leaf_counts = leaf_counts = [0, 0, 0]  # by type
-        self.grp_head: dict[int, int] = {}
-        self.gprev = [-1] * n
-        self.gnext = [-1] * n
-        self.grp_of = [-1] * n
-        self._max_top = 0
-        self.cnt_branching = 0
-        kind, parent, nkids, alive = t.kind, t.parent, t.nkids, t.alive
+        kind, parent, nkids, alive, min_a = t.kind, t.parent, t.nkids, t.alive, t.min_a
+        top = branching = 0
         for x in range(t.size - 1, -1, -1):
             if not alive[x]:
                 continue
             d = nkids[x] + (parent[x] != -1)
             if d >= 3:
-                self.cnt_branching += 1
-            if kind[x] == C_NODE:
-                self._group_add(x, d)
-            elif d <= 1 and kind[x] in (B_NODE, S_NODE):
-                leaf_counts[t.leaf_type(x)] += 1
+                branching += 1
+            k = kind[x]
+            if k == C_NODE:
+                head = grp_head.get(d, -1)
+                if head != -1:
+                    gnext[x] = head
+                    gprev[head] = x
+                grp_head[d] = x
+                grp_of[x] = d
+                if d > top:
+                    top = d
+            elif d <= 1:
+                if k == B_NODE:
+                    leaf_counts[AB] += 1
+                elif k == S_NODE:
+                    leaf_counts[A if min_a[x] != -1 else B] += 1
+        self._max_top = top
+        self.cnt_branching = branching
         self._settle_counts()
 
     # ------------------------------------------------------------------

@@ -390,9 +390,9 @@ def massive_and_critical(dec, recs, cid: int) -> tuple[list[int], list[int], int
     and critical when it leaves exactly that many.  Both lists ascend.
     """
     n = [0, 0, 0]
-    for p in recs:
-        if p.comp == cid:
-            n[(A, B, AB).index(p.ptype)] += 1
+    for ptype, comp in zip(recs[0], recs[1]):
+        if comp == cid:
+            n[(A, B, AB).index(ptype)] += 1
     m = oracle_max_matching(*n)
     r = sum(n) - 2 * m
     cuts = [v for v in dec.comps[cid] if dec.branches[v] >= 2]
@@ -519,7 +519,8 @@ def audit_against_rebuild(
     g2 = add_edges(g, added)
     dec2 = decompose(g2)
     cid2 = dec2.comp_id[anchor]
-    types = [p.ptype for p in pendant_records(g2, dec2) if p.comp == cid2]
+    ptype, comp = pendant_records(g2, dec2)[:2]
+    types = [t for t, c in zip(ptype, comp) if c == cid2]
     counts = counts_of(types)
     check(index.counts() == counts, "leaf census drifted from rebuild")
     max_d = max(dec2.branches[v] for v in dec2.comps[cid2])
@@ -772,8 +773,9 @@ class PendantRec:
 
 
 def ref_pendant_records(g: BipartiteGraph, dec) -> list[PendantRec]:
-    """pendant_records as one object per pendant: all pendant blocks,
-    ordered by smallest member vertex, ties in sorted block order."""
+    """pendant_records as it was, one object per pendant: all pendant
+    blocks, ordered by smallest member vertex, ties in sorted block
+    order."""
     recs: list[PendantRec] = []
     branches = dec.branches
     for blk in dec.ns_blocks:
@@ -793,14 +795,6 @@ def ref_pendant_records(g: BipartiteGraph, dec) -> list[PendantRec]:
                 recs.append(PendantRec(B, dec.comp_id[v], v, -1, v))
     recs.sort(key=lambda r: r.key)
     return recs
-
-
-def pendant_fields(recs: list[PendantRec]) -> list[list[int]]:
-    """The records' five fields, each as a list in record order."""
-    return [
-        [getattr(r, name) for r in recs]
-        for name in ("ptype", "comp", "key", "min_a", "min_b")
-    ]
 
 
 def ref_build(g: BipartiteGraph, branches, comp, blocks, bridges, counters=None):

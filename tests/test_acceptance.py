@@ -172,7 +172,7 @@ def test_criterion_5_structure_lemmas_hold():
                 (kind, min(mem), pt) for kind, mem, pt in oracle_pendants(g)
             )
             assert (
-                sorted((pendant_kind(p.ptype), p.key, p.ptype) for p in recs)
+                sorted((pendant_kind(t), k, t) for t, k in zip(recs[0], recs[2]))
                 == triples
             )
             got = set()
@@ -195,7 +195,7 @@ def test_criterion_5_structure_lemmas_hold():
             # the same massive and critical vertices
             for cid, comp in enumerate(dec.comps):
                 massive, critical, _, r = massive_and_critical(dec, recs, cid)
-                lam = sum(1 for p in recs if p.comp == cid)
+                lam = recs[1].count(cid)
                 assert len(massive) <= 1
                 if lam > 3:
                     assert len(critical) <= 2

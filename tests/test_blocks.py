@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -29,7 +30,7 @@ from bipartite_biconnect.blocks import (
     Decomposition,
     tree_to_dot,
 )
-from bipartite_biconnect.graph import caterpillar_graph, spider_graph
+from bipartite_biconnect.graph import caterpillar_graph, parse_graph, spider_graph
 from bipartite_biconnect.matching import AB, A, B
 from bipartite_biconnect.stats import OpCounters
 
@@ -45,7 +46,6 @@ from .helpers import (
     oracle_pendants,
     oracle_split_count,
     path_graph,
-    pendant_fields,
     pendant_kind,
     random_graph,
     ref_build,
@@ -199,7 +199,8 @@ def test_join_matches_decomposing_the_bridged_graph(monkeypatch):
         assert branches == ref.branches
         assert dec == decompose(g)
         joined[kind] += 1
-        ab_keys = [p.key for p in pendant_records(g, dec) if p.ptype == AB]
+        ptype, _, key, _, _ = pendant_records(g, dec)
+        ab_keys = [k for t, k in zip(ptype, key) if t == AB]
         key_ties += len(set(ab_keys)) < len(ab_keys)
     assert sum(joined.values()) >= 2_000, joined
     assert min(joined.values()) >= 400, joined
@@ -246,10 +247,8 @@ def test_split_counts_match_reference():
 def test_pendants_match_reference():
     for g in small_corpus():
         dec = decompose(g)
-        mine = sorted(
-            (pendant_kind(rec.ptype), rec.key, rec.ptype)
-            for rec in pendant_records(g, dec)
-        )
+        ptype, _, key, _, _ = pendant_records(g, dec)
+        mine = sorted((pendant_kind(t), k, t) for t, k in zip(ptype, key))
         theirs = sorted(
             (kind, min(members), ptype)
             for kind, members, ptype in oracle_pendants(g)
@@ -259,8 +258,7 @@ def test_pendants_match_reference():
 
 def test_pendant_records_sorted_by_lowest_vertex(spider4):
     dec = decompose(spider4)
-    recs = pendant_records(spider4, dec)
-    keys = [rec.key for rec in recs]
+    keys = pendant_records(spider4, dec)[2]
     assert keys == sorted(keys)
 
 
@@ -274,23 +272,24 @@ def test_pendant_records_break_a_shared_key_by_sorted_block_order():
     edges += [(0, 1), (0, 8), (9, 8), (11, 8), (0, 10)]
     g = BipartiteGraph([f"v{i}" for i in range(12)], sides, edges)
     dec = decompose(g)
-    assert pendant_fields(pendant_records(g, dec)) == [
+    assert pendant_records(g, dec) == (
         [AB, AB, B, A, B, A],
         [0] * 6,
         [0, 0, 1, 9, 10, 11],
         [2, 4, -1, 9, -1, 11],
         [5, 3, 1, -1, 10, -1],
-    ]
+    )
 
 
 def test_pendant_records_match_the_reference_on_the_setup_corpus():
     names = ("ptype", "comp", "key", "min_a", "min_b")
     for g in setup_corpus():
         dec = decompose(g)
-        got = pendant_fields(pendant_records(g, dec))
-        want = pendant_fields(ref_pendant_records(g, dec))
-        for name, mine, theirs in zip(names, got, want):
-            assert mine == theirs, (name, g.labels)
+        got = pendant_records(g, dec)
+        recs = ref_pendant_records(g, dec)
+        assert len(got) == len(names)
+        for name, mine in zip(names, got):
+            assert mine == [getattr(r, name) for r in recs], (name, g.labels)
 
 
 # ----------------------------------------------------------------------
@@ -305,12 +304,10 @@ def tree_of(g: BipartiteGraph, cid: int = 0) -> BlockTree:
 def test_tree_leaves_are_exactly_the_pendants():
     for g in small_corpus():
         dec = decompose(g)
-        recs = pendant_records(g, dec)
+        ptype, comps, key, _, _ = pendant_records(g, dec)
         by_comp: dict[int, list[tuple[str, int]]] = {}
-        for rec in recs:
-            by_comp.setdefault(rec.comp, []).append(
-                (pendant_kind(rec.ptype), rec.key)
-            )
+        for t, c, k in zip(ptype, comps, key):
+            by_comp.setdefault(c, []).append((pendant_kind(t), k))
         for cid, comp in enumerate(dec.comps):
             if len(comp) < 2:
                 continue
@@ -600,6 +597,23 @@ def test_dot_export_mentions_every_vertex(p4):
         assert lab in dot
     assert dot.startswith("graph blocktree {")
     assert "shape=circle" in dot and "shape=diamond" in dot
+
+
+def test_dot_export_escapes_quotes_and_backslashes():
+    # a path a"1 - b1 - a\2 and a lone vertex b"2; each label is one DOT
+    # quoted string, with its backslashes and quotes escaped
+    g = parse_graph('A a"1 a\\2\nB b1 b"2\nE a"1 b1\nE a\\2 b1\n')
+    dot = tree_to_dot(g)
+    labels = re.findall(r'label=("(?:[^"\\]|\\.)*")\];\n', dot)
+    assert len(labels) == dot.count("label=") == 6
+    assert set(labels) == {
+        r'"a\"1"',
+        r'"a\\2"',
+        r'"b1"',
+        r'"a\"1 b1"',
+        r'"a\\2 b1"',
+        r'"b\"2"',
+    }
 
 
 def test_dot_export_is_deterministic(spider4):

@@ -132,9 +132,8 @@ def test_criticality_invariants_hold_on_randoms():
             if len(comp) < 3:
                 continue
             massive, critical, _, r = massive_and_critical(dec, recs, cid)
-            pend_here = [p for p in recs if p.comp == cid]
             assert len(massive) <= 1
-            if len(pend_here) > 3:
+            if recs[1].count(cid) > 3:
                 assert len(critical) <= 2
             if len(critical) == 2:
                 assert r == 0

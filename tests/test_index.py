@@ -79,7 +79,8 @@ def test_leaf_counts_match_pendant_records():
             if tree.kind[x] == C_NODE
         )
         cid = dec.comp_id[anchor]
-        types = [p.ptype for p in pendant_records(g, dec) if p.comp == cid]
+        ptype, comp = pendant_records(g, dec)[:2]
+        types = [t for t, c in zip(ptype, comp) if c == cid]
         assert index.counts() == counts_of(types)
 
 
